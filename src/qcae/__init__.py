@@ -2,8 +2,9 @@
 
 The package splits into small, composable pieces:
 
-  statevector  dense n-qubit simulator with gates, exact Z expectations,
-               and an optional depolarizing/readout noise channel
+  statevector  dense n-qubit simulator running one gate sequence on a batch
+               of angle rows, exact Z expectations, and an optional
+               depolarizing/readout noise channel
   ansatz       circuit templates (QAOA layers plus comparison families),
                angle encoding and normalization
   gradient     parameter-shift jacobians and classical chain-rule glue
@@ -16,7 +17,6 @@ The package splits into small, composable pieces:
 
 from .ansatz import (
     CircuitTemplate,
-    ParameterSlot,
     angle_encode,
     build_family,
     build_qaoa,
@@ -35,7 +35,7 @@ from .data_io import (
     montage,
     write_idx,
 )
-from .gradient import QuantumJacobian, ShiftEvaluation, chain_loss_gradient, psr_gradient, softmax_xent
+from .gradient import QuantumJacobian, chain_loss_gradient, psr_gradient, softmax_xent
 from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 from .model import (
     DenoisingAutoencoder,
@@ -58,7 +58,9 @@ from .statevector import (
     h,
     init_zero,
     measure_all_z,
+    measure_rows_z,
     run_circuit,
+    run_rows,
     rx,
     ry,
     rz,

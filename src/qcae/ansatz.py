@@ -2,7 +2,9 @@
 hardware-efficient comparison families.
 
 A template is an immutable gate program in which rotation angles refer to
-parameter slots filled in at bind time. Families:
+parameter slots. gate_angles turns parameter vectors into one angle per
+gate, the rows that statevector.run_rows executes; bind turns one vector
+into a concrete GateOp list. Families:
 
   ours  p alternations of a ring ZZ cost layer and an RX mixer layer on a
         uniform superposition; parameter vector [g_1..g_p, b_1..b_p], 2p
@@ -20,28 +22,14 @@ always produce identical gate lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from math import pi
 
 import numpy as np
 
-from .statevector import GateOp, rx, ry, rz
+from .statevector import ROTATION_KINDS, GateOp, rx, ry, rz
 
 FAMILIES = ("a", "b", "c", "ours")
-
-ROLE_GAMMA = "gamma"
-ROLE_BETA = "beta"
-ROLE_GENERIC = "generic_rotation"
-
-
-@dataclass(frozen=True)
-class ParameterSlot:
-    """One trainable parameter: where it sits and which gates it feeds."""
-
-    index: int
-    role: str
-    gate_kind: str
-    targets: tuple[int, ...]
-    angle_scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -61,51 +49,39 @@ class CircuitTemplate:
     p: int
     family: str
     gates: tuple[TemplateGate, ...]
-    slots: tuple[ParameterSlot, ...]
 
     @property
     def slot_count(self) -> int:
-        return len(self.slots)
+        return len({g.slot for g in self.gates if g.slot is not None})
 
     def bound_gate_indices(self) -> list[int]:
         """Positions of parameterized gates, in program order."""
         return [i for i, g in enumerate(self.gates) if g.slot is not None]
 
-    def _check_params(self, params: np.ndarray) -> np.ndarray:
+    def gate_angles(self, params) -> np.ndarray:
+        """Angle of every gate: scale * params[slot] if bound, else the fixed
+        angle (0 for H/CNOT). An (N, slot_count) batch gives one row each."""
         params = np.asarray(params, dtype=float)
-        if params.shape != (self.slot_count,):
+        if params.ndim not in (1, 2) or params.shape[-1] != self.slot_count:
             raise ValueError(
                 f"family {self.family!r} (n={self.n_qubits}, p={self.p}) takes "
                 f"{self.slot_count} parameters, got shape {params.shape}"
             )
-        return params
+        angles = np.zeros(params.shape[:-1] + (len(self.gates),))
+        for i, g in enumerate(self.gates):
+            if g.slot is not None:
+                angles[..., i] = g.scale * params[..., g.slot]
+            elif g.angle is not None:
+                angles[..., i] = g.angle
+        return angles
 
     def bind(self, params) -> list[GateOp]:
         """Fill every slot and return a concrete gate list."""
-        return self.bind_with_shift(params, None, 0.0)
-
-    def bind_with_shift(self, params, gate_index: int | None, delta: float) -> list[GateOp]:
-        """Bind, adding delta to the gate angle of one parameterized gate.
-
-        The shift is in gate-angle space (after the slot's scale factor),
-        which is what the two-point parameter-shift rule requires.
-        """
-        params = self._check_params(params)
-        if gate_index is not None:
-            if not 0 <= gate_index < len(self.gates):
-                raise ValueError(f"gate index {gate_index} out of range")
-            if self.gates[gate_index].slot is None:
-                raise ValueError(f"gate {gate_index} is not parameterized")
-        out = []
-        for i, g in enumerate(self.gates):
-            if g.slot is None:
-                angle = g.angle
-            else:
-                angle = g.scale * params[g.slot]
-                if i == gate_index:
-                    angle += delta
-            out.append(GateOp(g.kind, g.targets, angle))
-        return out
+        angles = self.gate_angles(params)
+        if angles.ndim != 1:
+            raise ValueError(f"bind takes one parameter vector, got shape {np.shape(params)}")
+        return [GateOp(g.kind, g.targets, float(a) if g.kind in ROTATION_KINDS else None)
+                for g, a in zip(self.gates, angles)]
 
 
 def ring_edges(n_qubits: int) -> list[tuple[int, int]]:
@@ -131,10 +107,7 @@ def qaoa_template(n_qubits: int, p: int) -> CircuitTemplate:
             gates.append(TemplateGate("zz", (a, b), slot=k, scale=2.0))
         for q in range(n_qubits):
             gates.append(TemplateGate("rx", (q,), slot=p + k, scale=2.0))
-    everything = tuple(range(n_qubits))
-    slots = [ParameterSlot(k, ROLE_GAMMA, "zz", everything, 2.0) for k in range(p)]
-    slots += [ParameterSlot(p + k, ROLE_BETA, "rx", everything, 2.0) for k in range(p)]
-    return CircuitTemplate(n_qubits, p, "ours", tuple(gates), tuple(slots))
+    return CircuitTemplate(n_qubits, p, "ours", tuple(gates))
 
 
 def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
@@ -148,13 +121,11 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
         return qaoa_template(n_qubits, p)
 
     gates: list[TemplateGate] = []
-    slots: list[ParameterSlot] = []
+    slot_ids = count()
 
     def rotation_column(kind: str) -> None:
         for q in range(n_qubits):
-            idx = len(slots)
-            gates.append(TemplateGate(kind, (q,), slot=idx))
-            slots.append(ParameterSlot(idx, ROLE_GENERIC, kind, (q,)))
+            gates.append(TemplateGate(kind, (q,), slot=next(slot_ids)))
 
     for _ in range(p):
         if family == "a":
@@ -174,7 +145,7 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
             for c, t in entangler:
                 gates.append(TemplateGate("cnot", (c, t)))
             rotation_column("rz")
-    return CircuitTemplate(n_qubits, p, family, tuple(gates), tuple(slots))
+    return CircuitTemplate(n_qubits, p, family, tuple(gates))
 
 
 def angle_encode(values, rotation: str = "ry", n_qubits: int | None = None) -> list[GateOp]:

@@ -20,7 +20,7 @@ from pathlib import Path
 from .data_io import filter_classes, load_idx, make_synthetic_digits
 from .data_io import NoiseSpec, add_gaussian_noise, export_pgm, montage
 from .metrics import mean_ssim, ssim_config_for, write_csv
-from .model import DenoisingAutoencoder, ModelSpec, TrainConfig, train
+from .model import DenoisingAutoencoder, ModelSpec, TrainConfig, derive_seeds, train
 from .statevector import NoiseChannel
 
 ENV_DATA_DIR = "QCAE_DATA_DIR"
@@ -211,20 +211,29 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_denoise(args) -> int:
-    run_dir = Path(args.run)
+def _load_run(run_dir: Path, sigma=None):
+    """(cfg, model with weights, clean and noisy validation images), the
+    images noised as train() noised them; sigma, if given, overrides."""
     cfg = _read_manifest(run_dir)
-    if args.sigma is not None:
-        cfg = replace(cfg, sigma=float(args.sigma))
-    model = DenoisingAutoencoder(_model_spec(cfg), seed=cfg.seed)
+    if sigma is not None:
+        cfg = replace(cfg, sigma=float(sigma))
+    init_ss, _, _, val_noise_seed = derive_seeds(cfg.seed)
+    model = DenoisingAutoencoder(_model_spec(cfg), seed=init_ss)
     model.load(run_dir / "weights.bin")
     _, val_set = load_datasets(cfg)
-    count = min(args.count, len(val_set))
-    if count == 0:
-        raise ValueError("no validation images available to denoise")
-    clean = val_set.images[:count]
-    noisy = add_gaussian_noise(clean, NoiseSpec(cfg.sigma, cfg.seed))
-    denoised = model.denoise(noisy)
+    clean = val_set.images[:cfg.val_limit]
+    if len(clean) == 0:
+        raise ValueError("no validation images available")
+    return cfg, model, clean, add_gaussian_noise(clean, NoiseSpec(cfg.sigma, val_noise_seed))
+
+
+def cmd_denoise(args) -> int:
+    run_dir = Path(args.run)
+    _, model, clean, noisy = _load_run(run_dir, args.sigma)
+    count = min(args.count, len(clean))
+    if count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
+    denoised = model.denoise(noisy[:count])
     for i in range(count):
         panel = montage([clean[i], noisy[i], denoised[i]])
         path = run_dir / f"denoised_{i:03d}.pgm"
@@ -279,14 +288,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
-    cfg = _read_manifest(run_dir)
-    model = DenoisingAutoencoder(_model_spec(cfg), seed=cfg.seed)
-    model.load(run_dir / "weights.bin")
-    _, val_set = load_datasets(cfg)
-    if len(val_set) == 0:
-        raise ValueError("no validation images available")
-    clean = val_set.images[:cfg.val_limit]
-    noisy = add_gaussian_noise(clean, NoiseSpec(cfg.sigma, cfg.seed))
+    cfg, model, clean, noisy = _load_run(run_dir)
     cfg_ssim = ssim_config_for(clean.shape)
     ssim_noisy = mean_ssim(noisy, clean, cfg_ssim)
     ssim_denoised = mean_ssim(model.denoise(noisy), clean, cfg_ssim)
@@ -366,3 +368,7 @@ def main(argv=None) -> int:
     except Exception as e:  # noqa: BLE001 - map anything else to runtime failure
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

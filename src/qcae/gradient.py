@@ -7,7 +7,9 @@ full circuit evaluation. A template parameter may feed several gates (the
 QAOA layers tie one gamma to every ring edge and one beta to every qubit);
 the gradient with respect to that parameter is then the chain-rule sum of
 per-gate shift terms, each weighted by the slot's angle scale. Shifts never
-alter circuit structure and use no ancilla qubits.
+alter circuit structure and use no ancilla qubits, so the forward pass and
+every shift are angle rows of one gate program, run together by
+statevector.run_rows.
 
 The engine is loss-agnostic: it emits a jacobian of per-qubit Z expectations
 against parameters, and chain_loss_gradient contracts it with whatever
@@ -16,49 +18,29 @@ softmax_xent reproduces the classification path).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import pi
 
 import numpy as np
 
-from .ansatz import CircuitTemplate
-from .statevector import GateOp, NoiseChannel, measure_all_z, run_circuit
-
-
-@dataclass(frozen=True)
-class ShiftEvaluation:
-    """Per-qubit expectations at one gate's +pi/2 and -pi/2 shifts."""
-
-    parameter_index: int
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-
-    @property
-    def gradient(self) -> np.ndarray:
-        return (self.f_plus - self.f_minus) / 2.0
+from .ansatz import CircuitTemplate, TemplateGate
+from .statevector import GateOp, NoiseChannel, measure_rows_z, run_rows
 
 
 @dataclass(frozen=True)
 class QuantumJacobian:
     """d<Z_row>/d theta_col, plus the unshifted forward expectations.
 
-    n_executions counts full circuit runs: two per parameterized gate
-    occurrence plus one forward pass (equal to 2 * slot_count + 1 whenever
-    slots bind one gate each, as in families a/b/c).
+    For a batch of N parameter vectors, entries is (N, n, slot_count) and
+    forward (N, n). n_executions counts circuit rows run: per vector two per
+    parameterized gate occurrence plus one forward pass (equal to
+    2 * slot_count + 1 whenever slots bind one gate each, as in families
+    a/b/c).
     """
 
     entries: np.ndarray
     forward: np.ndarray
     n_executions: int
-    shifts: tuple[ShiftEvaluation, ...] = ()
-
-    @property
-    def n_qubits(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n_parameters(self) -> int:
-        return self.entries.shape[1]
 
 
 def psr_gradient(
@@ -70,41 +52,52 @@ def psr_gradient(
 ) -> QuantumJacobian:
     """Jacobian of all per-qubit <Z> against the template's parameters.
 
-    The prelude (e.g. angle-encoding gates) is parameter-independent and is
-    replayed in front of every evaluation.
+    params is one vector or an (N, slot_count) batch. Each vector becomes
+    1 + 2 * (bound gates) angle rows of the same gate program: row 0 is the
+    forward pass, rows 1 + 2k and 2 + 2k shift the k-th bound gate by +pi/2
+    and -pi/2. All rows of the batch run in one run_rows call. The prelude
+    (e.g. angle-encoding gates) is parameter-independent and is replayed in
+    front of every row.
     """
-    params = np.asarray(params, dtype=float)
+    if prelude:
+        fixed = tuple(TemplateGate(g.kind, g.targets, angle=g.angle) for g in prelude)
+        template = replace(template, gates=fixed + template.gates)
+    base = template.gate_angles(params)
+    batch = base.reshape(-1, base.shape[-1])
+    bound = np.array(template.bound_gate_indices(), dtype=int)
+    n_rows = 1 + 2 * len(bound)
+    rows = np.repeat(batch[:, None, :], n_rows, axis=1)
+    shifted = np.arange(len(bound))
+    rows[:, 1 + 2 * shifted, bound] += pi / 2
+    rows[:, 2 + 2 * shifted, bound] -= pi / 2
     n = template.n_qubits
-    executions = 0
-
-    def evaluate(gates: list[GateOp]) -> np.ndarray:
-        nonlocal executions
-        executions += 1
-        state = run_circuit(n, list(prelude) + gates, channel, rng)
-        return measure_all_z(state, channel)
-
-    forward = evaluate(template.bind(params))
-    entries = np.zeros((n, template.slot_count))
-    shifts = []
-    for gi in template.bound_gate_indices():
+    amps = run_rows(n, template.gates, rows.reshape(-1, batch.shape[1]), channel, rng)
+    z = measure_rows_z(amps, channel).reshape(len(batch), n_rows, n)
+    entries = np.zeros((len(batch), n, template.slot_count))
+    for k, gi in enumerate(bound):
         gate = template.gates[gi]
-        f_plus = evaluate(template.bind_with_shift(params, gi, +pi / 2))
-        f_minus = evaluate(template.bind_with_shift(params, gi, -pi / 2))
-        shifts.append(ShiftEvaluation(gate.slot, f_plus, f_minus))
-        entries[:, gate.slot] += gate.scale * (f_plus - f_minus) / 2.0
-    return QuantumJacobian(entries, forward, executions, tuple(shifts))
+        entries[:, :, gate.slot] += gate.scale * (z[:, 1 + 2 * k] - z[:, 2 + 2 * k]) / 2.0
+    lead = base.shape[:-1]
+    return QuantumJacobian(entries.reshape(lead + entries.shape[1:]),
+                           z[:, 0].reshape(lead + (n,)), len(batch) * n_rows)
 
 
 def chain_loss_gradient(jacobian, downstream) -> np.ndarray:
-    """Loss gradient w.r.t. quantum parameters: downstream^T . jacobian."""
+    """Loss gradient w.r.t. quantum parameters: downstream^T . jacobian.
+
+    A batched (N, n, slot_count) jacobian takes (N, n) downstream gradients
+    and returns one row per sample.
+    """
     entries = jacobian.entries if isinstance(jacobian, QuantumJacobian) else np.asarray(jacobian)
-    downstream = np.asarray(downstream, dtype=float).ravel()
-    if downstream.size != entries.shape[0]:
+    downstream = np.asarray(downstream, dtype=float)
+    if entries.ndim == 2:
+        downstream = downstream.ravel()
+    if downstream.shape != entries.shape[:-1]:
         raise ValueError(
-            f"downstream gradient has {downstream.size} entries for a jacobian "
-            f"with {entries.shape[0]} measured qubits"
+            f"downstream gradient of shape {downstream.shape} does not fit a jacobian "
+            f"of shape {entries.shape} ({entries.shape[-2]} measured qubits)"
         )
-    return downstream @ entries
+    return (downstream[..., None, :] @ entries)[..., 0, :]
 
 
 def softmax_xent(logits, target) -> tuple[float, np.ndarray]:

@@ -5,14 +5,16 @@ image to a short feature vector, and a transposed-convolutional decoder
 rebuilds a [0, 1] image from a short latent vector. The classical model
 (ccae) wires those vectors together directly. The hybrid model (qcae)
 instead squashes the encoder output through tanh, maps it affinely onto
-[0, 2*pi], binds the result as the rotation parameters of a circuit
-template, executes the circuit from |0...0> (the QAOA family applies its
-own H wall), and feeds the per-qubit Z expectations to the decoder.
+[0, 2*pi], uses the result as the rotation parameters of a circuit
+template, runs the batch from |0...0> as one angle row per sample (the QAOA
+family applies its own H wall), and feeds the per-qubit Z expectations to
+the decoder.
 
 Gradients: the decoder and encoder backpropagate classically; the circuit
-contributes a parameter-shift jacobian contracted with the decoder's input
-gradient. With psr_enabled=False the quantum jacobian is taken as zero, so
-only the decoder trains - that is the "no gradient refinement" ablation.
+contributes a parameter-shift jacobian, whose shift rows for the whole batch
+run in one call, contracted with the decoder's input gradient. With
+psr_enabled=False the quantum jacobian is taken as zero, so only the decoder
+trains - that is the "no gradient refinement" ablation.
 
 Training minimizes MSE between the reconstruction and the clean image
 (inputs are the noised versions) with Adam, recording per-epoch loss and
@@ -30,7 +32,7 @@ from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
 from .nn import Adam, LayerSpec, NonFiniteTensor, build_layer, load_weights, mse_loss, save_weights
-from .statevector import NoiseChannel, measure_all_z, run_circuit
+from .statevector import NoiseChannel, measure_rows_z, run_rows
 
 SQUASH_LO, SQUASH_HI = -1.0, 1.0  # tanh range fed to the angle map
 
@@ -84,64 +86,46 @@ class TrainingAborted(RuntimeError):
         self.records = records
 
 
+# per supported image size: the three encoder widths, and the kernel of the
+# last convolution, which reaches 1x1 after two stride-2 halvings
+_WIDTHS = {28: ((16, 32, 64), 7), 8: ((4, 8, 16), 2)}
+
+
+def _widths(image_size: int):
+    if image_size not in _WIDTHS:
+        raise ValueError(f"no default architecture for image_size={image_size}; pass explicit specs")
+    return _WIDTHS[image_size]
+
+
 def default_encoder(latent_dim: int, image_size: int = 28) -> list[LayerSpec]:
     """Three stride-reducing convolutions down to 1x1, then a dense head."""
-    if image_size == 28:
-        stack = [
-            LayerSpec("conv2d", in_channels=1, out_channels=16, kernel_size=3, stride=2, padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("conv2d", in_channels=16, out_channels=32, kernel_size=3, stride=2, padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("conv2d", in_channels=32, out_channels=64, kernel_size=7),
-            LayerSpec("flatten"),
-            LayerSpec("dense", in_features=64, out_features=latent_dim),
-        ]
-    elif image_size == 8:
-        stack = [
-            LayerSpec("conv2d", in_channels=1, out_channels=4, kernel_size=3, stride=2, padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("conv2d", in_channels=4, out_channels=8, kernel_size=3, stride=2, padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("conv2d", in_channels=8, out_channels=16, kernel_size=2),
-            LayerSpec("flatten"),
-            LayerSpec("dense", in_features=16, out_features=latent_dim),
-        ]
-    else:
-        raise ValueError(f"no default architecture for image_size={image_size}; pass explicit specs")
-    return stack
+    (c1, c2, c3), k = _widths(image_size)
+    return [
+        LayerSpec("conv2d", in_channels=1, out_channels=c1, kernel_size=3, stride=2, padding=1),
+        LayerSpec("leaky_relu"),
+        LayerSpec("conv2d", in_channels=c1, out_channels=c2, kernel_size=3, stride=2, padding=1),
+        LayerSpec("leaky_relu"),
+        LayerSpec("conv2d", in_channels=c2, out_channels=c3, kernel_size=k),
+        LayerSpec("flatten"),
+        LayerSpec("dense", in_features=c3, out_features=latent_dim),
+    ]
 
 
 def default_decoder(input_dim: int, image_size: int = 28) -> list[LayerSpec]:
     """Mirror of the encoder: dense seed, three transposed convs, sigmoid."""
-    if image_size == 28:
-        stack = [
-            LayerSpec("dense", in_features=input_dim, out_features=64),
-            LayerSpec("reshape", shape=(64, 1, 1)),
-            LayerSpec("tconv2d", in_channels=64, out_channels=32, kernel_size=7),
-            LayerSpec("leaky_relu"),
-            LayerSpec("tconv2d", in_channels=32, out_channels=16, kernel_size=3,
-                      stride=2, padding=1, output_padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("tconv2d", in_channels=16, out_channels=1, kernel_size=3,
-                      stride=2, padding=1, output_padding=1),
-            LayerSpec("sigmoid"),
-        ]
-    elif image_size == 8:
-        stack = [
-            LayerSpec("dense", in_features=input_dim, out_features=16),
-            LayerSpec("reshape", shape=(16, 1, 1)),
-            LayerSpec("tconv2d", in_channels=16, out_channels=8, kernel_size=2),
-            LayerSpec("leaky_relu"),
-            LayerSpec("tconv2d", in_channels=8, out_channels=4, kernel_size=3,
-                      stride=2, padding=1, output_padding=1),
-            LayerSpec("leaky_relu"),
-            LayerSpec("tconv2d", in_channels=4, out_channels=1, kernel_size=3,
-                      stride=2, padding=1, output_padding=1),
-            LayerSpec("sigmoid"),
-        ]
-    else:
-        raise ValueError(f"no default architecture for image_size={image_size}; pass explicit specs")
-    return stack
+    (c1, c2, c3), k = _widths(image_size)
+    return [
+        LayerSpec("dense", in_features=input_dim, out_features=c3),
+        LayerSpec("reshape", shape=(c3, 1, 1)),
+        LayerSpec("tconv2d", in_channels=c3, out_channels=c2, kernel_size=k),
+        LayerSpec("leaky_relu"),
+        LayerSpec("tconv2d", in_channels=c2, out_channels=c1, kernel_size=3,
+                  stride=2, padding=1, output_padding=1),
+        LayerSpec("leaky_relu"),
+        LayerSpec("tconv2d", in_channels=c1, out_channels=1, kernel_size=3,
+                  stride=2, padding=1, output_padding=1),
+        LayerSpec("sigmoid"),
+    ]
 
 
 class _Stack:
@@ -168,7 +152,12 @@ class _Stack:
 
 
 class QuantumLatent:
-    """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>."""
+    """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
+
+    forward runs the whole batch as one run_rows call, one angle row per
+    sample; backward runs every sample's parameter-shift rows in one
+    psr_gradient call.
+    """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
                  channel: NoiseChannel | None = None,
@@ -195,12 +184,9 @@ class QuantumLatent:
             )
         self._squashed = np.tanh(y)
         self._angles = normalize_to_angle(self._squashed, SQUASH_LO, SQUASH_HI)
-        z = np.empty((y.shape[0], self.n_qubits))
-        for i, theta in enumerate(self._angles):
-            state = run_circuit(self.n_qubits, self.template.bind(theta),
-                                self.channel, self.rng)
-            z[i] = measure_all_z(state, self.channel)
-        return z
+        amps = run_rows(self.n_qubits, self.template.gates,
+                        self.template.gate_angles(self._angles), self.channel, self.rng)
+        return measure_rows_z(amps, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
         squashed = self._squashed
@@ -208,13 +194,10 @@ class QuantumLatent:
             raise ValueError("QuantumLatent.backward called before forward")
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        d_y = np.empty_like(squashed)
+        jac = psr_gradient(self.template, self._angles, channel=self.channel, rng=self.rng)
+        d_theta = chain_loss_gradient(jac, d_z)
         angle_scale = 2.0 * pi / (SQUASH_HI - SQUASH_LO)
-        for i, theta in enumerate(self._angles):
-            jac = psr_gradient(self.template, theta, channel=self.channel, rng=self.rng)
-            d_theta = chain_loss_gradient(jac, d_z[i])
-            d_y[i] = d_theta * angle_scale * (1.0 - squashed[i] ** 2)
-        return d_y
+        return d_theta * angle_scale * (1.0 - squashed ** 2)
 
 
 class DenoisingAutoencoder:
@@ -283,14 +266,20 @@ class DenoisingAutoencoder:
             p[...] = t
 
 
+def derive_seeds(seed: int):
+    """train()'s (init, shuffle) seed sequences and (train, val) Gaussian
+    noise seeds; the val seed re-noises validation images as train() did."""
+    init_ss, shuffle_ss, noise_ss = np.random.SeedSequence(seed).spawn(3)
+    train_noise_seed, val_noise_seed = (int(s) for s in noise_ss.generate_state(2))
+    return init_ss, shuffle_ss, train_noise_seed, val_noise_seed
+
+
 def train(spec: ModelSpec, config: TrainConfig, train_set: MnistSet,
           val_set: MnistSet | None = None, config_id: str = "") -> tuple[DenoisingAutoencoder, list[RunRecord]]:
     """Fit a model on noised inputs against clean targets; returns per-epoch records."""
     if len(train_set) == 0:
         raise ValueError("training set is empty")
-    ss = np.random.SeedSequence(config.seed)
-    init_ss, shuffle_ss, noise_ss = ss.spawn(3)
-    train_noise_seed, val_noise_seed = (int(s) for s in noise_ss.generate_state(2))
+    init_ss, shuffle_ss, train_noise_seed, val_noise_seed = derive_seeds(config.seed)
 
     clean = train_set.images[:config.sample_limit]
     noisy = add_gaussian_noise(clean, NoiseSpec(config.sigma, train_noise_seed))

@@ -242,32 +242,21 @@ class ConvTranspose2d(Layer):
         if x.ndim != 4 or x.shape[1] != in_c:
             raise ValueError(f"tconv2d expects (N, {in_c}, H, W), got {x.shape}")
         n, _, height, width = x.shape
-        s, p, op = self.stride, self.padding, self.output_padding
-        h_out = tconv_out_size(height, k, s, p, op)
-        w_out = tconv_out_size(width, k, s, p, op)
+        s, p = self.stride, self.padding
+        h_out = tconv_out_size(height, k, s, p, self.output_padding)
+        w_out = tconv_out_size(width, k, s, p, self.output_padding)
         if h_out < 1 or w_out < 1:
             raise ValueError(f"tconv2d output collapses for input shape {x.shape}")
         x2 = x.reshape(n, in_c, height * width)
         cols = np.einsum("ck,ncp->nkp", self.weight.reshape(in_c, -1), x2)
-        full = np.zeros((n, out_c, (height - 1) * s + k + op, (width - 1) * s + k + op))
-        c6 = cols.reshape(n, out_c, k, k, height, width)
-        for u in range(k):
-            for v in range(k):
-                full[:, :, u:u + s * height:s, v:v + s * width:s] += c6[:, :, u, v]
-        y = full[:, :, p:p + h_out, p:p + w_out] + self.bias[None, :, None, None]
-        self._cache = (x2, x.shape, full.shape, (h_out, w_out))
-        return y
+        y = _col2im(cols, (n, out_c, h_out, w_out), k, s, p, (height, width))
+        self._cache = (x2, x.shape)
+        return y + self.bias[None, :, None, None]
 
     def backward(self, upstream):
-        x2, x_shape, full_shape, out_hw = self._take_cache("_cache")
-        in_c, out_c, k, _ = self.weight.shape
-        n, _, height, width = x_shape
-        s, p = self.stride, self.padding
-        d_full = np.zeros(full_shape)
-        d_full[:, :, p:p + out_hw[0], p:p + out_hw[1]] = upstream
-        win = np.lib.stride_tricks.sliding_window_view(d_full, (k, k), axis=(2, 3))
-        win = win[:, :, ::s, ::s][:, :, :height, :width]
-        d_cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, out_c * k * k, height * width)
+        x2, x_shape = self._take_cache("_cache")
+        in_c = self.weight.shape[0]
+        d_cols, _ = _im2col(upstream, self.weight.shape[2], self.stride, self.padding)
         self.grad_weight = np.einsum("ncp,nkp->ck", x2, d_cols).reshape(self.weight.shape)
         self.grad_bias = upstream.sum(axis=(0, 2, 3))
         d_x = np.einsum("ck,nkp->ncp", self.weight.reshape(in_c, -1), d_cols)

@@ -2,20 +2,24 @@
 
 Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index, so the two-qubit basis state with qubit 0 set lives at
-index 1. Gates mutate a complex128 amplitude array of length 2^n in place.
-Measurement is an exact Pauli-Z expectation by default; a shot-sampled
-estimate exists for realism but is never used by the trainer.
+index 1. One runner does all simulation: run_rows applies a gate sequence
+in place to an (M, 2^n) complex128 array of M independent rows, fed by an
+(M, len(gates)) angle matrix, and measure_rows_z reads exact per-qubit
+Pauli-Z expectations from every row. run_circuit, apply_gate, apply_noise,
+measure_all_z and expect_z are the one-row case. A shot-sampled estimate
+exists for realism but is never used by the trainer.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
-for calibrated hardware noise): after a gate, each touched qubit suffers a
-uniformly chosen Pauli kick with some probability, and readout expectations
-are shrunk by (1 - 2 * flip probability). All randomness flows through an
-explicit numpy Generator so runs are reproducible.
+for calibrated hardware noise): after a gate, each touched qubit of each row
+suffers a uniformly chosen Pauli kick with some probability, and readout
+expectations are shrunk by (1 - 2 * flip probability). All randomness flows
+through an explicit numpy Generator, drawn row by row, so runs are
+reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import cos, sin, pi
+from math import pi
 
 import numpy as np
 
@@ -119,124 +123,168 @@ class StateVector:
         return float(np.sum(self.probabilities()))
 
 
-def init_zero(n_qubits: int) -> StateVector:
-    """All-qubits-|0> state; n is capped at MAX_QUBITS to bound memory."""
+def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
+    """n_rows copies of |0...0>; n is capped at MAX_QUBITS to bound memory."""
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros(2**n_qubits, dtype=complex)
-    amps[0] = 1.0
-    return StateVector(n_qubits, amps)
+    amps = np.zeros((n_rows, 2**n_qubits), dtype=complex)
+    amps[:, 0] = 1.0
+    return amps
 
 
-def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    half = 0.5 * angle
-    if kind == "rx":
-        return np.array([[cos(half), -1j * sin(half)], [-1j * sin(half), cos(half)]])
-    if kind == "ry":
-        return np.array([[cos(half), -sin(half)], [sin(half), cos(half)]], dtype=complex)
+def init_zero(n_qubits: int) -> StateVector:
+    """All-qubits-|0> state."""
+    return StateVector(n_qubits, _zero_rows(1, n_qubits)[0])
+
+
+def _rotation_matrix(kind: str, angles) -> np.ndarray:
+    """Rotation matrices, shape angles.shape + (2, 2): one per angle."""
+    half = 0.5 * np.asarray(angles, dtype=float)
     if kind == "rz":
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    raise ValueError(f"not a single-qubit rotation: {kind}")
+        zero = np.zeros_like(half)
+        u = [[np.exp(-1j * half), zero], [zero, np.exp(1j * half)]]
+    else:
+        cos, sin = np.cos(half), np.sin(half)
+        u = [[cos, -1j * sin], [-1j * sin, cos]] if kind == "rx" else [[cos, -sin], [sin, cos]]
+    return np.moveaxis(np.array(u, dtype=complex), (0, 1), (-2, -1))
+
+
+# a depolarizing kick is a rotation by pi about a uniformly chosen axis
+_KICKS = tuple(_rotation_matrix(kind, pi) for kind in ("rx", "ry", "rz"))
 
 
 def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    # view amplitudes as (high bits, bit q, low bits); axis 1 is qubit q
-    m = amps.reshape(-1, 2, 1 << q)
-    a0 = m[:, 0, :].copy()
-    a1 = m[:, 1, :]
-    m[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-    m[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+    # u is one (2, 2) matrix for every row or an (M, 2, 2) stack, one per row;
+    # each row viewed as (high bits, bit q, low bits), axis 2 is qubit q
+    m = amps.reshape(amps.shape[0], -1, 2, 1 << q)
+    u = u.reshape(-1, 1, 1, 2, 2)
+    a0 = m[:, :, 0, :].copy()
+    a1 = m[:, :, 1, :]
+    m[:, :, 0, :] = u[..., 0, 0] * a0 + u[..., 0, 1] * a1
+    m[:, :, 1, :] = u[..., 1, 0] * a0 + u[..., 1, 1] * a1
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    idx = np.arange(amps.size)
-    sel = ((idx >> control) & 1 == 1) & ((idx >> target) & 1 == 0)
-    i0 = idx[sel]
-    i1 = i0 | (1 << target)
-    amps[i0], amps[i1] = amps[i1], amps[i0]
+    # one axis per qubit after the row axis, most significant first
+    n = amps.shape[1].bit_length() - 1
+    bits = amps.reshape((amps.shape[0],) + (2,) * n)
+    lo, hi = [slice(None)] * (n + 1), [slice(None)] * (n + 1)
+    lo[n - control] = hi[n - control] = 1
+    lo[n - target], hi[n - target] = 0, 1
+    bits[tuple(lo)], bits[tuple(hi)] = bits[tuple(hi)].copy(), bits[tuple(lo)].copy()
 
 
-def _apply_zz(amps: np.ndarray, qa: int, qb: int, angle: float) -> None:
-    idx = np.arange(amps.size)
+def _apply_zz(amps: np.ndarray, qa: int, qb: int, angles: np.ndarray) -> None:
+    idx = np.arange(amps.shape[1])
     parity = ((idx >> qa) ^ (idx >> qb)) & 1
-    amps *= np.where(parity == 0, np.exp(-0.5j * angle), np.exp(0.5j * angle))
+    phases = np.stack([np.exp(-0.5j * angles), np.exp(0.5j * angles)], axis=-1)
+    amps *= phases[:, parity]
+
+
+def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles: np.ndarray) -> None:
+    """One gate on every row; angles holds one gate angle per row."""
+    n = amps.shape[1].bit_length() - 1
+    for q in targets:
+        if not 0 <= q < n:
+            raise ValueError(f"gate target {q} out of range for {n} qubits")
+    if kind == "h":
+        _apply_1q(amps, targets[0], _H_MATRIX)
+    elif kind in ("rx", "ry", "rz"):
+        _apply_1q(amps, targets[0], _rotation_matrix(kind, angles))
+    elif kind == "cnot":
+        _apply_cnot(amps, targets[0], targets[1])
+    elif kind == "zz":
+        _apply_zz(amps, targets[0], targets[1], angles)
+
+
+def _kick(amps: np.ndarray, channel: NoiseChannel, rng, targets: tuple[int, ...]) -> None:
+    # rows draw in order, so a one-row run draws as a gate-by-gate simulator
+    for row in range(amps.shape[0]):
+        for q in targets:
+            if rng.random() < channel.depolarizing_prob:
+                _apply_1q(amps[row:row + 1], q, _KICKS[rng.integers(3)])
+
+
+def _angle(gate) -> float:
+    return 0.0 if gate.angle is None else gate.angle
+
+
+def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None,
+             rng: np.random.Generator | None = None) -> np.ndarray:
+    """Run one gate sequence on M rows, each from |0...0>; returns (M, 2^n).
+
+    gates holds anything with .kind and .targets (GateOp, TemplateGate);
+    angles is an (M, len(gates)) matrix whose column i feeds gate i, and H
+    and CNOT ignore their column. With an active depolarizing channel every
+    row draws its kicks after each gate, rows in order.
+    """
+    gates = list(gates)
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim != 2 or angles.shape[1] != len(gates):
+        raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
+    noisy = channel is not None and channel.depolarizing_prob > 0.0
+    if noisy and rng is None:
+        raise ValueError("a seeded rng is required when the noise channel is active")
+    amps = _zero_rows(angles.shape[0], n_qubits)
+    for i, gate in enumerate(gates):
+        _apply(amps, gate.kind, gate.targets, angles[:, i])
+        if noisy:
+            _kick(amps, channel, rng, gate.targets)
+    return amps
+
+
+def measure_rows_z(amps: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
+    """(M, n) exact per-qubit <Z> of (M, 2^n) amplitudes: +1 where a qubit's
+    bit is 0, -1 where it is 1, times (1 - 2 * readout_flip_prob)."""
+    n = amps.shape[1].bit_length() - 1
+    probs = np.abs(amps) ** 2
+    z = np.empty((amps.shape[0], n))
+    for q in range(n):
+        split = probs.reshape(probs.shape[0], -1, 2, 1 << q)
+        z[:, q] = split[:, :, 0, :].sum(axis=(1, 2)) - split[:, :, 1, :].sum(axis=(1, 2))
+    if channel is not None:
+        z *= 1.0 - 2.0 * channel.readout_flip_prob
+    return z
 
 
 def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate in place and return the state."""
-    for q in gate.targets:
-        if not 0 <= q < state.n_qubits:
-            raise ValueError(f"gate target {q} out of range for {state.n_qubits} qubits")
-    amps = state.amplitudes
-    if gate.kind == "h":
-        _apply_1q(amps, gate.targets[0], _H_MATRIX)
-    elif gate.kind in ("rx", "ry", "rz"):
-        _apply_1q(amps, gate.targets[0], _rotation_matrix(gate.kind, gate.angle))
-    elif gate.kind == "cnot":
-        _apply_cnot(amps, gate.targets[0], gate.targets[1])
-    elif gate.kind == "zz":
-        _apply_zz(amps, gate.targets[0], gate.targets[1], gate.angle)
+    _apply(state.amplitudes[None], gate.kind, gate.targets, np.array([_angle(gate)]))
     return state
 
 
-def apply_noise(
-    state: StateVector,
-    channel: NoiseChannel,
-    rng: np.random.Generator,
-    targets: tuple[int, ...] | None = None,
-) -> StateVector:
+def apply_noise(state: StateVector, channel: NoiseChannel, rng: np.random.Generator,
+                targets: tuple[int, ...] | None = None) -> StateVector:
     """Depolarizing kick: each target qubit gets a uniformly chosen Pauli
-    (as a rotation by pi) with probability depolarizing_prob.
-
-    Called per gate by run_circuit with that gate's targets; with
-    targets=None every qubit is exposed once.
+    (as a rotation by pi) with probability depolarizing_prob, drawn as
+    run_rows draws after a gate with these targets; with targets=None every
+    qubit is exposed once.
     """
-    if channel.depolarizing_prob <= 0.0:
-        return state
-    if targets is None:
-        targets = tuple(range(state.n_qubits))
-    for q in targets:
-        if rng.random() < channel.depolarizing_prob:
-            kind = ROTATION_KINDS[rng.integers(3)]
-            _apply_1q(state.amplitudes, q, _rotation_matrix(kind, pi))
+    if channel.depolarizing_prob > 0.0:
+        if targets is None:
+            targets = tuple(range(state.n_qubits))
+        _kick(state.amplitudes[None], channel, rng, targets)
     return state
 
 
-def run_circuit(
-    n_qubits: int,
-    gates,
-    channel: NoiseChannel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
+def run_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None,
+                rng: np.random.Generator | None = None) -> StateVector:
     """Execute a gate list on |0...0>, injecting noise after each gate."""
-    noisy = channel is not None and channel.depolarizing_prob > 0.0
-    if noisy and rng is None:
-        raise ValueError("a seeded rng is required when the noise channel is active")
-    state = init_zero(n_qubits)
-    for gate in gates:
-        apply_gate(state, gate)
-        if noisy:
-            apply_noise(state, channel, rng, gate.targets)
-    return state
+    gates = list(gates)
+    amps = run_rows(n_qubits, gates, [[_angle(g) for g in gates]], channel, rng)
+    return StateVector(n_qubits, amps[0])
 
 
 def expect_z(state: StateVector, qubit: int, channel: NoiseChannel | None = None) -> float:
-    """Exact <Z> of one qubit: +1 weight where its bit is 0, -1 where it is 1.
-
-    A readout_flip_prob r shrinks the value to (1 - 2r) * <Z>.
-    """
+    """Exact <Z> of one qubit; a readout_flip_prob r shrinks it by (1 - 2r)."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    probs = state.probabilities().reshape(-1, 2, 1 << qubit)
-    value = float(probs[:, 0, :].sum() - probs[:, 1, :].sum())
-    if channel is not None:
-        value *= 1.0 - 2.0 * channel.readout_flip_prob
-    return value
+    return float(measure_all_z(state, channel)[qubit])
 
 
 def measure_all_z(state: StateVector, channel: NoiseChannel | None = None) -> np.ndarray:
     """Vector of <Z> over all qubits, in qubit order."""
-    return np.array([expect_z(state, q, channel) for q in range(state.n_qubits)])
+    return measure_rows_z(state.amplitudes[None], channel)[0]
 
 
 def sample_expect_z(

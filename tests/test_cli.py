@@ -1,6 +1,10 @@
 """CLI verbs end to end on the synthetic corpus: artifacts, determinism,
 exit codes, config handling."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,6 +213,26 @@ def test_eval_reports_ssim(tmp_path, capsys):
     eval_lines = (run_dir / "eval.csv").read_text().splitlines()
     assert eval_lines[0] == "config_id,n_images,ssim_noisy,ssim_denoised"
     assert len(eval_lines) == 2
+
+
+def test_eval_reproduces_final_curve_ssim(tmp_path):
+    # eval re-noises the validation images with train()'s own val seed
+    code, runs = run_train(tmp_path)
+    run_dir = runs[0].parent
+    assert main(["eval", "--run", str(run_dir)]) == 0
+    curve_ssim = (run_dir / "curve.csv").read_text().splitlines()[-1].split(",")[-1]
+    eval_ssim = (run_dir / "eval.csv").read_text().splitlines()[-1].split(",")[-1]
+    assert eval_ssim == curve_ssim
+
+
+def test_module_entry_point_prints_usage():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-m", "qcae.cli"], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 1
+    assert "usage: qcae" in result.stdout
 
 
 def test_outputs_stay_under_output_dir(tmp_path):

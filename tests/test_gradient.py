@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qcae.ansatz import CircuitTemplate, ParameterSlot, TemplateGate, family_template
+from qcae.ansatz import CircuitTemplate, TemplateGate, family_template
 from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient, softmax_xent
 from qcae.statevector import measure_all_z, run_circuit, ry
 
@@ -13,7 +13,6 @@ def single_ry_template() -> CircuitTemplate:
     return CircuitTemplate(
         n_qubits=1, p=1, family="a",
         gates=(TemplateGate("ry", (0,), slot=0),),
-        slots=(ParameterSlot(0, "generic_rotation", "ry", (0,)),),
     )
 
 
@@ -83,12 +82,29 @@ def test_execution_count_bookkeeping():
 
 
 def test_shift_records_stay_bounded():
+    # family b binds one gate per slot at scale 1, so each entry is one
+    # (f_plus - f_minus) / 2 with both f in [-1, 1]
     template = family_template("b", 2, 2)
     rng = np.random.default_rng(4)
     jac = psr_gradient(template, rng.uniform(0, 2 * np.pi, template.slot_count))
-    for shift in jac.shifts:
-        assert np.all(np.abs(shift.gradient) <= 1.0 + 1e-12)
-        assert np.allclose(shift.gradient, (shift.f_plus - shift.f_minus) / 2)
+    assert jac.entries.shape == (2, template.slot_count)
+    assert np.all(np.abs(jac.entries) <= 1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("family", ["c", "ours"])
+def test_batched_jacobian_equals_one_call_per_vector(family):
+    template = family_template(family, 3, 2)
+    rng = np.random.default_rng(6)
+    batch = rng.uniform(0, 2 * np.pi, (4, template.slot_count))
+    prelude = (ry(0, 0.3), ry(2, -1.1))
+    jac = psr_gradient(template, batch, prelude=prelude)
+    singles = [psr_gradient(template, theta, prelude=prelude) for theta in batch]
+    assert np.array_equal(jac.entries, np.stack([s.entries for s in singles]))
+    assert np.array_equal(jac.forward, np.stack([s.forward for s in singles]))
+    assert jac.n_executions == sum(s.n_executions for s in singles)
+    downstream = rng.normal(size=(4, 3))
+    assert np.array_equal(chain_loss_gradient(jac, downstream),
+                          np.stack([chain_loss_gradient(s, d) for s, d in zip(singles, downstream)]))
 
 
 def test_param_length_validation():

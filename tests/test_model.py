@@ -13,6 +13,7 @@ from qcae.model import (
     train,
 )
 from qcae.nn import mse_loss
+from qcae.statevector import NoiseChannel
 
 from oracles import fd_gradient
 
@@ -206,6 +207,22 @@ def test_qcae_training_improves_loss_and_ssim_on_toy_budget():
     val_clean = val_set.images[:12]
     clean_in_ssim = mean_ssim(model.denoise(val_clean), val_clean)
     assert clean_in_ssim >= records[-1].val_ssim - 0.05
+
+
+def test_noisy_training_end_to_end():
+    spec = ModelSpec(kind="qcae", image_size=8, n_qubits=2, p=1, family="c",
+                     noise=NoiseChannel(depolarizing_prob=0.05, readout_flip_prob=0.02))
+    train_set = make_synthetic_digits(16, seed=50, size=8)
+    val_set = make_synthetic_digits(8, seed=51, size=8)
+    config = small_train_config(epochs=1, sample_limit=16, val_limit=8)
+    _, records = train(spec, config, train_set, val_set)
+    assert len(records) == 1
+    assert all(np.isfinite(r.train_loss) and np.isfinite(r.val_ssim) for r in records)
+    _, again = train(spec, config, train_set, val_set)
+    assert again == records
+    noiseless = ModelSpec(kind="qcae", image_size=8, n_qubits=2, p=1, family="c")
+    _, clean_records = train(noiseless, config, train_set, val_set)
+    assert clean_records != records
 
 
 def test_training_aborts_on_poisoned_weights():

@@ -1,8 +1,12 @@
 """Simulator kernels against hand values and the dense matrix oracle."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from qcae.ansatz import TemplateGate
 from qcae.statevector import (
+    GATE_KINDS,
     GateOp,
     NoiseChannel,
     apply_gate,
@@ -12,7 +16,9 @@ from qcae.statevector import (
     h,
     init_zero,
     measure_all_z,
+    measure_rows_z,
     run_circuit,
+    run_rows,
     rx,
     ry,
     rz,
@@ -169,6 +175,22 @@ def test_active_channel_requires_rng():
         run_circuit(1, [h(0)], NoiseChannel(depolarizing_prob=0.5), None)
 
 
+def test_one_row_noisy_run_draws_like_gate_by_gate_kicks():
+    # a one-row run draws exactly as applying each gate, then its kicks
+    channel = NoiseChannel(depolarizing_prob=0.4, readout_flip_prob=0.1)
+    rng = np.random.default_rng(31)
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        gates = random_gate_list(n, 25, rng)
+        seed = int(rng.integers(1 << 30))
+        stepwise, kicks = init_zero(n), np.random.default_rng(seed)
+        for gate in gates:
+            apply_noise(apply_gate(stepwise, gate), channel, kicks, gate.targets)
+        state = run_circuit(n, gates, channel, np.random.default_rng(seed))
+        assert np.array_equal(state.amplitudes, stepwise.amplitudes)
+        assert np.array_equal(measure_all_z(state, channel), measure_all_z(stepwise, channel))
+
+
 # ---------------------------------------------------------------- invariants
 
 def test_norm_preserved_over_long_random_circuits():
@@ -217,6 +239,45 @@ def test_sampled_expectation_converges_to_exact():
     state = apply_gate(init_zero(1), ry(0, 0.7))
     estimate = sample_expect_z(state, 0, 200_000, np.random.default_rng(0))
     assert abs(estimate - np.cos(0.7)) < 0.01
+
+
+def test_run_rows_rejects_mismatched_angle_matrix():
+    with pytest.raises(ValueError):
+        run_rows(2, [h(0), ry(1, 0.2)], np.zeros((3, 1)))
+    with pytest.raises(ValueError):
+        run_rows(2, [h(2)], np.zeros((1, 1)))  # target out of range
+
+
+@st.composite
+def gate_rows(draw):
+    """(n, gate sequence over all six kinds, (M, len) angle matrix)."""
+    n = draw(st.integers(1, 6))
+    kinds = GATE_KINDS if n > 1 else ("h", "rx", "ry", "rz")
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30)):
+        qubits = draw(st.permutations(range(n)))
+        gates.append(TemplateGate(kind, tuple(qubits[:2 if kind in ("cnot", "zz") else 1])))
+    m = draw(st.integers(1, 8))
+    angles = draw(arrays(float, (m, len(gates)),
+                         elements=st.floats(-2 * np.pi, 2 * np.pi, allow_subnormal=False)))
+    return n, gates, angles
+
+
+@settings(max_examples=80, deadline=None)
+@given(gate_rows())
+def test_runner_rows_match_one_row_runs(case):
+    n, gates, angles = case
+    amps = run_rows(n, gates, angles)
+    z = measure_rows_z(amps)
+    assert amps.shape == (len(angles), 2**n) and z.shape == (len(angles), n)
+    assert np.allclose(np.sum(np.abs(amps) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
+    for row, z_row, theta in zip(amps, z, angles):
+        ops = [GateOp(g.kind, g.targets, float(a) if g.kind not in ("h", "cnot") else None)
+               for g, a in zip(gates, theta)]
+        state = run_circuit(n, ops)
+        assert np.max(np.abs(row - state.amplitudes)) < 1e-12
+        assert np.max(np.abs(z_row - measure_all_z(state))) < 1e-12
+        assert np.max(np.abs(row - run_dense(n, ops))) < 1e-10
 
 
 def test_measure_all_z_matches_per_qubit_calls():
