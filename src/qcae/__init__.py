@@ -3,7 +3,7 @@
 The package splits into small, composable pieces:
 
   statevector  dense n-qubit simulator running one gate sequence on a batch
-               of angle rows, exact Z expectations, and an optional
+               of angle rows, exact Z expectations, and an optional exact
                depolarizing/readout noise channel
   ansatz       circuit templates (QAOA layers plus comparison families),
                angle encoding and normalization
@@ -52,7 +52,6 @@ from .statevector import (
     NoiseChannel,
     StateVector,
     apply_gate,
-    apply_noise,
     cnot,
     expect_z,
     h,

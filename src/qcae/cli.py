@@ -20,7 +20,8 @@ from pathlib import Path
 from .data_io import filter_classes, load_idx, make_synthetic_digits
 from .data_io import NoiseSpec, add_gaussian_noise, export_pgm, montage
 from .metrics import mean_ssim, ssim_config_for, write_csv
-from .model import DenoisingAutoencoder, ModelSpec, TrainConfig, derive_seeds, train
+from .model import (DenoisingAutoencoder, ModelSpec, TrainConfig, TrainingAborted,
+                    derive_seeds, train)
 from .statevector import NoiseChannel
 
 ENV_DATA_DIR = "QCAE_DATA_DIR"
@@ -186,7 +187,7 @@ def _write_manifest(out_dir: Path, cfg: ExperimentConfig, cid: str) -> None:
 
 def _read_manifest(run_dir: Path) -> ExperimentConfig:
     manifest = json.loads((run_dir / "manifest.json").read_text())
-    return ExperimentConfig(**manifest["config"])
+    return ExperimentConfig(**{k: _coerce(k, v) for k, v in manifest["config"].items()})
 
 
 def _train_run(cfg: ExperimentConfig) -> tuple[Path, float]:
@@ -195,10 +196,14 @@ def _train_run(cfg: ExperimentConfig) -> tuple[Path, float]:
     out_dir = Path(cfg.output_dir) / cid
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set = load_datasets(cfg)
-    model, records = train(_model_spec(cfg), _train_config(cfg), train_set,
-                           val_set, config_id=cid)
-    model.save(out_dir / "weights.bin")
     _write_manifest(out_dir, cfg, cid)
+    try:
+        model, records = train(_model_spec(cfg), _train_config(cfg), train_set,
+                               val_set, config_id=cid)
+    except TrainingAborted as exc:  # keep the curve up to its non-finite row
+        write_csv(exc.records, out_dir / "curve.csv")
+        raise
+    model.save(out_dir / "weights.bin")
     write_csv(records, out_dir / "curve.csv")
     return out_dir, records[-1].val_ssim
 

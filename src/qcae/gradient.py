@@ -9,7 +9,8 @@ the gradient with respect to that parameter is then the chain-rule sum of
 per-gate shift terms, each weighted by the slot's angle scale. Shifts never
 alter circuit structure and use no ancilla qubits, so the forward pass and
 every shift are angle rows of one gate program, run together by
-statevector.run_rows.
+statevector.run_rows. The depolarizing channel depends on no angle, and
+run_rows simulates it exactly, so the rule stays exact under noise.
 
 The engine is loss-agnostic: it emits a jacobian of per-qubit Z expectations
 against parameters, and chain_loss_gradient contracts it with whatever
@@ -48,7 +49,6 @@ def psr_gradient(
     params,
     prelude: tuple[GateOp, ...] = (),
     channel: NoiseChannel | None = None,
-    rng: np.random.Generator | None = None,
 ) -> QuantumJacobian:
     """Jacobian of all per-qubit <Z> against the template's parameters.
 
@@ -71,8 +71,8 @@ def psr_gradient(
     rows[:, 1 + 2 * shifted, bound] += pi / 2
     rows[:, 2 + 2 * shifted, bound] -= pi / 2
     n = template.n_qubits
-    amps = run_rows(n, template.gates, rows.reshape(-1, batch.shape[1]), channel, rng)
-    z = measure_rows_z(amps, channel).reshape(len(batch), n_rows, n)
+    out = run_rows(n, template.gates, rows.reshape(-1, batch.shape[1]), channel)
+    z = measure_rows_z(out, channel).reshape(len(batch), n_rows, n)
     entries = np.zeros((len(batch), n, template.slot_count))
     for k, gi in enumerate(bound):
         gate = template.gates[gi]

@@ -18,7 +18,8 @@ trains - that is the "no gradient refinement" ablation.
 
 Training minimizes MSE between the reconstruction and the clean image
 (inputs are the noised versions) with Adam, recording per-epoch loss and
-validation SSIM. Everything is seeded; noiseless runs are bit-reproducible.
+validation SSIM. Everything is seeded, and the circuit noise channel is
+simulated exactly, so all runs are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -32,7 +33,7 @@ from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
 from .nn import Adam, LayerSpec, NonFiniteTensor, build_layer, load_weights, mse_loss, save_weights
-from .statevector import NoiseChannel, measure_rows_z, run_rows
+from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
 
 SQUASH_LO, SQUASH_HI = -1.0, 1.0  # tanh range fed to the angle map
 
@@ -59,6 +60,10 @@ class ModelSpec:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        noisy_cap = MAX_QUBITS // 2  # depolarizing simulates 2n-qubit density matrices
+        if self.kind == "qcae" and self.noise.depolarizing_prob > 0 and self.n_qubits > noisy_cap:
+            raise ValueError(f"depolarizing noise caps n_qubits at {noisy_cap}, "
+                             f"got {self.n_qubits}")
 
 
 @dataclass
@@ -156,16 +161,14 @@ class QuantumLatent:
 
     forward runs the whole batch as one run_rows call, one angle row per
     sample; backward runs every sample's parameter-shift rows in one
-    psr_gradient call.
+    psr_gradient call. Both are deterministic, noise channel included.
     """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
-                 channel: NoiseChannel | None = None,
-                 rng: np.random.Generator | None = None):
+                 channel: NoiseChannel | None = None):
         self.template = template
         self.psr_enabled = psr_enabled
-        self.channel = channel if channel is not None and not channel.is_noiseless else None
-        self.rng = rng
+        self.channel = channel
         self._squashed = None
         self._angles = None
 
@@ -184,9 +187,9 @@ class QuantumLatent:
             )
         self._squashed = np.tanh(y)
         self._angles = normalize_to_angle(self._squashed, SQUASH_LO, SQUASH_HI)
-        amps = run_rows(self.n_qubits, self.template.gates,
-                        self.template.gate_angles(self._angles), self.channel, self.rng)
-        return measure_rows_z(amps, self.channel)
+        rows = run_rows(self.n_qubits, self.template.gates,
+                        self.template.gate_angles(self._angles), self.channel)
+        return measure_rows_z(rows, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
         squashed = self._squashed
@@ -194,7 +197,7 @@ class QuantumLatent:
             raise ValueError("QuantumLatent.backward called before forward")
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        jac = psr_gradient(self.template, self._angles, channel=self.channel, rng=self.rng)
+        jac = psr_gradient(self.template, self._angles, channel=self.channel)
         d_theta = chain_loss_gradient(jac, d_z)
         angle_scale = 2.0 * pi / (SQUASH_HI - SQUASH_LO)
         return d_theta * angle_scale * (1.0 - squashed ** 2)
@@ -205,17 +208,14 @@ class DenoisingAutoencoder:
 
     def __init__(self, spec: ModelSpec, seed=0):
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        init_ss, qnoise_ss = ss.spawn(2)
+        (init_ss,) = ss.spawn(1)
         rng = np.random.default_rng(init_ss)
         self.spec = spec
         if spec.kind == "qcae":
             self.template = family_template(spec.family, spec.n_qubits, spec.p)
             latent_dim = self.template.slot_count
             decoder_in = spec.n_qubits
-            self.quantum = QuantumLatent(
-                self.template, spec.psr_enabled, spec.noise,
-                np.random.default_rng(qnoise_ss),
-            )
+            self.quantum = QuantumLatent(self.template, spec.psr_enabled, spec.noise)
         else:
             self.template = None
             self.quantum = None

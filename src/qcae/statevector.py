@@ -1,25 +1,24 @@
-"""Dense statevector simulation of a small qubit register.
+"""Dense simulation of a small qubit register, pure or under noise.
 
 Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index, so the two-qubit basis state with qubit 0 set lives at
 index 1. One runner does all simulation: run_rows applies a gate sequence
-in place to an (M, 2^n) complex128 array of M independent rows, fed by an
-(M, len(gates)) angle matrix, and measure_rows_z reads exact per-qubit
-Pauli-Z expectations from every row. run_circuit, apply_gate, apply_noise,
-measure_all_z and expect_z are the one-row case. A shot-sampled estimate
-exists for realism but is never used by the trainer.
+in place to M independent rows, fed by an (M, len(gates)) angle matrix, and
+measure_rows_z reads exact per-qubit Pauli-Z expectations from every row.
+run_circuit, apply_gate, measure_all_z and expect_z are the one-row pure
+case. A shot-sampled estimate exists for realism but is never used by the
+trainer.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
-for calibrated hardware noise): after a gate, each touched qubit of each row
-suffers a uniformly chosen Pauli kick with some probability, and readout
-expectations are shrunk by (1 - 2 * flip probability). All randomness flows
-through an explicit numpy Generator, drawn row by row, so runs are
-reproducible.
+for calibrated hardware noise): after a gate, each touched qubit is
+depolarized, (1 - p) rho + p/3 (X rho X + Y rho Y + Z rho Z), and readout
+expectations are shrunk by (1 - 2 * flip probability). run_rows simulates
+the channel exactly on density matrices, so noisy runs draw no random
+numbers and are reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import pi
 
 import numpy as np
 
@@ -96,10 +95,6 @@ class NoiseChannel:
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
-    @property
-    def is_noiseless(self) -> bool:
-        return self.depolarizing_prob == 0.0 and self.readout_flip_prob == 0.0
-
 
 @dataclass
 class StateVector:
@@ -124,9 +119,9 @@ class StateVector:
 
 
 def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
-    """n_rows copies of |0...0>; n is capped at MAX_QUBITS to bound memory."""
+    """n_rows copies of |0...0>; at most MAX_QUBITS simulated qubits bound memory."""
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
+        raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
     amps = np.zeros((n_rows, 2**n_qubits), dtype=complex)
     amps[:, 0] = 1.0
     return amps
@@ -147,10 +142,6 @@ def _rotation_matrix(kind: str, angles) -> np.ndarray:
         cos, sin = np.cos(half), np.sin(half)
         u = [[cos, -1j * sin], [-1j * sin, cos]] if kind == "rx" else [[cos, -sin], [sin, cos]]
     return np.moveaxis(np.array(u, dtype=complex), (0, 1), (-2, -1))
-
-
-# a depolarizing kick is a rotation by pi about a uniformly chosen axis
-_KICKS = tuple(_rotation_matrix(kind, pi) for kind in ("rx", "ry", "rz"))
 
 
 def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray) -> None:
@@ -197,48 +188,69 @@ def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles: np.nda
         _apply_zz(amps, targets[0], targets[1], angles)
 
 
-def _kick(amps: np.ndarray, channel: NoiseChannel, rng, targets: tuple[int, ...]) -> None:
-    # rows draw in order, so a one-row run draws as a gate-by-gate simulator
-    for row in range(amps.shape[0]):
-        for q in targets:
-            if rng.random() < channel.depolarizing_prob:
-                _apply_1q(amps[row:row + 1], q, _KICKS[rng.integers(3)])
+def _depolarize(rho: np.ndarray, n: int, q: int, p: float) -> None:
+    # each density row viewed as (high, bra bit q, middle, ket bit q, low);
+    # the channel mixes the diagonal pair by 2p/3 and shrinks the off-diagonal
+    # pair by 1 - 4p/3
+    m = rho.reshape(rho.shape[0], -1, 2, 1 << (n - 1), 2, 1 << q)
+    mix = (2.0 * p / 3.0) * (m[:, :, 1, :, 1] - m[:, :, 0, :, 0])
+    m[:, :, 0, :, 0] += mix
+    m[:, :, 1, :, 1] -= mix
+    m[:, :, 0, :, 1] *= 1.0 - 4.0 * p / 3.0
+    m[:, :, 1, :, 0] *= 1.0 - 4.0 * p / 3.0
+
+
+def _mixed(channel: NoiseChannel | None) -> bool:
+    return channel is not None and channel.depolarizing_prob > 0.0
 
 
 def _angle(gate) -> float:
     return 0.0 if gate.angle is None else gate.angle
 
 
-def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None,
-             rng: np.random.Generator | None = None) -> np.ndarray:
-    """Run one gate sequence on M rows, each from |0...0>; returns (M, 2^n).
+def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) -> np.ndarray:
+    """Run one gate sequence on M rows, each from |0...0>.
 
     gates holds anything with .kind and .targets (GateOp, TemplateGate);
     angles is an (M, len(gates)) matrix whose column i feeds gate i, and H
-    and CNOT ignore their column. With an active depolarizing channel every
-    row draws its kicks after each gate, rows in order.
+    and CNOT ignore their column. Returns (M, 2^n) amplitudes or, with an
+    active depolarizing channel, (M, 4^n) density matrices rho, each a
+    2n-qubit vector with the ket bits low and the bra bits high (so noisy runs
+    take n <= MAX_QUBITS // 2): a gate U maps rho to U rho U^dagger, then each
+    qubit it touched is depolarized. measure_rows_z with the same channel reads either.
     """
     gates = list(gates)
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
-    noisy = channel is not None and channel.depolarizing_prob > 0.0
-    if noisy and rng is None:
-        raise ValueError("a seeded rng is required when the noise channel is active")
-    amps = _zero_rows(angles.shape[0], n_qubits)
+    mixed = _mixed(channel)
+    rows = _zero_rows(angles.shape[0], 2 * n_qubits if mixed else n_qubits)
     for i, gate in enumerate(gates):
-        _apply(amps, gate.kind, gate.targets, angles[:, i])
-        if noisy:
-            _kick(amps, channel, rng, gate.targets)
-    return amps
+        _apply(rows, gate.kind, gate.targets, angles[:, i])
+        if mixed:
+            # conj(U) on the bra bits, whose range check bounds the targets
+            # by n; conj(U(angle)) is U(-angle) but for the real H, CNOT, RY
+            sign = -1.0 if gate.kind in ("rx", "rz", "zz") else 1.0
+            _apply(rows, gate.kind, tuple(q + n_qubits for q in gate.targets),
+                   sign * angles[:, i])
+            for q in gate.targets:
+                _depolarize(rows, n_qubits, q, channel.depolarizing_prob)
+    return rows
 
 
-def measure_rows_z(amps: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
-    """(M, n) exact per-qubit <Z> of (M, 2^n) amplitudes: +1 where a qubit's
-    bit is 0, -1 where it is 1, times (1 - 2 * readout_flip_prob)."""
-    n = amps.shape[1].bit_length() - 1
-    probs = np.abs(amps) ** 2
-    z = np.empty((amps.shape[0], n))
+def measure_rows_z(rows: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
+    """(M, n) exact per-qubit <Z> of run_rows output: of the amplitudes, or
+    of the density matrices' diagonal when depolarizing is active."""
+    if _mixed(channel):
+        n = (rows.shape[1].bit_length() - 1) // 2
+        return _z_readout(rows[:, ::(1 << n) + 1].real, channel)
+    return _z_readout(np.abs(rows) ** 2, channel)
+
+
+def _z_readout(probs: np.ndarray, channel: NoiseChannel | None) -> np.ndarray:
+    # +1 where a qubit's bit is 0, -1 where it is 1, times (1 - 2 * readout_flip_prob)
+    n = probs.shape[1].bit_length() - 1
+    z = np.empty((probs.shape[0], n))
     for q in range(n):
         split = probs.reshape(probs.shape[0], -1, 2, 1 << q)
         z[:, q] = split[:, :, 0, :].sum(axis=(1, 2)) - split[:, :, 1, :].sum(axis=(1, 2))
@@ -253,26 +265,10 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     return state
 
 
-def apply_noise(state: StateVector, channel: NoiseChannel, rng: np.random.Generator,
-                targets: tuple[int, ...] | None = None) -> StateVector:
-    """Depolarizing kick: each target qubit gets a uniformly chosen Pauli
-    (as a rotation by pi) with probability depolarizing_prob, drawn as
-    run_rows draws after a gate with these targets; with targets=None every
-    qubit is exposed once.
-    """
-    if channel.depolarizing_prob > 0.0:
-        if targets is None:
-            targets = tuple(range(state.n_qubits))
-        _kick(state.amplitudes[None], channel, rng, targets)
-    return state
-
-
-def run_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None,
-                rng: np.random.Generator | None = None) -> StateVector:
-    """Execute a gate list on |0...0>, injecting noise after each gate."""
+def run_circuit(n_qubits: int, gates) -> StateVector:
+    """Execute a gate list on |0...0>; a pure state takes no depolarizing."""
     gates = list(gates)
-    amps = run_rows(n_qubits, gates, [[_angle(g) for g in gates]], channel, rng)
-    return StateVector(n_qubits, amps[0])
+    return StateVector(n_qubits, run_rows(n_qubits, gates, [[_angle(g) for g in gates]])[0])
 
 
 def expect_z(state: StateVector, qubit: int, channel: NoiseChannel | None = None) -> float:
@@ -284,7 +280,7 @@ def expect_z(state: StateVector, qubit: int, channel: NoiseChannel | None = None
 
 def measure_all_z(state: StateVector, channel: NoiseChannel | None = None) -> np.ndarray:
     """Vector of <Z> over all qubits, in qubit order."""
-    return measure_rows_z(state.amplitudes[None], channel)[0]
+    return _z_readout(state.probabilities()[None], channel)[0]
 
 
 def sample_expect_z(

@@ -2,8 +2,10 @@
 
 The dense oracle builds explicit 2^n x 2^n unitaries by kron-embedding
 2x2 / 4x4 blocks and multiplying them onto the state, sharing no code with
-the package's bit-twiddling kernels. Qubit ordering matches the package:
-qubit 0 is the least significant bit of the basis index.
+the package's bit-twiddling kernels. Its noisy form evolves a 2^n x 2^n
+density matrix as U rho U^dagger and applies the depolarizing channel as an
+explicit Kraus sum. Qubit ordering matches the package: qubit 0 is the least
+significant bit of the basis index.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ from scipy.linalg import expm
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 Z = np.array([[1, 0], [0, -1]], dtype=complex)
 P0 = np.array([[1, 0], [0, 0]], dtype=complex)
 P1 = np.array([[0, 0], [0, 1]], dtype=complex)
@@ -60,6 +63,28 @@ def run_dense(n: int, gates) -> np.ndarray:
     for gate in gates:
         state = gate_matrix(gate, n) @ state
     return state
+
+
+def run_dense_mixed(n: int, gates, depolarizing_prob: float) -> np.ndarray:
+    """Density matrix of a gate list on |0...0><0...0|: each gate as
+    U rho U^dagger, then on each of its targets the Kraus sum
+    (1 - p) rho + p/3 (X rho X + Y rho Y + Z rho Z)."""
+    rho = np.zeros((2**n, 2**n), dtype=complex)
+    rho[0, 0] = 1.0
+    p = depolarizing_prob
+    for gate in gates:
+        u = gate_matrix(gate, n)
+        rho = u @ rho @ u.conj().T
+        for q in gate.targets:
+            paulis = [embed_1q(pauli, q, n) for pauli in (X, Y, Z)]
+            rho = (1 - p) * rho + (p / 3) * sum(k @ rho @ k.conj().T for k in paulis)
+    return rho
+
+
+def dense_mixed_z(rho: np.ndarray, n: int, readout_flip_prob: float = 0.0) -> np.ndarray:
+    """Per-qubit tr(Z rho), shrunk by (1 - 2 * readout_flip_prob)."""
+    z = np.array([np.trace(embed_1q(Z, q, n) @ rho).real for q in range(n)])
+    return z * (1 - 2 * readout_flip_prob)
 
 
 def dense_expect_z(state: np.ndarray, qubit: int, n: int) -> float:

@@ -216,13 +216,48 @@ def test_eval_reports_ssim(tmp_path, capsys):
 
 
 def test_eval_reproduces_final_curve_ssim(tmp_path):
-    # eval re-noises the validation images with train()'s own val seed
+    # eval re-noises the validation images with train()'s own val seed, and
+    # the noise channel is exact, so a noisy run's eval also equals its curve
+    for name, noise in (("noiseless", []),
+                        ("depolarizing", ["--depolarizing-prob", "0.05", "--family", "c"])):
+        code, runs = run_train(tmp_path / name, *noise)
+        assert code == 0 and len(runs) == 1
+        run_dir = runs[0].parent
+        assert main(["eval", "--run", str(run_dir)]) == 0
+        curve_ssim = (run_dir / "curve.csv").read_text().splitlines()[-1].split(",")[-1]
+        eval_ssim = (run_dir / "eval.csv").read_text().splitlines()[-1].split(",")[-1]
+        assert eval_ssim == curve_ssim, name
+
+
+def test_unknown_manifest_key_is_a_config_error(tmp_path, capsys):
     code, runs = run_train(tmp_path)
-    run_dir = runs[0].parent
-    assert main(["eval", "--run", str(run_dir)]) == 0
-    curve_ssim = (run_dir / "curve.csv").read_text().splitlines()[-1].split(",")[-1]
-    eval_ssim = (run_dir / "eval.csv").read_text().splitlines()[-1].split(",")[-1]
-    assert eval_ssim == curve_ssim
+    manifest = json.loads(runs[0].read_text())
+    manifest["config"]["x"] = 1
+    runs[0].write_text(json.dumps(manifest))
+    assert main(["eval", "--run", str(runs[0].parent)]) == 1
+    assert "unknown config key 'x'" in capsys.readouterr().err
+    assert main(["denoise", "--run", str(runs[0].parent)]) == 1
+
+
+def test_aborted_run_keeps_manifest_and_partial_curve(tmp_path, monkeypatch):
+    from qcae import model
+
+    monkeypatch.setattr(model, "mse_loss", lambda recon, target: (float("nan"), None))
+    code, runs = run_train(tmp_path)
+    assert code == 2 and len(runs) == 1
+    last = (runs[0].parent / "curve.csv").read_text().splitlines()[-1].split(",")
+    assert last[-2:] == ["nan", "nan"]
+    assert not (runs[0].parent / "weights.bin").exists()
+
+
+def test_noisy_qubit_cap_is_a_config_error(tmp_path):
+    # depolarizing noise simulates 2n-qubit density matrices: n <= MAX_QUBITS // 2
+    noisy = {"depolarizing_prob": "0.01"}
+    assert resolve_config(None, {**noisy, "qubits": "7"}).qubits == 7
+    with pytest.raises(ValueError, match="caps n_qubits at 7"):
+        resolve_config(None, {**noisy, "qubits": "8"})
+    code, runs = run_train(tmp_path, "--depolarizing-prob", "0.01", "--qubits", "8")
+    assert code == 1 and runs == []
 
 
 def test_module_entry_point_prints_usage():

@@ -4,7 +4,7 @@ import pytest
 
 from qcae.ansatz import CircuitTemplate, TemplateGate, family_template
 from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient, softmax_xent
-from qcae.statevector import measure_all_z, run_circuit, ry
+from qcae.statevector import NoiseChannel, measure_all_z, measure_rows_z, run_circuit, run_rows, ry
 
 from oracles import fd_jacobian
 
@@ -105,6 +105,22 @@ def test_batched_jacobian_equals_one_call_per_vector(family):
     downstream = rng.normal(size=(4, 3))
     assert np.array_equal(chain_loss_gradient(jac, downstream),
                           np.stack([chain_loss_gradient(s, d) for s, d in zip(singles, downstream)]))
+
+
+def test_noisy_jacobian_matches_finite_differences_of_exact_expectation():
+    # the depolarizing channel depends on no angle, so PSR stays exact
+    template = family_template("c", 3, 2)
+    channel = NoiseChannel(depolarizing_prob=0.05, readout_flip_prob=0.02)
+
+    def noisy_z(params):
+        rows = run_rows(3, template.gates, template.gate_angles(params)[None], channel)
+        return measure_rows_z(rows, channel)[0]
+
+    params = np.random.default_rng(23).uniform(0, 2 * np.pi, template.slot_count)
+    jac = psr_gradient(template, params, channel=channel)
+    assert np.allclose(jac.forward, noisy_z(params), rtol=0, atol=1e-14)
+    assert np.max(np.abs(jac.entries - fd_jacobian(noisy_z, params))) < 1e-8
+    assert np.max(np.abs(jac.entries - psr_gradient(template, params).entries)) > 1e-2
 
 
 def test_param_length_validation():
