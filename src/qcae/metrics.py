@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import convolve2d
 
 
 @dataclass(frozen=True)
@@ -41,17 +40,42 @@ class RunRecord:
     config_id: str = ""
 
 
-def _window_kernel(cfg: SsimConfig) -> np.ndarray:
+def _window_taps(cfg: SsimConfig) -> np.ndarray:
+    """1-D taps of the separable window: its 2-D weights are outer(taps, taps)."""
     if cfg.window == "gaussian11":
         radius, sigma = 5, 1.5
         d = np.arange(-radius, radius + 1, dtype=float)
-        g = np.exp(-(d * d) / (2.0 * sigma * sigma))
-        kernel = np.outer(g, g)
+        taps = np.exp(-(d * d) / (2.0 * sigma * sigma))
     elif cfg.window == "uniform8":
-        kernel = np.ones((8, 8))
+        taps = np.ones(8)
     else:
         raise ValueError(f"unknown ssim window {cfg.window!r}")
-    return kernel / kernel.sum()
+    return taps / taps.sum()
+
+
+def _band(taps: np.ndarray, size: int) -> np.ndarray:
+    """(size - k + 1, size) matrix whose row i holds the k taps at columns i..i+k-1."""
+    valid = size - taps.size + 1
+    return sum(t * np.eye(valid, size, u) for u, t in enumerate(taps))
+
+
+def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray:
+    """SSIM of each image pair in two (N, H, W) stacks; all five local means of
+    all images are one product R @ [a, b, a*a, b*b, a*b] @ C.T of banded taps."""
+    taps = _window_taps(cfg)
+    height, width = a.shape[-2:]
+    if min(height, width) < taps.size:
+        raise ValueError(f"image {(height, width)} smaller than ssim window {taps.size}")
+    stack = np.stack([a, b, a * a, b * b, a * b])
+    mu_a, mu_b, aa, bb, ab = _band(taps, height) @ stack @ _band(taps, width).T
+    var_a = aa - mu_a * mu_a
+    var_b = bb - mu_b * mu_b
+    cov = ab - mu_a * mu_b
+    c1, c2 = cfg.c1, cfg.c2
+    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return s_map.mean(axis=(-2, -1))
 
 
 def _as_plane(image) -> np.ndarray:
@@ -67,22 +91,7 @@ def ssim(a, b, cfg: SsimConfig = SsimConfig()) -> float:
     a, b = _as_plane(a), _as_plane(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    kernel = _window_kernel(cfg)
-    if a.shape[0] < kernel.shape[0] or a.shape[1] < kernel.shape[1]:
-        raise ValueError(f"image {a.shape} smaller than ssim window {kernel.shape}")
-
-    def local_mean(x):
-        return convolve2d(x, kernel, mode="valid")
-
-    mu_a, mu_b = local_mean(a), local_mean(b)
-    var_a = local_mean(a * a) - mu_a * mu_a
-    var_b = local_mean(b * b) - mu_b * mu_b
-    cov = local_mean(a * b) - mu_a * mu_b
-    c1, c2 = cfg.c1, cfg.c2
-    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
-    )
-    return float(s_map.mean())
+    return float(_ssim_per_image(a[None], b[None], cfg)[0])
 
 
 def ssim_config_for(image_shape) -> SsimConfig:
@@ -96,13 +105,15 @@ def ssim_config_for(image_shape) -> SsimConfig:
 
 
 def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
-    """Mean of per-image ssim over two equally long image stacks."""
+    """Mean of per-image ssim over two equally long (N, H, W) or (N, 1, H, W) stacks."""
     batch_a, batch_b = np.asarray(batch_a, dtype=float), np.asarray(batch_b, dtype=float)
     if batch_a.shape != batch_b.shape:
         raise ValueError(f"shape mismatch: {batch_a.shape} vs {batch_b.shape}")
-    if batch_a.ndim < 3:
-        raise ValueError("expected a stack of images")
-    return float(np.mean([ssim(x, y, cfg) for x, y in zip(batch_a, batch_b)]))
+    if batch_a.ndim == 4 and batch_a.shape[1] == 1:
+        batch_a, batch_b = batch_a[:, 0], batch_b[:, 0]
+    if batch_a.ndim != 3:
+        raise ValueError(f"expected a stack of images, got shape {batch_a.shape}")
+    return float(_ssim_per_image(batch_a, batch_b, cfg).mean())
 
 
 def write_csv(records: list[RunRecord], path) -> None:

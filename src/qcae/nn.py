@@ -198,7 +198,7 @@ class Conv2d(Layer):
             raise ValueError(f"conv2d expects (N, {in_c}, H, W), got {x.shape}")
         cols, out_hw = _im2col(x, k, self.stride, self.padding)
         w2 = self.weight.reshape(out_c, -1)
-        y = np.einsum("ok,nkp->nop", w2, cols) + self.bias[None, :, None]
+        y = w2 @ cols + self.bias[None, :, None]
         self._cache = (x.shape, cols, out_hw)
         return y.reshape(x.shape[0], out_c, *out_hw)
 
@@ -206,9 +206,9 @@ class Conv2d(Layer):
         x_shape, cols, out_hw = self._take_cache("_cache")
         out_c, _, k, _ = self.weight.shape
         d_y = upstream.reshape(upstream.shape[0], out_c, -1)
-        self.grad_weight = np.einsum("nop,nkp->ok", d_y, cols).reshape(self.weight.shape)
+        self.grad_weight = np.tensordot(d_y, cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
         self.grad_bias = d_y.sum(axis=(0, 2))
-        d_cols = np.einsum("ok,nop->nkp", self.weight.reshape(out_c, -1), d_y)
+        d_cols = self.weight.reshape(out_c, -1).T @ d_y
         return _col2im(d_cols, x_shape, k, self.stride, self.padding, out_hw)
 
 
@@ -248,7 +248,7 @@ class ConvTranspose2d(Layer):
         if h_out < 1 or w_out < 1:
             raise ValueError(f"tconv2d output collapses for input shape {x.shape}")
         x2 = x.reshape(n, in_c, height * width)
-        cols = np.einsum("ck,ncp->nkp", self.weight.reshape(in_c, -1), x2)
+        cols = self.weight.reshape(in_c, -1).T @ x2
         y = _col2im(cols, (n, out_c, h_out, w_out), k, s, p, (height, width))
         self._cache = (x2, x.shape)
         return y + self.bias[None, :, None, None]
@@ -257,9 +257,9 @@ class ConvTranspose2d(Layer):
         x2, x_shape = self._take_cache("_cache")
         in_c = self.weight.shape[0]
         d_cols, _ = _im2col(upstream, self.weight.shape[2], self.stride, self.padding)
-        self.grad_weight = np.einsum("ncp,nkp->ck", x2, d_cols).reshape(self.weight.shape)
+        self.grad_weight = np.tensordot(x2, d_cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
         self.grad_bias = upstream.sum(axis=(0, 2, 3))
-        d_x = np.einsum("ck,nkp->ncp", self.weight.reshape(in_c, -1), d_cols)
+        d_x = self.weight.reshape(in_c, -1) @ d_cols
         return d_x.reshape(x_shape)
 
 
@@ -354,8 +354,10 @@ class Adam:
         for i, (p, g) in enumerate(zip(self.params, grads)):
             if g.shape != p.shape:
                 raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
+            self.m[i] *= self.beta1
+            self.m[i] += (1 - self.beta1) * g
+            self.v[i] *= self.beta2
+            self.v[i] += (1 - self.beta2) * g * g
             m_hat = self.m[i] / (1 - self.beta1**t)
             v_hat = self.v[i] / (1 - self.beta2**t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -6,6 +6,11 @@ the package's bit-twiddling kernels. Its noisy form evolves a 2^n x 2^n
 density matrix as U rho U^dagger and applies the depolarizing channel as an
 explicit Kraus sum. Qubit ordering matches the package: qubit 0 is the least
 significant bit of the basis index.
+
+The convolution oracles loop over output pixels (conv) or scatter each input
+pixel times its kernel (tconv), and the SSIM oracle sums each window
+explicitly; none shares code with the package's patch matrices or its
+banded-window products.
 """
 from __future__ import annotations
 
@@ -141,3 +146,72 @@ def random_gate_list(n: int, n_gates: int, rng: np.random.Generator):
             maker = {"rx": rx, "ry": ry, "rz": rz}[kind]
             gates.append(maker(int(rng.integers(n)), float(rng.uniform(-np.pi, np.pi))))
     return gates
+
+
+def conv2d_direct(x, weight, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
+    """Cross-correlation, one output pixel at a time:
+    y[n, o, i, j] = bias[o] + sum over c, u, v of
+    weight[o, c, u, v] * x[n, c, i*stride + u - padding, j*stride + v - padding],
+    reading input outside the image as zero."""
+    n, _, height, width = x.shape
+    out_c, _, k, _ = weight.shape
+    h_out = (height + 2 * padding - k) // stride + 1
+    w_out = (width + 2 * padding - k) // stride + 1
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    y = np.zeros((n, out_c, h_out, w_out))
+    for b in range(n):
+        for o in range(out_c):
+            for i in range(h_out):
+                for j in range(w_out):
+                    patch = xp[b, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                    y[b, o, i, j] = bias[o] + np.sum(weight[o] * patch)
+    return y
+
+
+def tconv2d_direct(x, weight, bias, stride: int = 1, padding: int = 0,
+                   output_padding: int = 0) -> np.ndarray:
+    """Transposed convolution, weight (in_c, out_c, k, k): every input pixel
+    x[n, c, i, j] adds x[n, c, i, j] * weight[c] onto the canvas at
+    (i*stride, j*stride); the output is the canvas cropped by padding on the
+    top/left, output_padding extending it at the bottom/right, plus bias."""
+    n, in_c, height, width = x.shape
+    _, out_c, k, _ = weight.shape
+    canvas = np.zeros((n, out_c, (height - 1) * stride + k + output_padding,
+                       (width - 1) * stride + k + output_padding))
+    for b in range(n):
+        for c in range(in_c):
+            for i in range(height):
+                for j in range(width):
+                    canvas[b, :, i * stride:i * stride + k, j * stride:j * stride + k] += (
+                        x[b, c, i, j] * weight[c])
+    h_out = (height - 1) * stride - 2 * padding + k + output_padding
+    w_out = (width - 1) * stride - 2 * padding + k + output_padding
+    return canvas[:, :, padding:padding + h_out, padding:padding + w_out] + bias[None, :, None, None]
+
+
+def ssim_direct(a, b, window: str, c1: float, c2: float) -> float:
+    """Mean SSIM over every valid window position, each window's weighted
+    means, biased variances and covariance summed out explicitly.
+    window: "gaussian11" (sigma 1.5, weights normalised to sum 1) or
+    "uniform8" (each weight 1/64)."""
+    if window == "gaussian11":
+        d = np.arange(-5, 6, dtype=float)
+        weights = np.exp(-(d[:, None] ** 2 + d[None, :] ** 2) / (2 * 1.5**2))
+    elif window == "uniform8":
+        weights = np.ones((8, 8))
+    else:
+        raise ValueError(window)
+    weights = weights / weights.sum()
+    k = weights.shape[0]
+    height, width = a.shape
+    values = []
+    for i in range(height - k + 1):
+        for j in range(width - k + 1):
+            pa, pb = a[i:i + k, j:j + k], b[i:i + k, j:j + k]
+            mu_a, mu_b = np.sum(weights * pa), np.sum(weights * pb)
+            var_a = np.sum(weights * (pa - mu_a) ** 2)
+            var_b = np.sum(weights * (pb - mu_b) ** 2)
+            cov = np.sum(weights * (pa - mu_a) * (pb - mu_b))
+            values.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
+                          / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
+    return float(np.mean(values))

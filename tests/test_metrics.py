@@ -1,9 +1,17 @@
-"""SSIM unit behaviour, closed forms, library cross-check, CSV output."""
+"""SSIM unit behaviour, closed forms, window-sum oracle and library
+cross-checks, CSV output."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from qcae.data_io import NoiseSpec, add_gaussian_noise, make_synthetic_digits
 from qcae.metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
+
+from oracles import ssim_direct
 
 
 def test_ssim_identity_is_one():
@@ -47,6 +55,47 @@ def test_ssim_matches_skimage_reference():
             use_sample_covariance=False,
         )
         assert abs(ours - reference) < 1e-7
+
+
+@pytest.mark.parametrize("window, shape", [
+    ("gaussian11", (28, 28)),
+    ("gaussian11", (13, 20)),
+    ("uniform8", (8, 8)),
+    ("uniform8", (9, 12)),
+])
+def test_ssim_matches_window_sum_oracle(window, shape):
+    cfg = SsimConfig(window=window)
+    rng = np.random.default_rng(8)
+    clean = rng.random((3, *shape))
+    noisy = np.clip(clean + rng.normal(scale=0.2, size=clean.shape), 0.0, 1.0)
+    expected = [ssim_direct(a, b, window, cfg.c1, cfg.c2) for a, b in zip(noisy, clean)]
+    for a, b, want in zip(noisy, clean, expected):
+        assert abs(ssim(a, b, cfg) - want) < 1e-12
+    assert abs(mean_ssim(noisy, clean, cfg) - np.mean(expected)) < 1e-12
+
+
+def test_mean_ssim_of_a_stack_is_the_mean_of_per_image_ssim():
+    rng = np.random.default_rng(9)
+    a, b = rng.random((5, 1, 28, 28)), rng.random((5, 1, 28, 28))
+    per_image = np.mean([ssim(x, y) for x, y in zip(a, b)])
+    assert abs(mean_ssim(a, b) - per_image) < 1e-15
+    assert abs(mean_ssim(a[:, 0], b[:, 0]) - per_image) < 1e-15
+    with pytest.raises(ValueError):
+        mean_ssim(a[0, 0], b[0, 0])
+    with pytest.raises(ValueError):
+        mean_ssim(np.zeros((2, 2, 28, 28)), np.zeros((2, 2, 28, 28)))
+
+
+def test_importing_qcae_leaves_scipy_signal_unloaded():
+    # scipy.signal cost most of a fresh process's import time; nothing needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import qcae, sys; print('scipy.signal' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_ssim_degrades_monotonically_with_noise():

@@ -1,6 +1,7 @@
 """Layer forward semantics, finite-difference gradient checks, Adam, weight I/O."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcae.nn import (
     Adam,
@@ -20,7 +21,7 @@ from qcae.nn import (
     tconv_out_size,
 )
 
-from oracles import fd_gradient
+from oracles import conv2d_direct, fd_gradient, tconv2d_direct
 
 
 def rng_for(seed=0):
@@ -80,6 +81,69 @@ def test_non_finite_input_rejected():
     dense = Dense(2, 2, rng_for())
     with pytest.raises(ValueError, match="non-finite"):
         dense.forward(np.array([[np.nan, 1.0]]))
+
+
+# ----------------------------------------------- forward against loop oracles
+
+@pytest.mark.parametrize("in_c, out_c, k, stride, padding, shape", [
+    (3, 2, 3, 1, 0, (2, 3, 6, 6)),
+    (2, 3, 3, 2, 1, (2, 2, 7, 7)),
+    (2, 2, 3, 2, 1, (1, 2, 5, 8)),
+    (1, 4, 3, 2, 1, (2, 1, 28, 28)),
+    (4, 3, 7, 1, 0, (2, 4, 7, 7)),
+])
+def test_conv_forward_matches_loop_oracle(in_c, out_c, k, stride, padding, shape):
+    conv = Conv2d(in_c, out_c, k, stride=stride, padding=padding, rng=rng_for(60))
+    x = rng_for(61).normal(size=shape)
+    expected = conv2d_direct(x, conv.weight, conv.bias, stride, padding)
+    np.testing.assert_allclose(conv.forward(x), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("in_c, out_c, k, stride, padding, output_padding, shape", [
+    (2, 3, 3, 1, 0, 0, (2, 2, 4, 4)),
+    (3, 2, 3, 2, 1, 1, (2, 3, 4, 4)),
+    (2, 2, 3, 2, 1, 1, (1, 2, 3, 5)),
+    (2, 3, 2, 2, 0, 0, (2, 2, 3, 3)),
+    (4, 3, 7, 1, 0, 0, (2, 4, 1, 1)),
+])
+def test_tconv_forward_matches_scatter_oracle(in_c, out_c, k, stride, padding,
+                                              output_padding, shape):
+    tconv = ConvTranspose2d(in_c, out_c, k, stride=stride, padding=padding,
+                            output_padding=output_padding, rng=rng_for(62))
+    x = rng_for(63).normal(size=shape)
+    expected = tconv2d_direct(x, tconv.weight, tconv.bias, stride, padding, output_padding)
+    np.testing.assert_allclose(tconv.forward(x), expected, rtol=0, atol=1e-12)
+
+
+@st.composite
+def conv_geometry(draw):
+    k = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    padding = draw(st.integers(0, k - 1))
+    size = draw(st.integers(max(1, k - 2 * padding), 9))
+    channels = draw(st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 3)))
+    return k, stride, padding, size, channels, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(conv_geometry())
+def test_tconv_is_the_adjoint_of_conv(case):
+    # <conv x, y> == <x, tconv y> with one shared weight array and zero bias
+    k, stride, padding, size, (n, in_c, out_c), seed = case
+    rng = rng_for(seed)
+    conv = Conv2d(in_c, out_c, k, stride=stride, padding=padding, rng=rng)
+    out = conv_out_size(size, k, stride, padding)
+    output_padding = size - tconv_out_size(out, k, stride, padding, 0)
+    tconv = ConvTranspose2d(out_c, in_c, k, stride=stride, padding=padding,
+                            output_padding=output_padding, rng=rng)
+    tconv.weight = conv.weight
+    conv.bias[...] = 0.0
+    tconv.bias[...] = 0.0
+    x = rng.normal(size=(n, in_c, size, size))
+    y = rng.normal(size=(n, out_c, out, out))
+    conv_x, tconv_y = conv.forward(x), tconv.forward(y)
+    lhs, rhs = np.sum(conv_x * y), np.sum(x * tconv_y)
+    assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(conv_x * y))
 
 
 # --------------------------------------------------------------- shape algebra
@@ -288,6 +352,29 @@ def test_adam_runs_identically_for_identical_inputs():
         return param
 
     assert np.array_equal(run(), run())
+
+
+def test_adam_in_place_moments_match_the_textbook_update_bit_for_bit():
+    rng = rng_for(51)
+    # enough entries that a reassociated product, e.g. (1 - b2) * (g * g),
+    # changes some last bit
+    params = [rng.normal(size=(40, 50)), rng.normal(size=300)]
+    expected = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+    opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+    for t in range(1, 9):
+        grads = [rng.normal(size=p.shape) for p in params]
+        opt.step(grads)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            m_hat = m[i] / (1 - b1**t)
+            v_hat = v[i] / (1 - b2**t)
+            expected[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for got, want in zip(params, expected):
+            assert np.array_equal(got, want)
 
 
 def test_adam_validation():
