@@ -16,7 +16,6 @@ from qcae import (
     run_circuit,
     run_rows,
     ry,
-    sample_expect_z,
     zz,
 )
 
@@ -35,8 +34,6 @@ print("\n== rotations and expectations ==")
 theta = 0.7
 state = apply_gate(init_zero(1), ry(0, theta))
 print(f"RY({theta})|0> gives <Z> = cos({theta}) = {expect_z(state, 0):.6f}")
-shots = sample_expect_z(state, 0, 10_000, np.random.default_rng(0))
-print(f"shot-sampled estimate over 10k shots: {shots:.4f}")
 
 print("\n== the ZZ interaction ==")
 state = run_circuit(2, [h(0), h(1), zz(0, 1, 1.2)])

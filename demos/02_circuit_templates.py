@@ -1,26 +1,26 @@
-"""Tour of the circuit templates: angle encoding, the QAOA family, and the
-hardware-efficient comparison circuits, including the QAOA symmetry that
-makes its per-qubit Z readout constant.
+"""Tour of the circuit templates: an RY column of angles, the QAOA family,
+and the hardware-efficient comparison circuits, including the QAOA symmetry
+that makes its per-qubit Z readout constant.
 
 Run with: python3 demos/02_circuit_templates.py
 """
 import numpy as np
 
 from qcae import (
-    angle_encode,
-    build_qaoa,
     family_template,
     measure_all_z,
     normalize_to_angle,
+    qaoa_template,
     run_circuit,
+    ry,
 )
 
-print("== angle encoding ==")
+print("== values as RY angles ==")
 raw = np.array([0.1, 0.6, 0.9])
 angles = normalize_to_angle(raw, 0.0, 1.0)
 print("raw values   :", raw)
 print("as angles    :", np.round(angles, 3))
-state = run_circuit(3, angle_encode(angles))
+state = run_circuit(3, [ry(q, a) for q, a in enumerate(angles)])
 print("per-qubit <Z>:", np.round(measure_all_z(state), 4))
 
 print("\n== template families and their parameter budgets ==")
@@ -30,7 +30,7 @@ for family in ("a", "b", "c", "ours"):
           f"{len(template.gates):2d} gates for n=4, p=2")
 
 print("\n== the QAOA layer structure ==")
-gates = build_qaoa(2, 1, [0.4], [0.3])
+gates = qaoa_template(2, 1).bind([0.4, 0.3])  # [gamma, beta]
 for g in gates:
     angle = "" if g.angle is None else f" angle={g.angle:.2f}"
     print(f"  {g.kind:>4} on {g.targets}{angle}")

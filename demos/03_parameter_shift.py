@@ -9,9 +9,9 @@ from qcae import (
     chain_loss_gradient,
     family_template,
     measure_all_z,
+    mse_loss,
     psr_gradient,
     run_circuit,
-    softmax_xent,
 )
 
 print("== one rotation, known answer ==")
@@ -49,9 +49,9 @@ print("\n== chaining into a classical loss ==")
 template = family_template("b", 2, 1)
 params = rng.uniform(0, 2 * np.pi, template.slot_count)
 jac = psr_gradient(template, params)
-logits = jac.forward
-loss, downstream = softmax_xent(logits, [1.0, 0.0])
+target = np.array([1.0, -1.0])
+loss, downstream = mse_loss(jac.forward, target)
 full_grad = chain_loss_gradient(jac, downstream)
-print(f"forward <Z> vector: {np.round(logits, 4)}")
-print(f"cross-entropy loss: {loss:.4f}")
+print(f"forward <Z> vector: {np.round(jac.forward, 4)} (target {target})")
+print(f"mean squared error: {loss:.4f}")
 print(f"loss gradient w.r.t. circuit parameters: {np.round(full_grad, 5)}")

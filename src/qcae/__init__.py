@@ -5,8 +5,8 @@ The package splits into small, composable pieces:
   statevector  dense n-qubit simulator running one gate sequence on a batch
                of angle rows, exact Z expectations, and an optional exact
                depolarizing/readout noise channel
-  ansatz       circuit templates (QAOA layers plus comparison families),
-               angle encoding and normalization
+  ansatz       circuit templates of GateOps (QAOA layers plus comparison
+               families) and the map of squashed values onto angles
   gradient     parameter-shift jacobians and classical chain-rule glue
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
   model        the assembled denoisers (classical and hybrid) and training
@@ -17,9 +17,6 @@ The package splits into small, composable pieces:
 
 from .ansatz import (
     CircuitTemplate,
-    angle_encode,
-    build_family,
-    build_qaoa,
     family_template,
     normalize_to_angle,
     qaoa_template,
@@ -35,7 +32,7 @@ from .data_io import (
     montage,
     write_idx,
 )
-from .gradient import QuantumJacobian, chain_loss_gradient, psr_gradient, softmax_xent
+from .gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 from .model import (
     DenoisingAutoencoder,
@@ -43,7 +40,6 @@ from .model import (
     QuantumLatent,
     TrainConfig,
     TrainingAborted,
-    denoise,
     train,
 )
 from .nn import Adam, LayerSpec, load_weights, mse_loss, save_weights
@@ -63,7 +59,6 @@ from .statevector import (
     rx,
     ry,
     rz,
-    sample_expect_z,
     zz,
 )
 

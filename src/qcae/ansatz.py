@@ -1,10 +1,10 @@
-"""Parameterized circuit templates: angle encoding, QAOA layers, and the
-hardware-efficient comparison families.
+"""Parameterized circuit templates: QAOA layers and the hardware-efficient
+comparison families.
 
-A template is an immutable gate program in which rotation angles refer to
-parameter slots. gate_angles turns parameter vectors into one angle per
+A template is an immutable program of GateOps in which each rotation refers
+to a parameter slot. gate_angles turns parameter vectors into one angle per
 gate, the rows that statevector.run_rows executes; bind turns one vector
-into a concrete GateOp list. Families:
+into a bound GateOp list. Families:
 
   ours  p alternations of a ring ZZ cost layer and an RX mixer layer on a
         uniform superposition; parameter vector [g_1..g_p, b_1..b_p], 2p
@@ -27,20 +27,9 @@ from math import pi
 
 import numpy as np
 
-from .statevector import ROTATION_KINDS, GateOp, rx, ry, rz
+from .statevector import ROTATION_KINDS, GateOp
 
 FAMILIES = ("a", "b", "c", "ours")
-
-
-@dataclass(frozen=True)
-class TemplateGate:
-    """Gate program entry; slot is None for fixed gates like H/CNOT."""
-
-    kind: str
-    targets: tuple[int, ...]
-    slot: int | None = None
-    angle: float | None = None
-    scale: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +37,7 @@ class CircuitTemplate:
     n_qubits: int
     p: int
     family: str
-    gates: tuple[TemplateGate, ...]
+    gates: tuple[GateOp, ...]
 
     @property
     def slot_count(self) -> int:
@@ -76,11 +65,12 @@ class CircuitTemplate:
         return angles
 
     def bind(self, params) -> list[GateOp]:
-        """Fill every slot and return a concrete gate list."""
+        """Fill every slot and return the bound gate list: each rotation
+        carries its angle and no slot."""
         angles = self.gate_angles(params)
         if angles.ndim != 1:
             raise ValueError(f"bind takes one parameter vector, got shape {np.shape(params)}")
-        return [GateOp(g.kind, g.targets, float(a) if g.kind in ROTATION_KINDS else None)
+        return [GateOp(g.kind, g.targets, float(a)) if g.kind in ROTATION_KINDS else g
                 for g, a in zip(self.gates, angles)]
 
 
@@ -101,12 +91,12 @@ def qaoa_template(n_qubits: int, p: int) -> CircuitTemplate:
     """H wall, then p rounds of ZZ(2g_k) on ring edges and RX(2b_k) on all qubits."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    gates = [TemplateGate("h", (q,)) for q in range(n_qubits)]
+    gates = [GateOp("h", (q,)) for q in range(n_qubits)]
     for k in range(p):
         for a, b in ring_edges(n_qubits):
-            gates.append(TemplateGate("zz", (a, b), slot=k, scale=2.0))
+            gates.append(GateOp("zz", (a, b), slot=k, scale=2.0))
         for q in range(n_qubits):
-            gates.append(TemplateGate("rx", (q,), slot=p + k, scale=2.0))
+            gates.append(GateOp("rx", (q,), slot=p + k, scale=2.0))
     return CircuitTemplate(n_qubits, p, "ours", tuple(gates))
 
 
@@ -120,47 +110,32 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
     if family == "ours":
         return qaoa_template(n_qubits, p)
 
-    gates: list[TemplateGate] = []
+    gates: list[GateOp] = []
     slot_ids = count()
 
     def rotation_column(kind: str) -> None:
         for q in range(n_qubits):
-            gates.append(TemplateGate(kind, (q,), slot=next(slot_ids)))
+            gates.append(GateOp(kind, (q,), slot=next(slot_ids)))
 
     for _ in range(p):
         if family == "a":
             rotation_column("ry")
             for c, t in _chain_pairs(n_qubits):
-                gates.append(TemplateGate("cnot", (c, t)))
+                gates.append(GateOp("cnot", (c, t)))
         elif family == "b":
             rotation_column("ry")
             rotation_column("rz")
             for c, t in _chain_pairs(n_qubits):
-                gates.append(TemplateGate("cnot", (c, t)))
+                gates.append(GateOp("cnot", (c, t)))
         else:  # c
             rotation_column("ry")
             entangler = _chain_pairs(n_qubits)
             if n_qubits > 1:
                 entangler = entangler + [(n_qubits - 1, 0)]
             for c, t in entangler:
-                gates.append(TemplateGate("cnot", (c, t)))
+                gates.append(GateOp("cnot", (c, t)))
             rotation_column("rz")
     return CircuitTemplate(n_qubits, p, family, tuple(gates))
-
-
-def angle_encode(values, rotation: str = "ry", n_qubits: int | None = None) -> list[GateOp]:
-    """One rotation gate per qubit, angle taken directly from the value vector.
-
-    Values are expected to be pre-normalized to [0, 2*pi]; see
-    normalize_to_angle. RY is the default axis.
-    """
-    values = np.asarray(values, dtype=float).ravel()
-    if rotation not in ("rx", "ry", "rz"):
-        raise ValueError(f"rotation must be rx/ry/rz, got {rotation!r}")
-    if n_qubits is not None and values.size != n_qubits:
-        raise ValueError(f"got {values.size} values for {n_qubits} qubits")
-    maker = {"rx": rx, "ry": ry, "rz": rz}[rotation]
-    return [maker(q, v) for q, v in enumerate(values)]
 
 
 def normalize_to_angle(raw, lo: float, hi: float) -> np.ndarray:
@@ -169,19 +144,3 @@ def normalize_to_angle(raw, lo: float, hi: float) -> np.ndarray:
         raise ValueError(f"need hi > lo, got lo={lo}, hi={hi}")
     raw = np.asarray(raw, dtype=float)
     return np.clip(2.0 * pi * (raw - lo) / (hi - lo), 0.0, 2.0 * pi)
-
-
-def build_qaoa(n_qubits: int, p: int, gammas, betas) -> list[GateOp]:
-    """Concrete QAOA gate list for parameter vectors of length p each."""
-    gammas = np.asarray(gammas, dtype=float).ravel()
-    betas = np.asarray(betas, dtype=float).ravel()
-    if gammas.size != p or betas.size != p:
-        raise ValueError(
-            f"expected {p} gammas and {p} betas, got {gammas.size} and {betas.size}"
-        )
-    return qaoa_template(n_qubits, p).bind(np.concatenate([gammas, betas]))
-
-
-def build_family(family: str, n_qubits: int, p: int, params) -> list[GateOp]:
-    """Concrete gate list for any family; params length must match its slots."""
-    return family_template(family, n_qubits, p).bind(params)

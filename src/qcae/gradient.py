@@ -14,18 +14,17 @@ run_rows simulates it exactly, so the rule stays exact under noise.
 
 The engine is loss-agnostic: it emits a jacobian of per-qubit Z expectations
 against parameters, and chain_loss_gradient contracts it with whatever
-downstream gradient the classical side produced (MSE for the denoiser;
-softmax_xent reproduces the classification path).
+downstream gradient the classical side produced (MSE for the denoiser).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import pi
 
 import numpy as np
 
-from .ansatz import CircuitTemplate, TemplateGate
-from .statevector import GateOp, NoiseChannel, measure_rows_z, run_rows
+from .ansatz import CircuitTemplate
+from .statevector import NoiseChannel, measure_rows_z, run_rows
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ class QuantumJacobian:
 def psr_gradient(
     template: CircuitTemplate,
     params,
-    prelude: tuple[GateOp, ...] = (),
     channel: NoiseChannel | None = None,
 ) -> QuantumJacobian:
     """Jacobian of all per-qubit <Z> against the template's parameters.
@@ -55,13 +53,8 @@ def psr_gradient(
     params is one vector or an (N, slot_count) batch. Each vector becomes
     1 + 2 * (bound gates) angle rows of the same gate program: row 0 is the
     forward pass, rows 1 + 2k and 2 + 2k shift the k-th bound gate by +pi/2
-    and -pi/2. All rows of the batch run in one run_rows call. The prelude
-    (e.g. angle-encoding gates) is parameter-independent and is replayed in
-    front of every row.
+    and -pi/2. All rows of the batch run in one run_rows call.
     """
-    if prelude:
-        fixed = tuple(TemplateGate(g.kind, g.targets, angle=g.angle) for g in prelude)
-        template = replace(template, gates=fixed + template.gates)
     base = template.gate_angles(params)
     batch = base.reshape(-1, base.shape[-1])
     bound = np.array(template.bound_gate_indices(), dtype=int)
@@ -82,13 +75,13 @@ def psr_gradient(
                            z[:, 0].reshape(lead + (n,)), len(batch) * n_rows)
 
 
-def chain_loss_gradient(jacobian, downstream) -> np.ndarray:
+def chain_loss_gradient(jacobian: QuantumJacobian, downstream) -> np.ndarray:
     """Loss gradient w.r.t. quantum parameters: downstream^T . jacobian.
 
     A batched (N, n, slot_count) jacobian takes (N, n) downstream gradients
     and returns one row per sample.
     """
-    entries = jacobian.entries if isinstance(jacobian, QuantumJacobian) else np.asarray(jacobian)
+    entries = jacobian.entries
     downstream = np.asarray(downstream, dtype=float)
     if entries.ndim == 2:
         downstream = downstream.ravel()
@@ -99,22 +92,3 @@ def chain_loss_gradient(jacobian, downstream) -> np.ndarray:
         )
     return (downstream[..., None, :] @ entries)[..., 0, :]
 
-
-def softmax_xent(logits, target) -> tuple[float, np.ndarray]:
-    """Cross entropy of softmax(logits) against a probability vector.
-
-    Returns (loss, gradient w.r.t. logits); the fused gradient is
-    softmax(logits) - target.
-    """
-    logits = np.asarray(logits, dtype=float).ravel()
-    target = np.asarray(target, dtype=float).ravel()
-    if logits.shape != target.shape:
-        raise ValueError(f"shape mismatch: logits {logits.shape} vs target {target.shape}")
-    if np.any(target < 0) or abs(target.sum() - 1.0) > 1e-6:
-        raise ValueError("target must be a probability vector")
-    shifted = logits - logits.max()
-    log_z = np.log(np.sum(np.exp(shifted)))
-    log_probs = shifted - log_z
-    loss = float(-np.sum(target * log_probs))
-    grad = np.exp(log_probs) - target
-    return loss, grad

@@ -60,10 +60,12 @@ class ModelSpec:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        noisy_cap = MAX_QUBITS // 2  # depolarizing simulates 2n-qubit density matrices
-        if self.kind == "qcae" and self.noise.depolarizing_prob > 0 and self.n_qubits > noisy_cap:
-            raise ValueError(f"depolarizing noise caps n_qubits at {noisy_cap}, "
-                             f"got {self.n_qubits}")
+        noisy = self.noise.depolarizing_prob > 0
+        # depolarizing simulates 2n-qubit density matrices
+        cap = MAX_QUBITS // 2 if noisy else MAX_QUBITS
+        if self.kind == "qcae" and self.n_qubits > cap:
+            raise ValueError(f"{'depolarizing noise' if noisy else 'the simulator'} caps "
+                             f"n_qubits at {cap}, got {self.n_qubits}")
 
 
 @dataclass
@@ -322,7 +324,3 @@ def train(spec: ModelSpec, config: TrainConfig, train_set: MnistSet,
         records.append(RunRecord(epoch, epoch_loss, val_ssim, config_id))
     return model, records
 
-
-def denoise(model: DenoisingAutoencoder, images: np.ndarray) -> np.ndarray:
-    """Single clamped forward pass over a batch of noisy images."""
-    return model.denoise(images)

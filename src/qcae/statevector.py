@@ -6,8 +6,8 @@ index 1. One runner does all simulation: run_rows applies a gate sequence
 in place to M independent rows, fed by an (M, len(gates)) angle matrix, and
 measure_rows_z reads exact per-qubit Pauli-Z expectations from every row.
 run_circuit, apply_gate, measure_all_z and expect_z are the one-row pure
-case. A shot-sampled estimate exists for realism but is never used by the
-trainer.
+case. GateOp is the one gate record: a rotation holds either a fixed angle
+or, in a circuit template, a parameter slot that binding replaces.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
@@ -33,11 +33,14 @@ GATE_KINDS = ("h", "cnot") + ROTATION_KINDS
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: kind, target qubits, and an angle for rotation kinds."""
+    """One gate: kind, target qubits and, for a rotation kind, exactly one of
+    a fixed angle or a parameter slot whose angle is scale * params[slot]."""
 
     kind: str
     targets: tuple[int, ...]
     angle: float | None = None
+    slot: int | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
@@ -48,10 +51,10 @@ class GateOp:
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"{self.kind} targets must be distinct, got {self.targets}")
         if self.kind in ROTATION_KINDS:
-            if self.angle is None:
-                raise ValueError(f"{self.kind} requires an angle")
-        elif self.angle is not None:
-            raise ValueError(f"{self.kind} carries no angle")
+            if (self.angle is None) == (self.slot is None):
+                raise ValueError(f"{self.kind} takes exactly one of an angle and a slot")
+        elif self.angle is not None or self.slot is not None:
+            raise ValueError(f"{self.kind} carries no angle and no slot")
 
 
 def h(q: int) -> GateOp:
@@ -204,17 +207,20 @@ def _mixed(channel: NoiseChannel | None) -> bool:
     return channel is not None and channel.depolarizing_prob > 0.0
 
 
-def _angle(gate) -> float:
+def _angle(gate: GateOp) -> float:
+    if gate.slot is not None:
+        raise ValueError(f"{gate.kind} on {gate.targets} still has slot {gate.slot}; "
+                         "bind its template first")
     return 0.0 if gate.angle is None else gate.angle
 
 
 def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) -> np.ndarray:
     """Run one gate sequence on M rows, each from |0...0>.
 
-    gates holds anything with .kind and .targets (GateOp, TemplateGate);
-    angles is an (M, len(gates)) matrix whose column i feeds gate i, and H
-    and CNOT ignore their column. Returns (M, 2^n) amplitudes or, with an
-    active depolarizing channel, (M, 4^n) density matrices rho, each a
+    Of each GateOp only kind and targets are read, so template gates run
+    unbound: angles is an (M, len(gates)) matrix whose column i feeds gate
+    i, and H and CNOT ignore their column. Returns (M, 2^n) amplitudes or,
+    with an active depolarizing channel, (M, 4^n) density matrices rho, each a
     2n-qubit vector with the ket bits low and the bra bits high (so noisy runs
     take n <= MAX_QUBITS // 2): a gate U maps rho to U rho U^dagger, then each
     qubit it touched is depolarized. measure_rows_z with the same channel reads either.
@@ -266,7 +272,8 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 
 
 def run_circuit(n_qubits: int, gates) -> StateVector:
-    """Execute a gate list on |0...0>; a pure state takes no depolarizing."""
+    """Execute a bound gate list on |0...0>; a pure state takes no depolarizing.
+    A gate that still has a slot is rejected."""
     gates = list(gates)
     return StateVector(n_qubits, run_rows(n_qubits, gates, [[_angle(g) for g in gates]])[0])
 
@@ -282,14 +289,3 @@ def measure_all_z(state: StateVector, channel: NoiseChannel | None = None) -> np
     """Vector of <Z> over all qubits, in qubit order."""
     return _z_readout(state.probabilities()[None], channel)[0]
 
-
-def sample_expect_z(
-    state: StateVector, qubit: int, shots: int, rng: np.random.Generator
-) -> float:
-    """Shot-sampled <Z> estimate (optional realism mode; tests use exact)."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    probs = state.probabilities().reshape(-1, 2, 1 << qubit)
-    p_one = float(probs[:, 1, :].sum())
-    ones = rng.random(shots) < p_one
-    return 1.0 - 2.0 * float(np.mean(ones))

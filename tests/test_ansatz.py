@@ -4,9 +4,6 @@ import pytest
 
 from qcae.ansatz import (
     FAMILIES,
-    angle_encode,
-    build_family,
-    build_qaoa,
     family_template,
     normalize_to_angle,
     qaoa_template,
@@ -15,37 +12,6 @@ from qcae.ansatz import (
 from qcae.statevector import measure_all_z, run_circuit
 
 from oracles import dense_all_z, run_dense
-
-
-# ------------------------------------------------------------- angle encode
-
-def test_angle_encode_zero_rotations_keep_ground_state():
-    gates = angle_encode([0.0, 0.0])
-    state = run_circuit(2, gates)
-    assert np.allclose(state.amplitudes, [1, 0, 0, 0])
-
-
-def test_angle_encode_pi_flips_qubit():
-    state = run_circuit(1, angle_encode([np.pi]))
-    assert np.allclose(state.amplitudes, [np.cos(np.pi / 2), np.sin(np.pi / 2)], atol=1e-12)
-
-
-def test_angle_encode_half_pi_gives_zero_expectation():
-    state = run_circuit(2, angle_encode([np.pi / 2, np.pi / 2]))
-    assert np.allclose(measure_all_z(state), [0.0, 0.0], atol=1e-12)
-    dense = run_dense(2, angle_encode([np.pi / 2, np.pi / 2]))
-    assert np.allclose(dense_all_z(dense, 2), [0.0, 0.0], atol=1e-12)
-
-
-def test_angle_encode_length_mismatch():
-    with pytest.raises(ValueError):
-        angle_encode([0.1, 0.2], n_qubits=3)
-
-
-def test_angle_encode_axis_choice():
-    assert all(g.kind == "rz" for g in angle_encode([0.1, 0.2], rotation="rz"))
-    with pytest.raises(ValueError):
-        angle_encode([0.1], rotation="cnot")
 
 
 # ---------------------------------------------------------- normalize_to_angle
@@ -71,20 +37,21 @@ def test_normalize_rejects_bad_range():
 # ------------------------------------------------------------------ QAOA
 
 def test_qaoa_identity_layers_leave_uniform_superposition():
-    state = run_circuit(2, build_qaoa(2, 1, [0.0], [0.0]))
+    state = run_circuit(2, qaoa_template(2, 1).bind([0.0, 0.0]))
     assert np.allclose(state.amplitudes, np.full(4, 0.5), atol=1e-12)
 
 
 def test_qaoa_mixer_only_keeps_zero_expectations():
     # |+> is an X eigenstate, so an RX mixer cannot move <Z> off zero
-    state = run_circuit(2, build_qaoa(2, 1, [0.0], [0.3]))
+    gates = qaoa_template(2, 1).bind([0.0, 0.3])
+    state = run_circuit(2, gates)
     assert np.allclose(measure_all_z(state), [0.0, 0.0], atol=1e-12)
-    dense = run_dense(2, build_qaoa(2, 1, [0.0], [0.3]))
+    dense = run_dense(2, gates)
     assert np.allclose(dense_all_z(dense, 2), [0.0, 0.0], atol=1e-12)
 
 
 def test_qaoa_matches_dense_oracle():
-    gates = build_qaoa(2, 1, [0.4], [0.3])
+    gates = qaoa_template(2, 1).bind([0.4, 0.3])
     kernel = run_circuit(2, gates)
     dense = run_dense(2, gates)
     assert np.max(np.abs(kernel.amplitudes - dense)) < 1e-10
@@ -92,14 +59,14 @@ def test_qaoa_matches_dense_oracle():
 
 
 def test_qaoa_gate_count_example():
-    gates = build_qaoa(2, 2, [0.1, 0.2], [0.3, 0.4])
+    gates = qaoa_template(2, 2).bind([0.1, 0.2, 0.3, 0.4])
     assert len(gates) == 2 + 2 * (1 + 2)  # H wall + per layer one ZZ, two RX
 
 
 def test_qaoa_zero_parameters_zero_expectations_all_sizes():
     for n in (2, 3, 4):
         for p in (1, 2, 3):
-            state = run_circuit(n, build_qaoa(n, p, np.zeros(p), np.zeros(p)))
+            state = run_circuit(n, qaoa_template(n, p).bind(np.zeros(2 * p)))
             assert np.allclose(measure_all_z(state), np.zeros(n), atol=1e-12)
 
 
@@ -113,21 +80,22 @@ def test_qaoa_rejects_bad_p_and_lengths():
     with pytest.raises(ValueError):
         qaoa_template(2, 0)
     with pytest.raises(ValueError):
-        build_qaoa(2, 2, [0.1], [0.2, 0.3])
+        qaoa_template(2, 2).bind([0.1, 0.2, 0.3])  # needs 2 gammas + 2 betas
 
 
 # ---------------------------------------------------------------- families
 
 def test_family_a_zero_params_is_identity_on_ground_state():
-    state = run_circuit(2, build_family("a", 2, 1, [0.0, 0.0]))
+    state = run_circuit(2, family_template("a", 2, 1).bind([0.0, 0.0]))
     assert np.allclose(state.amplitudes, [1, 0, 0, 0], atol=1e-12)
 
 
 def test_family_b_pi_rotation_propagates_through_chain():
-    state = run_circuit(2, build_family("b", 2, 1, [np.pi, 0.0, 0.0, 0.0]))
+    gates = family_template("b", 2, 1).bind([np.pi, 0.0, 0.0, 0.0])
+    state = run_circuit(2, gates)
     probs = np.abs(state.amplitudes) ** 2
     assert np.isclose(probs[3], 1.0, atol=1e-12)
-    dense = run_dense(2, build_family("b", 2, 1, [np.pi, 0.0, 0.0, 0.0]))
+    dense = run_dense(2, gates)
     assert np.isclose(np.abs(dense[3]) ** 2, 1.0, atol=1e-12)
 
 
@@ -174,14 +142,14 @@ def test_families_match_dense_oracle():
 
 def test_binding_is_deterministic():
     params = np.linspace(0.1, 0.9, 8)
-    a = build_family("b", 2, 2, params)
-    b = build_family("b", 2, 2, params)
+    a = family_template("b", 2, 2).bind(params)
+    b = family_template("b", 2, 2).bind(params)
     assert a == b
 
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        build_family("d", 2, 1, [0.0])
+        family_template("d", 2, 1)
     with pytest.raises(ValueError):
         family_template("a", 2, 0)
 

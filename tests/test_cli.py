@@ -174,13 +174,12 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
 
 def test_sweep_continues_past_failing_grid_point(tmp_path):
     out = tmp_path / "runs"
-    # qubits=15 exceeds the simulator cap and must fail that point only
-    argv = ["sweep", *FAST, "--output-dir", str(out), "--axis", "sigma=0.25,0.5"]
-    argv[argv.index("--qubits") + 1] = "15"
+    # family d does not exist and must fail that point only
+    argv = ["sweep", *FAST, "--output-dir", str(out), "--axis", "family=c,d"]
     assert main(argv) == 0
     lines = next(out.glob("sweep_*.csv")).read_text().splitlines()
-    assert len(lines) == 3
-    assert all(line.endswith(",FAILED") for line in lines[1:])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[1], row[-1]) for row in rows] == [("c", "ok"), ("d", "FAILED")]
 
 
 def test_sweep_family_by_depth_grid_shape(tmp_path):
@@ -258,6 +257,14 @@ def test_noisy_qubit_cap_is_a_config_error(tmp_path):
         resolve_config(None, {**noisy, "qubits": "8"})
     code, runs = run_train(tmp_path, "--depolarizing-prob", "0.01", "--qubits", "8")
     assert code == 1 and runs == []
+
+
+def test_qubit_cap_is_a_config_error(tmp_path):
+    with pytest.raises(ValueError, match="caps n_qubits at 14"):
+        resolve_config(None, {"qubits": "15"})
+    assert resolve_config(None, {"qubits": "15", "model": "ccae"}).qubits == 15
+    code, runs = run_train(tmp_path, "--qubits", "15")
+    assert code == 1 and not (tmp_path / "runs").exists()
 
 
 def test_module_entry_point_prints_usage():

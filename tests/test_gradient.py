@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
-from qcae.ansatz import CircuitTemplate, TemplateGate, family_template
-from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient, softmax_xent
-from qcae.statevector import NoiseChannel, measure_all_z, measure_rows_z, run_circuit, run_rows, ry
+import qcae
+from qcae.ansatz import CircuitTemplate, family_template
+from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
+from qcae.statevector import (GateOp, NoiseChannel, measure_all_z, measure_rows_z, run_circuit,
+                              run_rows)
 
 from oracles import fd_jacobian
 
@@ -12,13 +14,12 @@ from oracles import fd_jacobian
 def single_ry_template() -> CircuitTemplate:
     return CircuitTemplate(
         n_qubits=1, p=1, family="a",
-        gates=(TemplateGate("ry", (0,), slot=0),),
+        gates=(GateOp("ry", (0,), slot=0),),
     )
 
 
-def template_forward(template, params, prelude=()):
-    state = run_circuit(template.n_qubits, list(prelude) + template.bind(params))
-    return measure_all_z(state)
+def template_forward(template, params):
+    return measure_all_z(run_circuit(template.n_qubits, template.bind(params)))
 
 
 # ------------------------------------------------------------- single gate
@@ -58,13 +59,18 @@ def test_psr_exactness_small_grid():
                     assert np.max(np.abs(jac.entries - fd)) < 1e-5, (family, n, p)
 
 
-def test_prelude_is_replayed_before_every_evaluation():
-    template = single_ry_template()
-    prelude = (ry(0, 0.3),)
-    jac = psr_gradient(template, [0.5], prelude=prelude)
-    # RY angles add: <Z> = cos(0.3 + theta), d/dtheta = -sin(0.3 + theta)
-    assert np.isclose(jac.forward[0], np.cos(0.8), atol=1e-12)
-    assert np.isclose(jac.entries[0, 0], -np.sin(0.8), atol=1e-12)
+def test_benchmark_psr_check_runs_through_top_level_names():
+    # perfbench/workloads.py check_psr reaches exactly these names and reports
+    # itself absent, not failed, once one of them is gone
+    template = qcae.family_template("c", 4, 2)
+    theta = np.random.default_rng(0).uniform(0.0, 2 * np.pi, template.slot_count)
+    jac = qcae.psr_gradient(template, theta).entries
+
+    def expect(params):
+        return qcae.measure_all_z(qcae.run_circuit(4, template.bind(params)))
+
+    assert jac.shape == (4, template.slot_count)
+    assert np.max(np.abs(jac - fd_jacobian(expect, theta))) <= 1e-7
 
 
 def test_execution_count_bookkeeping():
@@ -96,9 +102,8 @@ def test_batched_jacobian_equals_one_call_per_vector(family):
     template = family_template(family, 3, 2)
     rng = np.random.default_rng(6)
     batch = rng.uniform(0, 2 * np.pi, (4, template.slot_count))
-    prelude = (ry(0, 0.3), ry(2, -1.1))
-    jac = psr_gradient(template, batch, prelude=prelude)
-    singles = [psr_gradient(template, theta, prelude=prelude) for theta in batch]
+    jac = psr_gradient(template, batch)
+    singles = [psr_gradient(template, theta) for theta in batch]
     assert np.array_equal(jac.entries, np.stack([s.entries for s in singles]))
     assert np.array_equal(jac.forward, np.stack([s.forward for s in singles]))
     assert jac.n_executions == sum(s.n_executions for s in singles)
@@ -164,45 +169,3 @@ def test_chain_dimension_mismatch():
     with pytest.raises(ValueError):
         chain_loss_gradient(QuantumJacobian(np.eye(2), np.zeros(2), 0), [1.0, 2.0, 3.0])
 
-
-# ----------------------------------------------------------- softmax + xent
-
-def test_softmax_xent_uniform_case():
-    loss, grad = softmax_xent([0.0, 0.0], [0.5, 0.5])
-    assert np.isclose(loss, np.log(2))
-    assert np.allclose(grad, [0.0, 0.0], atol=1e-12)
-
-
-def test_softmax_xent_confident_correct_logit():
-    loss, _ = softmax_xent([10.0, 0.0], [1.0, 0.0])
-    assert np.isclose(loss, np.log(1 + np.exp(-10.0)), rtol=1e-9)
-    assert loss < 5e-5
-
-
-def test_softmax_xent_one_hot_gradient_sign():
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        logits = rng.normal(size=4)
-        j = int(rng.integers(4))
-        target = np.zeros(4)
-        target[j] = 1.0
-        _, grad = softmax_xent(logits, target)
-        assert grad[j] < 0.0
-
-
-def test_softmax_probabilities_normalize_and_loss_nonnegative():
-    rng = np.random.default_rng(13)
-    for _ in range(10):
-        logits = rng.normal(scale=5.0, size=6)
-        target = rng.dirichlet(np.ones(6))
-        loss, grad = softmax_xent(logits, target)
-        probs = grad + target
-        assert abs(probs.sum() - 1.0) < 1e-12
-        assert loss >= 0.0
-
-
-def test_softmax_xent_validation():
-    with pytest.raises(ValueError):
-        softmax_xent([0.0, 0.0], [0.7, 0.7])
-    with pytest.raises(ValueError):
-        softmax_xent([0.0], [0.5, 0.5])

@@ -9,7 +9,6 @@ from qcae.model import (
     ModelSpec,
     TrainConfig,
     TrainingAborted,
-    denoise,
     train,
 )
 from qcae.nn import mse_loss
@@ -266,7 +265,7 @@ def test_empty_training_set_rejected():
 def test_denoise_repeats_identically_and_clamps():
     model = DenoisingAutoencoder(toy_spec(family="b"), seed=40)
     x = toy_images(3, seed=41)
-    a, b = denoise(model, x), denoise(model, x)
+    a, b = model.denoise(x), model.denoise(x)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
 
@@ -274,8 +273,8 @@ def test_denoise_repeats_identically_and_clamps():
 def test_denoise_preserves_batch_order():
     model = DenoisingAutoencoder(toy_spec(family="b"), seed=42)
     x = toy_images(4, seed=43)
-    batch = denoise(model, x)
-    singles = np.concatenate([denoise(model, x[i:i + 1]) for i in range(4)])
+    batch = model.denoise(x)
+    singles = np.concatenate([model.denoise(x[i:i + 1]) for i in range(4)])
     assert np.allclose(batch, singles, atol=1e-12)
 
 

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcae.ansatz import TemplateGate
 from qcae.statevector import (
     GATE_KINDS,
+    ROTATION_KINDS,
     GateOp,
     NoiseChannel,
     apply_gate,
@@ -21,7 +21,6 @@ from qcae.statevector import (
     rx,
     ry,
     rz,
-    sample_expect_z,
     zz,
 )
 
@@ -87,11 +86,23 @@ def test_gateop_validation():
     with pytest.raises(ValueError):
         GateOp("h", (0,), 0.3)  # h carries no angle
     with pytest.raises(ValueError):
-        GateOp("rx", (0,))  # rotation needs an angle
+        GateOp("h", (0,), slot=0)  # ... and no slot
+    with pytest.raises(ValueError):
+        GateOp("rx", (0,))  # rotation needs an angle or a slot
+    with pytest.raises(ValueError):
+        GateOp("ry", (0,), 0.3, slot=0)  # ... but not both
+    with pytest.raises(ValueError):
+        GateOp("rq", (0,))  # unknown kind
     with pytest.raises(ValueError):
         GateOp("cnot", (1, 1))  # duplicate targets
     with pytest.raises(ValueError):
+        GateOp("zz", (2, 2), slot=0)
+    with pytest.raises(ValueError):
+        GateOp("cnot", (0,))  # one target for a two-qubit gate
+    with pytest.raises(ValueError):
         apply_gate(init_zero(1), h(1))  # target out of range
+    with pytest.raises(ValueError, match="slot"):
+        run_circuit(2, [h(0), GateOp("ry", (1,), slot=0)])  # unbound gate
 
 
 # ------------------------------------------------------------------ expect_z
@@ -207,12 +218,6 @@ def test_rx_rz_match_dense_single_gate():
             assert np.max(np.abs(state.amplitudes - run_dense(1, [maker(0, theta)]))) < 1e-12
 
 
-def test_sampled_expectation_converges_to_exact():
-    state = apply_gate(init_zero(1), ry(0, 0.7))
-    estimate = sample_expect_z(state, 0, 200_000, np.random.default_rng(0))
-    assert abs(estimate - np.cos(0.7)) < 0.01
-
-
 def test_run_rows_rejects_mismatched_angle_matrix():
     with pytest.raises(ValueError):
         run_rows(2, [h(0), ry(1, 0.2)], np.zeros((3, 1)))
@@ -226,9 +231,9 @@ def gate_rows(draw, max_n=6, max_m=8):
     n = draw(st.integers(1, max_n))
     kinds = GATE_KINDS if n > 1 else ("h", "rx", "ry", "rz")
     gates = []
-    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30)):
-        qubits = draw(st.permutations(range(n)))
-        gates.append(TemplateGate(kind, tuple(qubits[:2 if kind in ("cnot", "zz") else 1])))
+    for i, kind in enumerate(draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=30))):
+        qubits = tuple(draw(st.permutations(range(n)))[:2 if kind in ("cnot", "zz") else 1])
+        gates.append(GateOp(kind, qubits, slot=i if kind in ROTATION_KINDS else None))
     m = draw(st.integers(1, max_m))
     angles = draw(arrays(float, (m, len(gates)),
                          elements=st.floats(-2 * np.pi, 2 * np.pi, allow_subnormal=False)))
@@ -237,7 +242,7 @@ def gate_rows(draw, max_n=6, max_m=8):
 
 def bound_ops(gates, theta):
     """GateOps of one angle row: column i binds gate i."""
-    return [GateOp(g.kind, g.targets, float(a) if g.kind not in ("h", "cnot") else None)
+    return [GateOp(g.kind, g.targets, float(a)) if g.kind in ROTATION_KINDS else g
             for g, a in zip(gates, theta)]
 
 
