@@ -46,11 +46,11 @@ target_w = np.array([2.0, -3.0, 0.5])
 inputs = rng.normal(size=(64, 3))
 targets = inputs @ target_w
 w = np.zeros(3)
-opt = Adam([w], learning_rate=0.1)
+opt = Adam(w, learning_rate=0.1)
 for step in range(200):
     pred = inputs @ w
     loss, d_pred = mse_loss(pred, targets)
-    opt.step([inputs.T @ d_pred])
+    opt.step(inputs.T @ d_pred)
     if step % 50 == 0:
         print(f"  step {step:3d}: loss {loss:.5f}, w = {np.round(w, 3)}")
 print(f"recovered weights: {np.round(w, 4)} (true {target_w})")

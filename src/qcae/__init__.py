@@ -46,12 +46,8 @@ from .nn import Adam, LayerSpec, load_weights, mse_loss, save_weights
 from .statevector import (
     GateOp,
     NoiseChannel,
-    StateVector,
-    apply_gate,
     cnot,
-    expect_z,
     h,
-    init_zero,
     measure_all_z,
     measure_rows_z,
     run_circuit,

@@ -39,6 +39,11 @@ class CircuitTemplate:
     family: str
     gates: tuple[GateOp, ...]
 
+    def __post_init__(self):
+        slots = sorted({g.slot for g in self.gates if g.slot is not None})
+        if slots != list(range(len(slots))):
+            raise ValueError(f"template slots must be exactly 0..k-1, got {slots}")
+
     @property
     def slot_count(self) -> int:
         return len({g.slot for g in self.gates if g.slot is not None})

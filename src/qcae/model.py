@@ -17,9 +17,11 @@ psr_enabled=False the quantum jacobian is taken as zero, so only the decoder
 trains - that is the "no gradient refinement" ablation.
 
 Training minimizes MSE between the reconstruction and the clean image
-(inputs are the noised versions) with Adam, recording per-epoch loss and
-validation SSIM. Everything is seeded, and the circuit noise channel is
-simulated exactly, so all runs are bit-reproducible.
+(inputs are the noised versions) with one Adam over model.params, recording
+per-epoch loss and validation SSIM. The layers' weights and biases are views
+of that one flat buffer (encoder then decoder, weight then bias: the order of
+weights.bin), their gradients views of model.grads. Everything is seeded,
+and the circuit noise channel is simulated exactly, so runs are bit-reproducible.
 """
 from __future__ import annotations
 
@@ -32,7 +34,8 @@ from .ansatz import CircuitTemplate, family_template, normalize_to_angle
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
-from .nn import Adam, LayerSpec, NonFiniteTensor, build_layer, load_weights, mse_loss, save_weights
+from .nn import (Adam, LayerSpec, NonFiniteTensor, build_layer, load_weights, mse_loss,
+                 pack_parameters, save_weights)
 from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
 
 SQUASH_LO, SQUASH_HI = -1.0, 1.0  # tanh range fed to the angle map
@@ -149,14 +152,6 @@ class _Stack:
             grad = layer.backward(grad)
         return grad
 
-    @property
-    def params(self):
-        return [p for layer in self.layers for p in layer.params]
-
-    @property
-    def grads(self):
-        return [g for layer in self.layers for g in layer.grads]
-
 
 class QuantumLatent:
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
@@ -227,6 +222,8 @@ class DenoisingAutoencoder:
         decoder_specs = spec.decoder or default_decoder(decoder_in, spec.image_size)
         self.encoder = _Stack(encoder_specs, rng)
         self.decoder = _Stack(decoder_specs, rng)
+        self._tensors, self.params, self.grads = pack_parameters(
+            self.encoder.layers + self.decoder.layers)
 
     def forward(self, images: np.ndarray) -> np.ndarray:
         latent = self.encoder.forward(images)
@@ -240,32 +237,20 @@ class DenoisingAutoencoder:
             grad = self.quantum.backward(grad)
         self.encoder.backward(grad)
 
-    @property
-    def params(self):
-        return self.encoder.params + self.decoder.params
-
-    @property
-    def grads(self):
-        return self.encoder.grads + self.decoder.grads
-
     def denoise(self, images: np.ndarray) -> np.ndarray:
         """Forward pass clamped to [0, 1], order preserved."""
         return np.clip(self.forward(images), 0.0, 1.0)
 
     def save(self, path) -> None:
-        save_weights(path, self.params)
+        save_weights(path, self._tensors)
 
     def load(self, path) -> None:
+        """Copy saved weights in, or refuse them before copying any."""
         tensors = load_weights(path)
-        params = self.params
-        if len(tensors) != len(params):
-            raise ValueError(
-                f"{path}: {len(tensors)} tensors for a model with {len(params)} parameters"
-            )
-        for p, t in zip(params, tensors):
-            if p.shape != tuple(t.shape):
-                raise ValueError(f"{path}: tensor shape {t.shape} != expected {p.shape}")
-            p[...] = t
+        got, want = [t.shape for t in tensors], [p.shape for p in self._tensors]
+        if got != want:
+            raise ValueError(f"{path}: tensor shapes {got} != the model's {want}")
+        self.params[...] = np.concatenate([t.ravel() for t in tensors])
 
 
 def derive_seeds(seed: int):

@@ -4,8 +4,10 @@ Arrays are float64 with a leading batch axis: images (N, C, H, W), feature
 vectors (N, F). conv2d is cross-correlation with zero padding; tconv2d is
 its exact adjoint (with an output_padding knob so stride-2 stacks invert
 cleanly). Each layer caches what its backward pass needs, so an instance
-handles one forward/backward pair at a time. Weight init is uniform in
-+-sqrt(1/fan_in) from an explicit numpy Generator.
+handles one forward/backward pair at a time; backward writes grad_weight and
+grad_bias in place. Weight init is uniform in +-sqrt(1/fan_in) from an
+explicit numpy Generator. pack_parameters makes a layer list's weights and
+biases views of one flat buffer, and their gradients views of a second.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from scipy.special import expit
 LAYER_KINDS = ("conv2d", "tconv2d", "dense", "leaky_relu", "sigmoid", "flatten", "reshape")
 
 WEIGHTS_MAGIC = b"NNW1"
+ADAM_BLOCK = 16384  # entries per block of Adam's update pass
 
 
 class NonFiniteTensor(ValueError):
@@ -117,14 +120,6 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) ->
 class Layer:
     """Base: parameter-free, shape-preserving by default."""
 
-    @property
-    def params(self) -> list[np.ndarray]:
-        return []
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return []
-
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -138,22 +133,21 @@ class Layer:
         return cache
 
 
-class Dense(Layer):
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
-        bound = np.sqrt(1.0 / in_features)
-        self.weight = rng.uniform(-bound, bound, (out_features, in_features))
-        self.bias = rng.uniform(-bound, bound, out_features)
+class _Weighted(Layer):
+    """A layer with a weight and a bias, drawn in that order, and their gradients."""
+
+    def __init__(self, rng: np.random.Generator, fan_in: int, weight_shape, n_bias: int):
+        bound = np.sqrt(1.0 / fan_in)
+        self.weight = rng.uniform(-bound, bound, weight_shape)
+        self.bias = rng.uniform(-bound, bound, n_bias)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
+
+
+class Dense(_Weighted):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
+        super().__init__(rng, in_features, (out_features, in_features), out_features)
         self._x = None
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
 
     def forward(self, x):
         _check_finite("dense input", x)
@@ -166,30 +160,18 @@ class Dense(Layer):
 
     def backward(self, upstream):
         x = self._take_cache("_x")
-        self.grad_weight = upstream.T @ x
-        self.grad_bias = upstream.sum(axis=0)
+        self.grad_weight[...] = upstream.T @ x
+        self.grad_bias[...] = upstream.sum(axis=0)
         return upstream @ self.weight
 
 
-class Conv2d(Layer):
+class Conv2d(_Weighted):
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
                  rng: np.random.Generator | None = None):
         k = kernel_size
-        bound = np.sqrt(1.0 / (in_channels * k * k))
-        self.weight = rng.uniform(-bound, bound, (out_channels, in_channels, k, k))
-        self.bias = rng.uniform(-bound, bound, out_channels)
+        super().__init__(rng, in_channels * k * k, (out_channels, in_channels, k, k), out_channels)
         self.stride, self.padding = stride, padding
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
         self._cache = None
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
 
     def forward(self, x):
         _check_finite("conv2d input", x)
@@ -206,13 +188,13 @@ class Conv2d(Layer):
         x_shape, cols, out_hw = self._take_cache("_cache")
         out_c, _, k, _ = self.weight.shape
         d_y = upstream.reshape(upstream.shape[0], out_c, -1)
-        self.grad_weight = np.tensordot(d_y, cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
-        self.grad_bias = d_y.sum(axis=(0, 2))
+        self.grad_weight[...] = np.tensordot(d_y, cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
+        self.grad_bias[...] = d_y.sum(axis=(0, 2))
         d_cols = self.weight.reshape(out_c, -1).T @ d_y
         return _col2im(d_cols, x_shape, k, self.stride, self.padding, out_hw)
 
 
-class ConvTranspose2d(Layer):
+class ConvTranspose2d(_Weighted):
     """Adjoint of Conv2d; weight layout (in_channels, out_channels, k, k)."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
@@ -220,21 +202,9 @@ class ConvTranspose2d(Layer):
         k = kernel_size
         if not 0 <= output_padding < stride:
             raise ValueError(f"output_padding must be in [0, stride), got {output_padding}")
-        bound = np.sqrt(1.0 / (in_channels * k * k))
-        self.weight = rng.uniform(-bound, bound, (in_channels, out_channels, k, k))
-        self.bias = rng.uniform(-bound, bound, out_channels)
+        super().__init__(rng, in_channels * k * k, (in_channels, out_channels, k, k), out_channels)
         self.stride, self.padding, self.output_padding = stride, padding, output_padding
-        self.grad_weight = np.zeros_like(self.weight)
-        self.grad_bias = np.zeros_like(self.bias)
         self._cache = None
-
-    @property
-    def params(self):
-        return [self.weight, self.bias]
-
-    @property
-    def grads(self):
-        return [self.grad_weight, self.grad_bias]
 
     def forward(self, x):
         _check_finite("tconv2d input", x)
@@ -257,8 +227,8 @@ class ConvTranspose2d(Layer):
         x2, x_shape = self._take_cache("_cache")
         in_c = self.weight.shape[0]
         d_cols, _ = _im2col(upstream, self.weight.shape[2], self.stride, self.padding)
-        self.grad_weight = np.tensordot(x2, d_cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
-        self.grad_bias = upstream.sum(axis=(0, 2, 3))
+        self.grad_weight[...] = np.tensordot(x2, d_cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
+        self.grad_bias[...] = upstream.sum(axis=(0, 2, 3))
         d_x = self.weight.reshape(in_c, -1) @ d_cols
         return d_x.reshape(x_shape)
 
@@ -333,34 +303,64 @@ def mse_loss(prediction: np.ndarray, target: np.ndarray) -> tuple[float, np.ndar
 
 
 class Adam:
-    """Adam with bias correction, updating a fixed list of parameter arrays in place."""
+    """Adam with bias correction, updating one C-contiguous parameter array in
+    place. step makes one elementwise pass in textbook operation order, in
+    blocks of ADAM_BLOCK entries that keep its two temporaries in cache."""
 
-    def __init__(self, params: list[np.ndarray], learning_rate: float = 1e-3,
+    def __init__(self, params: np.ndarray, learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
         if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
             raise ValueError("betas must lie in (0, 1)")
+        if not params.flags.c_contiguous:
+            raise ValueError("Adam updates one C-contiguous parameter array")
         self.params = params
         self.lr = learning_rate
         self.beta1, self.beta2, self.eps = beta1, beta2, epsilon
         self.step_count = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v = np.zeros_like(params), np.zeros_like(params)
+        self._num, self._den = np.empty((2, min(params.size, ADAM_BLOCK)))
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        if len(grads) != len(self.params):
-            raise ValueError(f"got {len(grads)} gradients for {len(self.params)} parameters")
+    def step(self, grad: np.ndarray) -> None:
+        if grad.shape != self.params.shape:
+            raise ValueError(f"gradient shape {grad.shape} != parameter shape {self.params.shape}")
         self.step_count += 1
-        t = self.step_count
-        for i, (p, g) in enumerate(zip(self.params, grads)):
-            if g.shape != p.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
-            self.m[i] *= self.beta1
-            self.m[i] += (1 - self.beta1) * g
-            self.v[i] *= self.beta2
-            self.v[i] += (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**t)
-            v_hat = self.v[i] / (1 - self.beta2**t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, t = self.beta1, self.beta2, self.step_count
+        flat = [a.reshape(-1) for a in (self.params, grad, self.m, self.v)]
+        for lo in range(0, grad.size, ADAM_BLOCK):
+            p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
+            num, den = self._num[:g.size], self._den[:g.size]
+            # m = m*b1 + (1-b1)*g;  v = v*b2 + ((1-b2)*g)*g
+            m *= b1
+            m += np.multiply(1 - b1, g, out=num)
+            v *= b2
+            np.multiply(1 - b2, g, out=num)
+            v += np.multiply(num, g, out=num)
+            # p -= (lr * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(m, 1 - b1**t, out=num)
+            num *= self.lr
+            np.divide(v, 1 - b2**t, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            p -= np.divide(num, den, out=num)
+
+
+def pack_parameters(layers) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Move the weight and bias of every weighted layer, in order, into one
+    flat buffer and their gradients into a second, rebinding all of them as
+    views. Returns the weight and bias views and the two buffers."""
+    owners = [(layer, name) for layer in layers if isinstance(layer, _Weighted)
+              for name in ("weight", "bias")]
+    params = np.empty(sum(getattr(layer, name).size for layer, name in owners))
+    grads = np.zeros_like(params)
+    offset = 0
+    for layer, name in owners:
+        tensor = getattr(layer, name)
+        end = offset + tensor.size
+        params[offset:end] = tensor.ravel()
+        setattr(layer, name, params[offset:end].reshape(tensor.shape))
+        setattr(layer, "grad_" + name, grads[offset:end].reshape(tensor.shape))
+        offset = end
+    return [getattr(layer, name) for layer, name in owners], params, grads
 
 
 def save_weights(path, tensors: list[np.ndarray]) -> None:

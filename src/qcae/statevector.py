@@ -5,9 +5,10 @@ amplitude index, so the two-qubit basis state with qubit 0 set lives at
 index 1. One runner does all simulation: run_rows applies a gate sequence
 in place to M independent rows, fed by an (M, len(gates)) angle matrix, and
 measure_rows_z reads exact per-qubit Pauli-Z expectations from every row.
-run_circuit, apply_gate, measure_all_z and expect_z are the one-row pure
-case. GateOp is the one gate record: a rotation holds either a fixed angle
-or, in a circuit template, a parameter slot that binding replaces.
+run_circuit (bound gates in, one amplitude vector out) and measure_all_z are
+its one-row pure case. GateOp is the one gate record: a rotation holds either
+a fixed angle or, in a circuit template, a parameter slot that binding
+replaces.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
@@ -18,7 +19,7 @@ numbers and are reproducible.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +56,8 @@ class GateOp:
                 raise ValueError(f"{self.kind} takes exactly one of an angle and a slot")
         elif self.angle is not None or self.slot is not None:
             raise ValueError(f"{self.kind} carries no angle and no slot")
+        if self.slot is None and self.scale != 1.0:
+            raise ValueError(f"{self.kind} without a slot takes no scale, got {self.scale}")
 
 
 def h(q: int) -> GateOp:
@@ -99,28 +102,6 @@ class NoiseChannel:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-@dataclass
-class StateVector:
-    """Amplitudes of an n-qubit register, length exactly 2^n."""
-
-    n_qubits: int
-    amplitudes: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=complex)
-        if self.amplitudes.shape != (2**self.n_qubits,):
-            raise ValueError(
-                f"amplitude vector of length {self.amplitudes.size} does not match "
-                f"{self.n_qubits} qubits (need {2**self.n_qubits})"
-            )
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def norm(self) -> float:
-        return float(np.sum(self.probabilities()))
-
-
 def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
     """n_rows copies of |0...0>; at most MAX_QUBITS simulated qubits bound memory."""
     if not 1 <= n_qubits <= MAX_QUBITS:
@@ -128,11 +109,6 @@ def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
     amps = np.zeros((n_rows, 2**n_qubits), dtype=complex)
     amps[:, 0] = 1.0
     return amps
-
-
-def init_zero(n_qubits: int) -> StateVector:
-    """All-qubits-|0> state."""
-    return StateVector(n_qubits, _zero_rows(1, n_qubits)[0])
 
 
 def _rotation_matrix(kind: str, angles) -> np.ndarray:
@@ -207,13 +183,6 @@ def _mixed(channel: NoiseChannel | None) -> bool:
     return channel is not None and channel.depolarizing_prob > 0.0
 
 
-def _angle(gate: GateOp) -> float:
-    if gate.slot is not None:
-        raise ValueError(f"{gate.kind} on {gate.targets} still has slot {gate.slot}; "
-                         "bind its template first")
-    return 0.0 if gate.angle is None else gate.angle
-
-
 def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) -> np.ndarray:
     """Run one gate sequence on M rows, each from |0...0>.
 
@@ -265,27 +234,17 @@ def _z_readout(probs: np.ndarray, channel: NoiseChannel | None) -> np.ndarray:
     return z
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Apply one gate in place and return the state."""
-    _apply(state.amplitudes[None], gate.kind, gate.targets, np.array([_angle(gate)]))
-    return state
-
-
-def run_circuit(n_qubits: int, gates) -> StateVector:
-    """Execute a bound gate list on |0...0>; a pure state takes no depolarizing.
-    A gate that still has a slot is rejected."""
+def run_circuit(n_qubits: int, gates) -> np.ndarray:
+    """(2^n,) amplitudes of a bound gate list run on |0...0>; a pure state
+    takes no depolarizing. A gate that still has a slot is rejected."""
     gates = list(gates)
-    return StateVector(n_qubits, run_rows(n_qubits, gates, [[_angle(g) for g in gates]])[0])
+    for g in gates:
+        if g.slot is not None:
+            raise ValueError(f"{g.kind} on {g.targets} still has slot {g.slot}; "
+                             "bind its template first")
+    return run_rows(n_qubits, gates, [[0.0 if g.angle is None else g.angle for g in gates]])[0]
 
 
-def expect_z(state: StateVector, qubit: int, channel: NoiseChannel | None = None) -> float:
-    """Exact <Z> of one qubit; a readout_flip_prob r shrinks it by (1 - 2r)."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {state.n_qubits} qubits")
-    return float(measure_all_z(state, channel)[qubit])
-
-
-def measure_all_z(state: StateVector, channel: NoiseChannel | None = None) -> np.ndarray:
-    """Vector of <Z> over all qubits, in qubit order."""
-    return _z_readout(state.probabilities()[None], channel)[0]
-
+def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
+    """(n,) <Z> of one amplitude vector, each shrunk by (1 - 2 * readout_flip_prob)."""
+    return _z_readout(np.abs(np.asarray(amplitudes)[None]) ** 2, channel)[0]

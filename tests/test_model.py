@@ -11,7 +11,7 @@ from qcae.model import (
     TrainingAborted,
     train,
 )
-from qcae.nn import mse_loss
+from qcae.nn import LayerSpec, mse_loss
 from qcae.statevector import NoiseChannel
 
 from oracles import fd_gradient
@@ -22,6 +22,12 @@ TOY = dict(image_size=8, n_qubits=2, p=1)
 def toy_spec(**kw) -> ModelSpec:
     merged = {**TOY, **kw}
     return ModelSpec(**merged)
+
+
+def stack_tensors(stack, prefix=""):
+    """Every weight and bias (or, with prefix "grad_", gradient) of a stack."""
+    return [getattr(layer, prefix + name) for layer in stack.layers
+            for name in ("weight", "bias") if hasattr(layer, name)]
 
 
 def toy_images(count=2, seed=0, size=8):
@@ -41,7 +47,7 @@ def test_forward_is_deterministic():
 
 def test_zero_weights_send_all_angles_to_pi():
     model = DenoisingAutoencoder(toy_spec(family="ours"), seed=2)
-    for p in model.encoder.params:
+    for p in stack_tensors(model.encoder):
         p[...] = 0.0
     out1 = model.forward(np.zeros((1, 1, 8, 8)))
     assert np.allclose(model.quantum._angles, np.pi)
@@ -93,8 +99,7 @@ def test_zero_loss_gradient_gives_zero_parameter_gradients():
     x = toy_images()
     out = model.forward(x)
     model.backward(np.zeros_like(out))
-    for g in model.grads:
-        assert np.allclose(g, 0.0)
+    assert np.allclose(model.grads, 0.0)
 
 
 def test_psr_disabled_freezes_encoder():
@@ -104,9 +109,9 @@ def test_psr_disabled_freezes_encoder():
     out = model.forward(x)
     _, grad = mse_loss(out, np.zeros_like(out))
     model.backward(grad)
-    for g in model.encoder.grads:
+    for g in stack_tensors(model.encoder, "grad_"):
         assert np.allclose(g, 0.0)
-    assert any(np.max(np.abs(g)) > 0 for g in model.decoder.grads)
+    assert any(np.max(np.abs(g)) > 0 for g in stack_tensors(model.decoder, "grad_"))
 
 
 def _total_loss(model, x, target):
@@ -124,18 +129,17 @@ def test_end_to_end_gradient_matches_finite_differences(family):
     recon = model.forward(x)
     _, loss_grad = mse_loss(recon, target)
     model.backward(loss_grad)
-    analytic = [g.copy() for g in model.grads]
+    analytic = model.grads.copy()
+    saved = model.params.copy()
 
-    for param, grad in zip(model.params, analytic):
-        def scalar(flat, param=param):
-            saved = param.copy()
-            param[...] = flat.reshape(param.shape)
-            value = _total_loss(model, x, target)
-            param[...] = saved
-            return value
+    def scalar(flat):
+        model.params[...] = flat
+        value = _total_loss(model, x, target)
+        model.params[...] = saved
+        return value
 
-        numeric = fd_gradient(scalar, param.ravel(), h=1e-5).reshape(param.shape)
-        assert np.max(np.abs(grad - numeric)) < 1e-4
+    numeric = fd_gradient(scalar, saved, h=1e-5)
+    assert np.max(np.abs(analytic - numeric)) < 1e-4
 
 
 def test_quantum_path_gradient_matches_finite_differences_tightly():
@@ -179,6 +183,14 @@ def test_training_is_reproducible():
     _, records_a = train(spec, small_train_config(), train_set, val_set)
     _, records_b = train(spec, small_train_config(), train_set, val_set)
     assert records_a == records_b
+
+
+def test_parameter_free_stacks_train_on_an_empty_buffer():
+    spec = ModelSpec(kind="ccae", image_size=28, encoder=[LayerSpec("flatten")],
+                     decoder=[LayerSpec("reshape", shape=(1, 28, 28))])
+    model, records = train(spec, small_train_config(epochs=1), *synthetic_sets())
+    assert model.params.shape == model.grads.shape == (0,)
+    assert np.isfinite(records[0].train_loss)
 
 
 def test_ccae_loss_decreases_over_training():
@@ -241,7 +253,7 @@ def test_training_aborts_on_poisoned_weights():
     class Poisoned(original):
         def __init__(self, *a, **kw):
             super().__init__(*a, **kw)
-            self.params[0][0] = np.nan
+            self.encoder.layers[0].weight[0] = np.nan
 
     model_module.DenoisingAutoencoder, saved = Poisoned, original
     try:
@@ -289,6 +301,20 @@ def test_weight_save_load_round_trip(tmp_path):
     assert not np.allclose(fresh.forward(x), expected)
     fresh.load(path)
     assert np.array_equal(fresh.forward(x), expected)
+
+
+def test_refused_load_changes_no_weight(tmp_path):
+    # an 8x8 ccae shares its three encoder convolutions (6 of 16 tensors) with
+    # an 8x8 qcae-c4p2 and differs from the dense head on
+    path = tmp_path / "weights.bin"
+    DenoisingAutoencoder(ModelSpec(kind="ccae", image_size=8, n_qubits=4), seed=46).save(path)
+    model = DenoisingAutoencoder(ModelSpec(image_size=8, n_qubits=4, p=2, family="c"), seed=47)
+    x = toy_images(2, seed=48)
+    before, expected = model.params.copy(), model.forward(x)
+    with pytest.raises(ValueError, match="shape"):
+        model.load(path)
+    assert np.array_equal(model.params, before)
+    assert np.array_equal(model.forward(x), expected)
 
 
 def test_spec_validation():

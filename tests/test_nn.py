@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcae.nn import (
+    ADAM_BLOCK,
     Adam,
     Conv2d,
     ConvTranspose2d,
@@ -206,11 +207,16 @@ def _check_input_gradient(layer, x, tol=4e-6):
     assert np.max(np.abs(analytic - numeric)) / scale < tol
 
 
+def param_grad_pairs(layer):
+    """(tensor, copy of its gradient) for each of weight and bias the layer has."""
+    return [(getattr(layer, name), getattr(layer, "grad_" + name).copy())
+            for name in ("weight", "bias") if hasattr(layer, name)]
+
+
 def _check_param_gradients(layer, x, tol=4e-6):
     _, coeffs = _layer_loss(layer, x)
     layer.backward(coeffs)
-    analytic = [g.copy() for g in layer.grads]
-    for param, grad in zip(layer.params, analytic):
+    for param, grad in param_grad_pairs(layer):
         def scalar(flat, param=param):
             saved = param.copy()
             param[...] = flat.reshape(param.shape)
@@ -328,16 +334,16 @@ def test_mse_nonnegative_and_shape_checked():
 
 def test_adam_zero_gradient_keeps_parameters():
     param = np.array([1.0, -2.0])
-    opt = Adam([param], learning_rate=0.1)
-    opt.step([np.zeros(2)])
+    opt = Adam(param, learning_rate=0.1)
+    opt.step(np.zeros(2))
     assert np.allclose(param, [1.0, -2.0])
     assert opt.step_count == 1
 
 
 def test_adam_first_step_is_learning_rate_sized():
     param = np.array([0.0])
-    opt = Adam([param], learning_rate=0.1)
-    opt.step([np.array([1.0])])
+    opt = Adam(param, learning_rate=0.1)
+    opt.step(np.array([1.0]))
     # bias-corrected m_hat / sqrt(v_hat) is exactly 1 at t=1
     assert np.isclose(param[0], -0.1, atol=1e-8)
 
@@ -346,9 +352,9 @@ def test_adam_runs_identically_for_identical_inputs():
     def run():
         rng = rng_for(50)
         param = rng.normal(size=4)
-        opt = Adam([param], learning_rate=0.01)
+        opt = Adam(param, learning_rate=0.01)
         for _ in range(25):
-            opt.step([rng.normal(size=4)])
+            opt.step(rng.normal(size=4))
         return param
 
     assert np.array_equal(run(), run())
@@ -356,33 +362,33 @@ def test_adam_runs_identically_for_identical_inputs():
 
 def test_adam_in_place_moments_match_the_textbook_update_bit_for_bit():
     rng = rng_for(51)
-    # enough entries that a reassociated product, e.g. (1 - b2) * (g * g),
-    # changes some last bit
-    params = [rng.normal(size=(40, 50)), rng.normal(size=300)]
-    expected = [p.copy() for p in params]
-    m = [np.zeros_like(p) for p in params]
-    v = [np.zeros_like(p) for p in params]
-    lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
-    for t in range(1, 9):
-        grads = [rng.normal(size=p.shape) for p in params]
-        opt.step(grads)
-        for i, g in enumerate(grads):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            m_hat = m[i] / (1 - b1**t)
-            v_hat = v[i] / (1 - b2**t)
-            expected[i] -= lr * m_hat / (np.sqrt(v_hat) + eps)
-        for got, want in zip(params, expected):
-            assert np.array_equal(got, want)
+    # 2300 entries are enough that a reassociated product, e.g. (1 - b2) * (g * g),
+    # changes some last bit; the second buffer spans two full update blocks and a short one
+    for shapes in (((40, 50), (300,)), ((2 * ADAM_BLOCK,), (123,))):
+        params = np.concatenate([rng.normal(size=shape).ravel() for shape in shapes])
+        expected = params.copy()
+        m, v = np.zeros_like(params), np.zeros_like(params)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        opt = Adam(params, learning_rate=lr, beta1=b1, beta2=b2, epsilon=eps)
+        for t in range(1, 9):
+            g = rng.normal(size=params.shape)
+            opt.step(g)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            m_hat = m / (1 - b1**t)
+            v_hat = v / (1 - b2**t)
+            expected -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert np.array_equal(params, expected)
 
 
 def test_adam_validation():
     with pytest.raises(ValueError):
-        Adam([np.zeros(2)], beta1=1.0)
-    opt = Adam([np.zeros(2)])
+        Adam(np.zeros(2), beta1=1.0)
+    with pytest.raises(ValueError, match="contiguous"):
+        Adam(np.zeros((4, 4))[:, 1])
+    opt = Adam(np.zeros(2))
     with pytest.raises(ValueError):
-        opt.step([np.zeros(3)])
+        opt.step(np.zeros(3))
 
 
 # ------------------------------------------------------------------ weights

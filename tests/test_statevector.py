@@ -9,11 +9,8 @@ from qcae.statevector import (
     ROTATION_KINDS,
     GateOp,
     NoiseChannel,
-    apply_gate,
     cnot,
-    expect_z,
     h,
-    init_zero,
     measure_all_z,
     measure_rows_z,
     run_circuit,
@@ -29,57 +26,52 @@ from oracles import dense_all_z, dense_mixed_z, random_gate_list, run_dense, run
 SQRT2_INV = 1 / np.sqrt(2)
 
 
-# ---------------------------------------------------------------- init_zero
+# --------------------------------------------------------------- zero state
 
 def test_init_zero_single_qubit():
-    state = init_zero(1)
-    assert np.allclose(state.amplitudes, [1, 0])
+    assert np.allclose(run_circuit(1, []), [1, 0])
 
 
 def test_init_zero_two_qubits():
-    state = init_zero(2)
-    assert np.allclose(state.amplitudes, [1, 0, 0, 0])
+    assert np.allclose(run_circuit(2, []), [1, 0, 0, 0])
 
 
 def test_init_zero_three_qubits():
-    state = init_zero(3)
-    assert state.amplitudes.size == 8
-    assert state.amplitudes[0] == 1
-    assert np.count_nonzero(state.amplitudes) == 1
+    rows = run_rows(3, [], np.zeros((2, 0)))
+    assert rows.shape == (2, 8)
+    assert np.all(rows[:, 0] == 1)
+    assert np.count_nonzero(rows) == 2
 
 
 @pytest.mark.parametrize("bad_n", [0, -1, 15])
 def test_init_zero_rejects_out_of_range(bad_n):
     with pytest.raises(ValueError):
-        init_zero(bad_n)
+        run_circuit(bad_n, [])
 
 
 # --------------------------------------------------------------- gate basics
 
 def test_hadamard_on_zero():
-    state = apply_gate(init_zero(1), h(0))
-    assert np.allclose(state.amplitudes, [SQRT2_INV, SQRT2_INV])
+    assert np.allclose(run_circuit(1, [h(0)]), [SQRT2_INV, SQRT2_INV])
 
 
 def test_cnot_flips_target_when_control_set():
     # |q0=1, q1=0> lives at index 1; CNOT(0, 1) sends it to index 3
-    state = init_zero(2)
-    apply_gate(state, ry(0, np.pi))  # q0 -> |1>
-    apply_gate(state, cnot(0, 1))
-    assert np.argmax(np.abs(state.amplitudes)) == 3
-    assert np.isclose(np.abs(state.amplitudes[3]), 1.0)
+    amps = run_circuit(2, [ry(0, np.pi), cnot(0, 1)])  # q0 -> |1>, then flip q1
+    assert np.argmax(np.abs(amps)) == 3
+    assert np.isclose(np.abs(amps[3]), 1.0)
 
 
 def test_ry_half_pi_matches_eigenbasis_coefficients():
-    state = apply_gate(init_zero(1), ry(0, np.pi / 2))
-    assert np.allclose(state.amplitudes, [np.cos(np.pi / 4), np.sin(np.pi / 4)])
+    amps = run_circuit(1, [ry(0, np.pi / 2)])
+    assert np.allclose(amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)])
 
 
 def test_zz_on_zero_state_is_global_phase():
     theta = 0.83
-    state = apply_gate(init_zero(2), zz(0, 1, theta))
-    assert np.isclose(state.amplitudes[0], np.exp(-0.5j * theta))
-    assert np.allclose(np.abs(state.amplitudes), [1, 0, 0, 0])
+    amps = run_circuit(2, [zz(0, 1, theta)])
+    assert np.isclose(amps[0], np.exp(-0.5j * theta))
+    assert np.allclose(np.abs(amps), [1, 0, 0, 0])
 
 
 def test_gateop_validation():
@@ -99,30 +91,33 @@ def test_gateop_validation():
         GateOp("zz", (2, 2), slot=0)
     with pytest.raises(ValueError):
         GateOp("cnot", (0,))  # one target for a two-qubit gate
+    with pytest.raises(ValueError, match="scale"):
+        GateOp("rx", (0,), 0.5, scale=2.0)  # a fixed angle takes no scale
+    with pytest.raises(ValueError, match="scale"):
+        GateOp("h", (0,), scale=2.0)
     with pytest.raises(ValueError):
-        apply_gate(init_zero(1), h(1))  # target out of range
+        run_circuit(1, [h(1)])  # target out of range
     with pytest.raises(ValueError, match="slot"):
         run_circuit(2, [h(0), GateOp("ry", (1,), slot=0)])  # unbound gate
 
 
-# ------------------------------------------------------------------ expect_z
+# ------------------------------------------------------------- Z expectation
 
 def test_expect_z_of_zero_state_is_plus_one():
-    assert expect_z(init_zero(1), 0) == 1.0
+    assert measure_rows_z(run_rows(1, [], np.zeros((1, 0))))[0, 0] == 1.0
 
 
 def test_expect_z_of_plus_state_is_zero():
-    state = apply_gate(init_zero(1), h(0))
-    assert abs(expect_z(state, 0)) < 1e-12
+    assert abs(measure_all_z(run_circuit(1, [h(0)]))[0]) < 1e-12
 
 
 def test_expect_z_after_ry_is_cosine():
     theta = 0.7
-    state = apply_gate(init_zero(1), ry(0, theta))
-    assert np.isclose(expect_z(state, 0), np.cos(theta), atol=1e-12)
+    z = measure_rows_z(run_rows(1, [ry(0, theta)], [[theta]]))[0, 0]
+    assert np.isclose(z, np.cos(theta), atol=1e-12)
     # cross-check against the dense oracle
     dense = run_dense(1, [ry(0, theta)])
-    assert np.isclose(expect_z(state, 0), dense_all_z(dense, 1)[0], atol=1e-12)
+    assert np.isclose(z, dense_all_z(dense, 1)[0], atol=1e-12)
 
 
 def test_expect_z_basis_states_are_exactly_pm_one():
@@ -130,21 +125,17 @@ def test_expect_z_basis_states_are_exactly_pm_one():
     for _ in range(10):
         n = int(rng.integers(1, 5))
         bits = rng.integers(0, 2, n)
-        state = init_zero(n)
-        for q, bit in enumerate(bits):
-            if bit:
-                apply_gate(state, ry(q, np.pi))
-        for q, bit in enumerate(bits):
-            assert np.isclose(expect_z(state, q), 1.0 - 2.0 * bit, atol=1e-12)
+        amps = run_circuit(n, [ry(q, np.pi) for q, bit in enumerate(bits) if bit])
+        assert np.allclose(measure_all_z(amps), 1.0 - 2.0 * bits, atol=1e-12)
 
 
 def test_expect_z_stays_in_bounds_on_random_circuits():
     rng = np.random.default_rng(11)
     for _ in range(20):
         n = int(rng.integers(1, 5))
-        state = run_circuit(n, random_gate_list(n, 30, rng))
-        for q in range(n):
-            assert -1.0 - 1e-12 <= expect_z(state, q) <= 1.0 + 1e-12
+        z = measure_all_z(run_circuit(n, random_gate_list(n, 30, rng)))
+        assert z.shape == (n,)
+        assert np.all((-1.0 - 1e-12 <= z) & (z <= 1.0 + 1e-12))
 
 
 # --------------------------------------------------------------------- noise
@@ -161,10 +152,10 @@ def test_identity_channel_leaves_state_untouched():
 
 
 def test_full_readout_flip_erases_expectation():
-    state = init_zero(2)
     channel = NoiseChannel(readout_flip_prob=0.5)
-    for q in range(2):
-        assert expect_z(state, q, channel) == 0.0
+    assert np.array_equal(measure_rows_z(run_rows(2, [], np.zeros((1, 0)), channel), channel),
+                          [[0.0, 0.0]])
+    assert np.array_equal(measure_all_z(run_circuit(2, []), channel), [0.0, 0.0])
 
 
 def test_noise_channel_validation():
@@ -180,8 +171,8 @@ def test_norm_preserved_over_long_random_circuits():
     rng = np.random.default_rng(42)
     for _ in range(5):
         n = int(rng.integers(1, 5))
-        state = run_circuit(n, random_gate_list(n, 200, rng))
-        assert abs(state.norm() - 1.0) < 1e-10
+        amps = run_circuit(n, random_gate_list(n, 200, rng))
+        assert abs(np.sum(np.abs(amps) ** 2) - 1.0) < 1e-10
 
 
 def test_kernel_matches_dense_oracle():
@@ -189,7 +180,7 @@ def test_kernel_matches_dense_oracle():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         gates = random_gate_list(n, int(rng.integers(1, 40)), rng)
-        kernel = run_circuit(n, gates).amplitudes
+        kernel = run_circuit(n, gates)
         dense = run_dense(n, gates)
         assert np.max(np.abs(kernel - dense)) < 1e-10
 
@@ -198,24 +189,22 @@ def test_gate_involutions():
     rng = np.random.default_rng(3)
     for _ in range(10):
         n = int(rng.integers(2, 5))
-        state = run_circuit(n, random_gate_list(n, 20, rng))
-        before = state.amplitudes.copy()
+        gates = random_gate_list(n, 20, rng)
+        before = run_circuit(n, gates)
         theta = float(rng.uniform(-np.pi, np.pi))
         q = int(rng.integers(n))
         a, b = rng.choice(n, size=2, replace=False)
         for pair in ([h(q), h(q)],
                      [ry(q, theta), ry(q, -theta)],
                      [cnot(int(a), int(b)), cnot(int(a), int(b))]):
-            for gate in pair:
-                apply_gate(state, gate)
-            assert np.max(np.abs(state.amplitudes - before)) < 1e-10
+            assert np.max(np.abs(run_circuit(n, gates + pair) - before)) < 1e-10
 
 
 def test_rx_rz_match_dense_single_gate():
     for theta in (-1.2, 0.0, 0.9, np.pi):
         for maker in (rx, rz):
-            state = apply_gate(init_zero(1), maker(0, theta))
-            assert np.max(np.abs(state.amplitudes - run_dense(1, [maker(0, theta)]))) < 1e-12
+            amps = run_circuit(1, [maker(0, theta)])
+            assert np.max(np.abs(amps - run_dense(1, [maker(0, theta)]))) < 1e-12
 
 
 def test_run_rows_rejects_mismatched_angle_matrix():
@@ -256,9 +245,9 @@ def test_runner_rows_match_one_row_runs(case):
     assert np.allclose(np.sum(np.abs(amps) ** 2, axis=1), 1.0, rtol=0, atol=1e-12)
     for row, z_row, theta in zip(amps, z, angles):
         ops = bound_ops(gates, theta)
-        state = run_circuit(n, ops)
-        assert np.max(np.abs(row - state.amplitudes)) < 1e-12
-        assert np.max(np.abs(z_row - measure_all_z(state))) < 1e-12
+        amps_one = run_circuit(n, ops)
+        assert np.max(np.abs(row - amps_one)) < 1e-12
+        assert np.max(np.abs(z_row - measure_all_z(amps_one))) < 1e-12
         assert np.max(np.abs(row - run_dense(n, ops))) < 1e-10
 
 
@@ -284,6 +273,8 @@ def test_noisy_rows_match_dense_density_oracle(case, p, flip):
 
 def test_measure_all_z_matches_per_qubit_calls():
     rng = np.random.default_rng(9)
-    state = run_circuit(3, random_gate_list(3, 25, rng))
-    stacked = measure_all_z(state)
-    assert np.allclose(stacked, [expect_z(state, q) for q in range(3)])
+    gates = random_gate_list(3, 25, rng)
+    amps = run_circuit(3, gates)
+    stacked = measure_all_z(amps)
+    assert np.array_equal(stacked, measure_rows_z(amps[None])[0])
+    assert np.allclose(stacked, dense_all_z(run_dense(3, gates), 3), atol=1e-12)
