@@ -7,23 +7,21 @@ import numpy as np
 
 from qcae import Adam, mse_loss
 from qcae.model import default_decoder, default_encoder
-from qcae.nn import Conv2d, build_layer
+from qcae.nn import Conv2d
 
 rng = np.random.default_rng(0)
 
 print("== shape walk through the default 28x28 stacks ==")
 x = rng.random((1, 1, 28, 28))
 print(f"input {x.shape[1:]}")
-for spec in default_encoder(latent_dim=4):
-    layer = build_layer(spec, rng)
+for layer in default_encoder(4, 28, rng):
     x = layer.forward(x)
-    print(f"  {spec.kind:<10} -> {tuple(x.shape[1:])}")
+    print(f"  {type(layer).__name__:<16} -> {tuple(x.shape[1:])}")
 z = rng.random((1, 4)) * 2 - 1
 print(f"latent {z.shape[1:]}")
-for spec in default_decoder(input_dim=4):
-    layer = build_layer(spec, rng)
+for layer in default_decoder(4, 28, rng):
     z = layer.forward(z)
-    print(f"  {spec.kind:<10} -> {tuple(z.shape[1:])}")
+    print(f"  {type(layer).__name__:<16} -> {tuple(z.shape[1:])}")
 
 print("\n== gradient check on a strided convolution ==")
 conv = Conv2d(1, 2, 3, stride=2, padding=1, rng=rng)

@@ -42,7 +42,7 @@ from .model import (
     TrainingAborted,
     train,
 )
-from .nn import Adam, LayerSpec, load_weights, mse_loss, save_weights
+from .nn import Adam, load_weights, mse_loss, save_weights
 from .statevector import (
     GateOp,
     NoiseChannel,

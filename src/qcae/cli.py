@@ -169,7 +169,7 @@ def load_datasets(cfg: ExperimentConfig):
     if cfg.dataset == "synthetic":
         train_set = make_synthetic_digits(cfg.synthetic_count, classes=classes,
                                           seed=cfg.seed, size=cfg.image_size)
-        val_set = make_synthetic_digits(max(cfg.val_limit, 1), classes=classes,
+        val_set = make_synthetic_digits(cfg.val_limit, classes=classes,
                                         seed=cfg.seed + 1, size=cfg.image_size)
         return filter_classes(train_set, classes, cfg.limit), val_set
     train_set = load_idx(_idx_path(cfg, "train_images"), _idx_path(cfg, "train_labels"))
@@ -192,14 +192,14 @@ def _read_manifest(run_dir: Path) -> ExperimentConfig:
 
 def _train_run(cfg: ExperimentConfig) -> tuple[Path, float]:
     """Shared by train and sweep: fit, persist, return (run dir, final ssim)."""
+    spec, train_config = _model_spec(cfg), _train_config(cfg)
     cid = config_id(cfg)
     out_dir = Path(cfg.output_dir) / cid
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set = load_datasets(cfg)
     _write_manifest(out_dir, cfg, cid)
     try:
-        model, records = train(_model_spec(cfg), _train_config(cfg), train_set,
-                               val_set, config_id=cid)
+        model, records = train(spec, train_config, train_set, val_set, config_id=cid)
     except TrainingAborted as exc:  # keep the curve up to its non-finite row
         write_csv(exc.records, out_dir / "curve.csv")
         raise

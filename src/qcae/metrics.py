@@ -5,7 +5,7 @@ ssim follows the windowed form ((2*mu_a*mu_b + C1)(2*cov + C2)) /
 positions, with biased (weighted-sum) variance estimates. The default
 window is the canonical 11x11 Gaussian with sigma 1.5; an 8x8 uniform
 window is available as a cross-check. Pixels are assumed in [0, 1], so the
-dynamic range defaults to 1.
+dynamic range is 1.
 """
 from __future__ import annotations
 
@@ -13,21 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+C1, C2 = 0.01 ** 2, 0.03 ** 2  # (k1 * range)**2, (k2 * range)**2 with range 1
+
 
 @dataclass(frozen=True)
 class SsimConfig:
     window: str = "gaussian11"  # or "uniform8"
-    dynamic_range: float = 1.0
-    k1: float = 0.01
-    k2: float = 0.03
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
 
 
 @dataclass(frozen=True)
@@ -71,9 +62,8 @@ def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray
     var_a = aa - mu_a * mu_a
     var_b = bb - mu_b * mu_b
     cov = ab - mu_a * mu_b
-    c1, c2 = cfg.c1, cfg.c2
-    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    s_map = ((2 * mu_a * mu_b + C1) * (2 * cov + C2)) / (
+        (mu_a * mu_a + mu_b * mu_b + C1) * (var_a + var_b + C2)
     )
     return s_map.mean(axis=(-2, -1))
 

@@ -30,15 +30,19 @@ from math import pi
 
 import numpy as np
 
-from .ansatz import CircuitTemplate, family_template, normalize_to_angle
+from .ansatz import FAMILIES, CircuitTemplate, family_template, normalize_to_angle
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
-from .nn import (Adam, LayerSpec, NonFiniteTensor, build_layer, load_weights, mse_loss,
-                 pack_parameters, save_weights)
+from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, NonFiniteTensor,
+                 Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
 from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
 
 SQUASH_LO, SQUASH_HI = -1.0, 1.0  # tanh range fed to the angle map
+
+# per supported image size: the three encoder widths, and the kernel of the
+# last convolution, which reaches 1x1 after two stride-2 halvings
+_WIDTHS = {28: ((16, 32, 64), 7), 8: ((4, 8, 16), 2)}
 
 
 @dataclass
@@ -52,9 +56,7 @@ class ModelSpec:
     psr_enabled: bool = True
     latent_width: int | None = None  # ccae only; defaults to n_qubits
     noise: NoiseChannel = field(default_factory=NoiseChannel)
-    image_size: int = 28
-    encoder: list[LayerSpec] | None = None  # None picks the default stack
-    decoder: list[LayerSpec] | None = None
+    image_size: int = 28  # a key of _WIDTHS
 
     def __post_init__(self):
         if self.kind not in ("qcae", "ccae"):
@@ -63,6 +65,10 @@ class ModelSpec:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.image_size not in _WIDTHS:
+            raise ValueError(f"image_size must be one of {tuple(_WIDTHS)}, got {self.image_size}")
+        if self.kind == "qcae" and self.family.lower() not in FAMILIES:
+            raise ValueError(f"unknown circuit family {self.family!r}; choose from {FAMILIES}")
         noisy = self.noise.depolarizing_prob > 0
         # depolarizing simulates 2n-qubit density matrices
         cap = MAX_QUBITS // 2 if noisy else MAX_QUBITS
@@ -86,6 +92,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
         if self.sigma < 0:
             raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 < self.learning_rate < float("inf"):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if self.sample_limit < 1 or self.val_limit < 1:
+            raise ValueError("sample_limit and val_limit must be >= 1")
 
 
 class TrainingAborted(RuntimeError):
@@ -96,51 +106,31 @@ class TrainingAborted(RuntimeError):
         self.records = records
 
 
-# per supported image size: the three encoder widths, and the kernel of the
-# last convolution, which reaches 1x1 after two stride-2 halvings
-_WIDTHS = {28: ((16, 32, 64), 7), 8: ((4, 8, 16), 2)}
-
-
-def _widths(image_size: int):
-    if image_size not in _WIDTHS:
-        raise ValueError(f"no default architecture for image_size={image_size}; pass explicit specs")
-    return _WIDTHS[image_size]
-
-
-def default_encoder(latent_dim: int, image_size: int = 28) -> list[LayerSpec]:
+def default_encoder(latent_dim: int, image_size: int, rng: np.random.Generator) -> list:
     """Three stride-reducing convolutions down to 1x1, then a dense head."""
-    (c1, c2, c3), k = _widths(image_size)
+    (c1, c2, c3), k = _WIDTHS[image_size]
     return [
-        LayerSpec("conv2d", in_channels=1, out_channels=c1, kernel_size=3, stride=2, padding=1),
-        LayerSpec("leaky_relu"),
-        LayerSpec("conv2d", in_channels=c1, out_channels=c2, kernel_size=3, stride=2, padding=1),
-        LayerSpec("leaky_relu"),
-        LayerSpec("conv2d", in_channels=c2, out_channels=c3, kernel_size=k),
-        LayerSpec("flatten"),
-        LayerSpec("dense", in_features=c3, out_features=latent_dim),
+        Conv2d(1, c1, 3, 2, 1, rng), LeakyReLU(),
+        Conv2d(c1, c2, 3, 2, 1, rng), LeakyReLU(),
+        Conv2d(c2, c3, k, rng=rng), Flatten(),
+        Dense(c3, latent_dim, rng),
     ]
 
 
-def default_decoder(input_dim: int, image_size: int = 28) -> list[LayerSpec]:
+def default_decoder(input_dim: int, image_size: int, rng: np.random.Generator) -> list:
     """Mirror of the encoder: dense seed, three transposed convs, sigmoid."""
-    (c1, c2, c3), k = _widths(image_size)
+    (c1, c2, c3), k = _WIDTHS[image_size]
     return [
-        LayerSpec("dense", in_features=input_dim, out_features=c3),
-        LayerSpec("reshape", shape=(c3, 1, 1)),
-        LayerSpec("tconv2d", in_channels=c3, out_channels=c2, kernel_size=k),
-        LayerSpec("leaky_relu"),
-        LayerSpec("tconv2d", in_channels=c2, out_channels=c1, kernel_size=3,
-                  stride=2, padding=1, output_padding=1),
-        LayerSpec("leaky_relu"),
-        LayerSpec("tconv2d", in_channels=c1, out_channels=1, kernel_size=3,
-                  stride=2, padding=1, output_padding=1),
-        LayerSpec("sigmoid"),
+        Dense(input_dim, c3, rng), Reshape((c3, 1, 1)),
+        ConvTranspose2d(c3, c2, k, rng=rng), LeakyReLU(),
+        ConvTranspose2d(c2, c1, 3, 2, 1, 1, rng), LeakyReLU(),
+        ConvTranspose2d(c1, 1, 3, 2, 1, 1, rng), Sigmoid(),
     ]
 
 
 class _Stack:
-    def __init__(self, specs: list[LayerSpec], rng: np.random.Generator):
-        self.layers = [build_layer(s, rng) for s in specs]
+    def __init__(self, layers: list):
+        self.layers = layers
 
     def forward(self, x):
         for layer in self.layers:
@@ -218,10 +208,8 @@ class DenoisingAutoencoder:
             self.quantum = None
             latent_dim = spec.latent_width if spec.latent_width else spec.n_qubits
             decoder_in = latent_dim
-        encoder_specs = spec.encoder or default_encoder(latent_dim, spec.image_size)
-        decoder_specs = spec.decoder or default_decoder(decoder_in, spec.image_size)
-        self.encoder = _Stack(encoder_specs, rng)
-        self.decoder = _Stack(decoder_specs, rng)
+        self.encoder = _Stack(default_encoder(latent_dim, spec.image_size, rng))
+        self.decoder = _Stack(default_decoder(decoder_in, spec.image_size, rng))
         self._tensors, self.params, self.grads = pack_parameters(
             self.encoder.layers + self.decoder.layers)
 

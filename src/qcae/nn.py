@@ -12,12 +12,9 @@ biases views of one flat buffer, and their gradients views of a second.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
-
-LAYER_KINDS = ("conv2d", "tconv2d", "dense", "leaky_relu", "sigmoid", "flatten", "reshape")
 
 WEIGHTS_MAGIC = b"NNW1"
 ADAM_BLOCK = 16384  # entries per block of Adam's update pass
@@ -25,52 +22,6 @@ ADAM_BLOCK = 16384  # entries per block of Adam's update pass
 
 class NonFiniteTensor(ValueError):
     """A NaN/Inf crossed a layer boundary."""
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """Declarative layer description used to build and persist architectures."""
-
-    kind: str
-    in_channels: int | None = None
-    out_channels: int | None = None
-    kernel_size: int | None = None
-    stride: int = 1
-    padding: int = 0
-    output_padding: int = 0
-    in_features: int | None = None
-    out_features: int | None = None
-    negative_slope: float = 0.01
-    shape: tuple[int, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
-            raise ValueError(f"unknown layer kind {self.kind!r}")
-        if self.kind in ("conv2d", "tconv2d"):
-            if self.kernel_size is None or self.kernel_size < 1:
-                raise ValueError(f"{self.kind} needs kernel_size >= 1")
-            if self.stride < 1:
-                raise ValueError(f"{self.kind} needs stride >= 1")
-
-
-def build_layer(spec: LayerSpec, rng: np.random.Generator):
-    if spec.kind == "conv2d":
-        return Conv2d(spec.in_channels, spec.out_channels, spec.kernel_size,
-                      spec.stride, spec.padding, rng)
-    if spec.kind == "tconv2d":
-        return ConvTranspose2d(spec.in_channels, spec.out_channels, spec.kernel_size,
-                               spec.stride, spec.padding, spec.output_padding, rng)
-    if spec.kind == "dense":
-        return Dense(spec.in_features, spec.out_features, rng)
-    if spec.kind == "leaky_relu":
-        return LeakyReLU(spec.negative_slope)
-    if spec.kind == "sigmoid":
-        return Sigmoid()
-    if spec.kind == "flatten":
-        return Flatten()
-    if spec.kind == "reshape":
-        return Reshape(spec.shape)
-    raise ValueError(f"unknown layer kind {spec.kind!r}")
 
 
 def _check_finite(name: str, x: np.ndarray) -> np.ndarray:

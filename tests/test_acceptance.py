@@ -25,7 +25,7 @@ from qcae.data_io import (
     write_idx,
 )
 from qcae.gradient import psr_gradient
-from qcae.metrics import SsimConfig, mean_ssim, ssim
+from qcae.metrics import C1, SsimConfig, mean_ssim, ssim
 from qcae.model import ModelSpec, TrainConfig, train
 from qcae.nn import Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, Reshape, Sigmoid
 from qcae.statevector import measure_all_z, run_circuit
@@ -301,11 +301,10 @@ def test_criterion_09_ssim_unit_correctness():
     for _ in range(5):
         x = rng.random((28, 28))
         assert abs(ssim(x, x) - 1.0) < 1e-12
-    cfg = SsimConfig()
-    constant_case = ssim(np.zeros((28, 28)), np.ones((28, 28)), cfg)
+    constant_case = ssim(np.zeros((28, 28)), np.ones((28, 28)), SsimConfig())
     # mu_a=0, mu_b=1 with zero variances: the contrast factor cancels to
     # C2/C2 = 1 and the formula reduces to C1/(1+C1)
-    expected = cfg.c1 / (1.0 + cfg.c1)
+    expected = C1 / (1.0 + C1)
     assert abs(constant_case - expected) < 1e-10
     print(f"\ncriterion 9 PASS: ssim(x,x)=1, constant-image case {constant_case:.6e} "
           f"matches derived closed form C1/(1+C1) = {expected:.6e}")

@@ -267,6 +267,25 @@ def test_qubit_cap_is_a_config_error(tmp_path):
     assert code == 1 and not (tmp_path / "runs").exists()
 
 
+REFUSED = [
+    ("image_size", "16", "image_size must be one of"),
+    ("family", "d", "unknown circuit family"),
+    ("learning_rate", "-1", "learning_rate must be"),
+    ("learning_rate", "0", "learning_rate must be"),
+    ("limit", "0", "sample_limit and val_limit"),
+    ("val_limit", "0", "sample_limit and val_limit"),
+]
+
+
+@pytest.mark.parametrize("key, value, match", REFUSED,
+                         ids=[f"{key}={value}" for key, value, _ in REFUSED])
+def test_refused_value_is_a_config_error(tmp_path, key, value, match):
+    with pytest.raises(ValueError, match=match):
+        resolve_config(None, {key: value})
+    code, _ = run_train(tmp_path, f"--{key.replace('_', '-')}", value)
+    assert code == 1 and not (tmp_path / "runs").exists()
+
+
 def test_module_entry_point_prints_usage():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

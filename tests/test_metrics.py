@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qcae.data_io import NoiseSpec, add_gaussian_noise, make_synthetic_digits
-from qcae.metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
+from qcae.metrics import C1, C2, RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 
 from oracles import ssim_direct
 
@@ -24,9 +24,8 @@ def test_ssim_identity_is_one():
 def test_ssim_constant_images_closed_form():
     # all-zero vs all-one: variances vanish, so the contrast term cancels to
     # C2/C2 = 1 and the value reduces to C1 / (1 + C1)
-    cfg = SsimConfig()
-    value = ssim(np.zeros((28, 28)), np.ones((28, 28)), cfg)
-    expected = cfg.c1 / (1.0 + cfg.c1)
+    value = ssim(np.zeros((28, 28)), np.ones((28, 28)), SsimConfig())
+    expected = C1 / (1.0 + C1)
     assert abs(value - expected) < 1e-10
 
 
@@ -68,7 +67,7 @@ def test_ssim_matches_window_sum_oracle(window, shape):
     rng = np.random.default_rng(8)
     clean = rng.random((3, *shape))
     noisy = np.clip(clean + rng.normal(scale=0.2, size=clean.shape), 0.0, 1.0)
-    expected = [ssim_direct(a, b, window, cfg.c1, cfg.c2) for a, b in zip(noisy, clean)]
+    expected = [ssim_direct(a, b, window, C1, C2) for a, b in zip(noisy, clean)]
     for a, b, want in zip(noisy, clean, expected):
         assert abs(ssim(a, b, cfg) - want) < 1e-12
     assert abs(mean_ssim(noisy, clean, cfg) - np.mean(expected)) < 1e-12

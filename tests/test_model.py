@@ -11,7 +11,7 @@ from qcae.model import (
     TrainingAborted,
     train,
 )
-from qcae.nn import LayerSpec, mse_loss
+from qcae.nn import mse_loss
 from qcae.statevector import NoiseChannel
 
 from oracles import fd_gradient
@@ -183,14 +183,6 @@ def test_training_is_reproducible():
     _, records_a = train(spec, small_train_config(), train_set, val_set)
     _, records_b = train(spec, small_train_config(), train_set, val_set)
     assert records_a == records_b
-
-
-def test_parameter_free_stacks_train_on_an_empty_buffer():
-    spec = ModelSpec(kind="ccae", image_size=28, encoder=[LayerSpec("flatten")],
-                     decoder=[LayerSpec("reshape", shape=(1, 28, 28))])
-    model, records = train(spec, small_train_config(epochs=1), *synthetic_sets())
-    assert model.params.shape == model.grads.shape == (0,)
-    assert np.isfinite(records[0].train_loss)
 
 
 def test_ccae_loss_decreases_over_training():

@@ -10,14 +10,13 @@ from qcae.nn import (
     ConvTranspose2d,
     Dense,
     Flatten,
-    LayerSpec,
     LeakyReLU,
     Reshape,
     Sigmoid,
-    build_layer,
     conv_out_size,
     load_weights,
     mse_loss,
+    pack_parameters,
     save_weights,
     tconv_out_size,
 )
@@ -391,6 +390,12 @@ def test_adam_validation():
         opt.step(np.zeros(3))
 
 
+def test_parameter_free_layers_pack_into_an_empty_buffer_adam_can_step():
+    tensors, params, grads = pack_parameters([Flatten()])
+    assert tensors == [] and params.shape == grads.shape == (0,)
+    Adam(params).step(grads)
+
+
 # ------------------------------------------------------------------ weights
 
 def test_weight_round_trip(tmp_path):
@@ -410,22 +415,3 @@ def test_weight_magic_checked(tmp_path):
     path.write_bytes(b"XXXX\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="magic"):
         load_weights(path)
-
-
-def test_layer_spec_builds_every_kind():
-    rng = rng_for(70)
-    specs = [
-        LayerSpec("conv2d", in_channels=1, out_channels=2, kernel_size=3),
-        LayerSpec("tconv2d", in_channels=2, out_channels=1, kernel_size=3),
-        LayerSpec("dense", in_features=4, out_features=2),
-        LayerSpec("leaky_relu"),
-        LayerSpec("sigmoid"),
-        LayerSpec("flatten"),
-        LayerSpec("reshape", shape=(2, 1, 1)),
-    ]
-    for spec in specs:
-        build_layer(spec, rng)
-    with pytest.raises(ValueError):
-        LayerSpec("pooling")
-    with pytest.raises(ValueError):
-        LayerSpec("conv2d", in_channels=1, out_channels=1, kernel_size=0)
