@@ -11,10 +11,12 @@ family applies its own H wall), and feeds the per-qubit Z expectations to
 the decoder.
 
 Gradients: the decoder and encoder backpropagate classically; the circuit
-contributes a parameter-shift jacobian, whose shift rows for the whole batch
-run in one call, contracted with the decoder's input gradient. With
-psr_enabled=False the quantum jacobian is taken as zero, so only the decoder
-trains - that is the "no gradient refinement" ablation.
+parameters get the decoder's input gradient contracted with the circuit's
+jacobian, computed by one adjoint sweep over the gates for the whole batch
+(gradient.adjoint_gradient). It equals the paper's parameter-shift rule,
+which gradient.psr_gradient keeps as the rule hardware could run. With
+psr_enabled=False the circuit gradient is taken as zero, so only the
+decoder trains - that is the "no gradient refinement" ablation.
 
 Training minimizes MSE between the reconstruction and the clean image
 (inputs are the noised versions) with one Adam over model.params, recording
@@ -32,7 +34,7 @@ import numpy as np
 
 from .ansatz import FAMILIES, CircuitTemplate, family_template, normalize_to_angle
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
-from .gradient import chain_loss_gradient, psr_gradient
+from .gradient import adjoint_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
@@ -147,8 +149,10 @@ class QuantumLatent:
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
 
     forward runs the whole batch as one run_rows call, one angle row per
-    sample; backward runs every sample's parameter-shift rows in one
-    psr_gradient call. Both are deterministic, noise channel included.
+    sample, and keeps the rows; backward takes the vector-Jacobian product
+    of the whole batch in one adjoint_gradient sweep, which starts from
+    those rows when they are pure. Both are deterministic, noise channel
+    included.
     """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
@@ -158,6 +162,7 @@ class QuantumLatent:
         self.channel = channel
         self._squashed = None
         self._angles = None
+        self._rows = None
 
     @property
     def n_qubits(self) -> int:
@@ -174,9 +179,9 @@ class QuantumLatent:
             )
         self._squashed = np.tanh(y)
         self._angles = normalize_to_angle(self._squashed, SQUASH_LO, SQUASH_HI)
-        rows = run_rows(self.n_qubits, self.template.gates,
-                        self.template.gate_angles(self._angles), self.channel)
-        return measure_rows_z(rows, self.channel)
+        self._rows = run_rows(self.n_qubits, self.template.gates,
+                              self.template.gate_angles(self._angles), self.channel)
+        return measure_rows_z(self._rows, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
         squashed = self._squashed
@@ -184,8 +189,7 @@ class QuantumLatent:
             raise ValueError("QuantumLatent.backward called before forward")
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        jac = psr_gradient(self.template, self._angles, channel=self.channel)
-        d_theta = chain_loss_gradient(jac, d_z)
+        d_theta = adjoint_gradient(self.template, self._angles, d_z, self.channel, self._rows)
         angle_scale = 2.0 * pi / (SQUASH_HI - SQUASH_LO)
         return d_theta * angle_scale * (1.0 - squashed ** 2)
 

@@ -57,14 +57,21 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back into (N, C, H, W)."""
+    """Adjoint of _im2col: scatter-add patches back into (N, C, H, W), one
+    strided add per kernel offset or one window add per output position,
+    whichever loop is shorter (a k=7 kernel on a 1x1 map is a single add)."""
     n, c, height, width = x_shape
     h_out, w_out = out_hw
     xp = np.zeros((n, c, height + 2 * pad, width + 2 * pad))
     c6 = cols.reshape(n, c, k, k, h_out, w_out)
-    for u in range(k):
-        for v in range(k):
-            xp[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += c6[:, :, u, v]
+    if k * k <= h_out * w_out:
+        for u in range(k):
+            for v in range(k):
+                xp[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += c6[:, :, u, v]
+    else:
+        for i in range(h_out):
+            for j in range(w_out):
+                xp[:, :, i * stride:i * stride + k, j * stride:j * stride + k] += c6[..., i, j]
     return xp[:, :, pad:pad + height, pad:pad + width]
 
 

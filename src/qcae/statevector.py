@@ -114,13 +114,14 @@ def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
 def _rotation_matrix(kind: str, angles) -> np.ndarray:
     """Rotation matrices, shape angles.shape + (2, 2): one per angle."""
     half = 0.5 * np.asarray(angles, dtype=float)
+    u = np.zeros(half.shape + (2, 2), dtype=complex)
     if kind == "rz":
-        zero = np.zeros_like(half)
-        u = [[np.exp(-1j * half), zero], [zero, np.exp(1j * half)]]
+        u[..., 0, 0], u[..., 1, 1] = np.exp(-1j * half), np.exp(1j * half)
     else:
         cos, sin = np.cos(half), np.sin(half)
-        u = [[cos, -1j * sin], [-1j * sin, cos]] if kind == "rx" else [[cos, -sin], [sin, cos]]
-    return np.moveaxis(np.array(u, dtype=complex), (0, 1), (-2, -1))
+        u[..., 0, 0] = u[..., 1, 1] = cos
+        u[..., 0, 1], u[..., 1, 0] = (-1j * sin, -1j * sin) if kind == "rx" else (-sin, sin)
+    return u
 
 
 def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray) -> None:
@@ -201,16 +202,23 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
     mixed = _mixed(channel)
     rows = _zero_rows(angles.shape[0], 2 * n_qubits if mixed else n_qubits)
     for i, gate in enumerate(gates):
-        _apply(rows, gate.kind, gate.targets, angles[:, i])
+        _evolve(rows, n_qubits, gate, angles[:, i])
         if mixed:
-            # conj(U) on the bra bits, whose range check bounds the targets
-            # by n; conj(U(angle)) is U(-angle) but for the real H, CNOT, RY
-            sign = -1.0 if gate.kind in ("rx", "rz", "zz") else 1.0
-            _apply(rows, gate.kind, tuple(q + n_qubits for q in gate.targets),
-                   sign * angles[:, i])
             for q in gate.targets:
                 _depolarize(rows, n_qubits, q, channel.depolarizing_prob)
     return rows
+
+
+def _evolve(rows: np.ndarray, n_qubits: int, gate: GateOp, angles: np.ndarray) -> None:
+    """U(angles) on amplitude rows, or U rho U^dagger on density rows: then
+    conj(U) acts on the bra bits, whose range check bounds the targets by n.
+    Negated angles undo the gate, since every kind's U(-a) is U(a)^dagger
+    (H and CNOT are their own inverses)."""
+    _apply(rows, gate.kind, gate.targets, angles)
+    if rows.shape[1] > 1 << n_qubits:
+        # conj(U(angle)) is U(-angle) but for the real H, CNOT, RY
+        sign = -1.0 if gate.kind in ("rx", "rz", "zz") else 1.0
+        _apply(rows, gate.kind, tuple(q + n_qubits for q in gate.targets), sign * angles)
 
 
 def measure_rows_z(rows: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Parameter-shift rule against analytics and finite differences."""
+"""Parameter-shift rule against analytics and finite differences, and the
+adjoint sweep against the parameter-shift chain."""
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import qcae
 from qcae.ansatz import CircuitTemplate, family_template
-from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
-from qcae.statevector import (GateOp, NoiseChannel, measure_all_z, measure_rows_z, run_circuit,
-                              run_rows)
+from qcae.gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient, psr_gradient
+from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, measure_all_z,
+                              measure_rows_z, run_circuit, run_rows)
 
 from oracles import fd_jacobian
 
@@ -169,3 +171,65 @@ def test_chain_dimension_mismatch():
     with pytest.raises(ValueError):
         chain_loss_gradient(QuantumJacobian(np.eye(2), np.zeros(2), 0), [1.0, 2.0, 3.0])
 
+
+
+# ------------------------------------------------------------- adjoint sweep
+
+angles = st.floats(-2 * np.pi, 2 * np.pi, allow_subnormal=False)
+
+
+@st.composite
+def templated_batches(draw, max_n):
+    """(template, (M, slot_count) params, (M, n) downstream): every gate
+    kind, rotations either fixed or slotted, slots shared at any scale."""
+    n = draw(st.integers(1, max_n))
+    kinds = GATE_KINDS if n > 1 else ("h", "rx", "ry", "rz")
+    gates, slot_ids = [], {}
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=14)):
+        targets = tuple(draw(st.permutations(range(n)))[:2 if kind in ("cnot", "zz") else 1])
+        if kind not in ROTATION_KINDS:
+            gates.append(GateOp(kind, targets))
+        elif draw(st.booleans()):
+            gates.append(GateOp(kind, targets, draw(angles)))
+        else:
+            # renumber drawn slots 0..k-1 in order of first use
+            slot = slot_ids.setdefault(draw(st.integers(0, 3)), len(slot_ids))
+            gates.append(GateOp(kind, targets, slot=slot,
+                                scale=draw(st.sampled_from([1.0, 2.0, -0.5, 1.7]))))
+    assume(slot_ids)
+    template = CircuitTemplate(n, 1, "a", tuple(gates))
+    m = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (template, rng.uniform(-2 * np.pi, 2 * np.pi, (m, len(slot_ids))),
+            rng.uniform(-2.0, 2.0, (m, n)))
+
+
+def assert_sweep_matches_psr_chain(template, params, downstream, channel):
+    jac = psr_gradient(template, params, channel)
+    # a jacobian that is identically zero cannot tell a right sweep from a wrong one
+    assume(np.max(np.abs(jac.entries)) > 1e-6)
+    got = adjoint_gradient(template, params, downstream, channel)
+    assert got.shape == params.shape
+    assert np.max(np.abs(got - chain_loss_gradient(jac, downstream))) <= 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(templated_batches(max_n=4))
+def test_adjoint_sweep_matches_psr_chain_pure(case):
+    assert_sweep_matches_psr_chain(*case, None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(templated_batches(max_n=3), st.floats(0.0, 1.0), st.floats(0.0, 0.45))
+def test_adjoint_sweep_matches_psr_chain_noisy(case, p, flip):
+    assert_sweep_matches_psr_chain(*case, NoiseChannel(p, flip))
+
+
+def test_adjoint_sweep_takes_one_vector_and_checks_downstream():
+    template = family_template("c", 3, 2)
+    theta = np.random.default_rng(31).uniform(0, 2 * np.pi, template.slot_count)
+    downstream = np.array([0.5, -1.0, 0.25])
+    expected = chain_loss_gradient(psr_gradient(template, theta), downstream)
+    assert np.max(np.abs(adjoint_gradient(template, theta, downstream) - expected)) <= 1e-12
+    with pytest.raises(ValueError, match="downstream"):
+        adjoint_gradient(template, theta, downstream[:2])

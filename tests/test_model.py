@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from qcae.data_io import MnistSet, make_synthetic_digits
+from qcae.gradient import chain_loss_gradient, psr_gradient
 from qcae.model import (
+    SQUASH_HI,
+    SQUASH_LO,
     DenoisingAutoencoder,
     ModelSpec,
     TrainConfig,
@@ -162,6 +165,28 @@ def test_quantum_path_gradient_matches_finite_differences_tightly():
 
     numeric = fd_gradient(scalar, encoded.ravel(), h=1e-5).reshape(encoded.shape)
     assert np.max(np.abs(d_y - numeric)) < 1e-6
+
+
+@pytest.mark.parametrize("depolarizing", [0.0, 0.05])
+@pytest.mark.parametrize("family", ["a", "b", "c"])
+def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
+    noise = NoiseChannel(depolarizing_prob=depolarizing, readout_flip_prob=0.02)
+    model = DenoisingAutoencoder(toy_spec(family=family, n_qubits=3, p=2, noise=noise), seed=18)
+    latent = model.quantum
+    rng = np.random.default_rng(19)
+    y = rng.normal(size=(4, latent.n_parameters))
+    d_z = rng.normal(size=latent.forward(y).shape)
+    rows = latent._rows.copy()
+
+    d_y = latent.backward(d_z)
+    jac = psr_gradient(model.template, latent._angles, noise)
+    squash = 2.0 * np.pi / (SQUASH_HI - SQUASH_LO) * (1.0 - np.tanh(y) ** 2)
+    expected = chain_loss_gradient(jac, d_z) * squash
+    assert np.max(np.abs(expected)) > 1e-3
+    assert np.max(np.abs(d_y - expected)) <= 1e-12
+    # backward reads the cached forward rows and never writes into them
+    assert np.array_equal(latent.backward(d_z), d_y)
+    assert np.array_equal(latent._rows, rows)
 
 
 # ------------------------------------------------------------------ training

@@ -105,6 +105,9 @@ def test_conv_forward_matches_loop_oracle(in_c, out_c, k, stride, padding, shape
     (2, 2, 3, 2, 1, 1, (1, 2, 3, 5)),
     (2, 3, 2, 2, 0, 0, (2, 2, 3, 3)),
     (4, 3, 7, 1, 0, 0, (2, 4, 1, 1)),
+    # more kernel offsets than input positions, with overlapping windows
+    (2, 3, 5, 1, 0, 0, (2, 2, 2, 2)),
+    (2, 2, 5, 2, 1, 1, (1, 2, 2, 3)),
 ])
 def test_tconv_forward_matches_scatter_oracle(in_c, out_c, k, stride, padding,
                                               output_padding, shape):
@@ -113,6 +116,25 @@ def test_tconv_forward_matches_scatter_oracle(in_c, out_c, k, stride, padding,
     x = rng_for(63).normal(size=shape)
     expected = tconv2d_direct(x, tconv.weight, tconv.bias, stride, padding, output_padding)
     np.testing.assert_allclose(tconv.forward(x), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("in_c, out_c, k, stride, padding, shape", [
+    (2, 3, 3, 2, 1, (2, 2, 7, 7)),
+    (4, 3, 7, 1, 0, (2, 4, 7, 7)),
+    # more kernel offsets than output positions, with overlapping windows
+    (2, 3, 5, 1, 0, (2, 2, 6, 6)),
+    (2, 2, 5, 2, 2, (1, 2, 6, 6)),
+])
+def test_conv_input_gradient_matches_scatter_oracle(in_c, out_c, k, stride, padding, shape):
+    # conv's input gradient is the tconv of its upstream gradient, same weight;
+    # square inputs, so one output_padding fits both axes
+    conv = Conv2d(in_c, out_c, k, stride=stride, padding=padding, rng=rng_for(64))
+    x = rng_for(65).normal(size=shape)
+    upstream = rng_for(66).normal(size=conv.forward(x).shape)
+    output_padding = shape[2] - tconv_out_size(upstream.shape[2], k, stride, padding, 0)
+    expected = tconv2d_direct(upstream, conv.weight, np.zeros(in_c), stride, padding,
+                              output_padding)
+    np.testing.assert_allclose(conv.backward(upstream), expected, rtol=0, atol=1e-12)
 
 
 @st.composite
