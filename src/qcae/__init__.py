@@ -3,12 +3,12 @@
 The package splits into small, composable pieces:
 
   statevector  dense n-qubit simulator running one gate sequence on a batch
-               of angle rows, exact Z expectations, and an optional exact
-               depolarizing/readout noise channel
+               of angle rows, exact Z expectations and their gradient by
+               every gate angle, and an exact depolarizing/readout channel
   ansatz       circuit templates of GateOps (QAOA layers plus comparison
                families) and the map of squashed values onto angles
   gradient     parameter-shift jacobians, chain-rule glue, and the adjoint
-               sweep that trains the circuit
+               gradient that trains the circuit, both mapped by slot_map
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
   model        the assembled denoisers (classical and hybrid) and training
   data_io      IDX datasets, Gaussian noising, PGM export, synthetic corpus
@@ -24,7 +24,7 @@ from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 from .model import (DenoisingAutoencoder, ModelSpec, QuantumLatent, TrainConfig,
                     TrainingAborted, train)
 from .nn import Adam, load_weights, mse_loss, save_weights
-from .statevector import (GateOp, NoiseChannel, cnot, h, measure_all_z, measure_rows_z,
-                          run_circuit, run_rows, rx, ry, rz, zz)
+from .statevector import (GateOp, NoiseChannel, angle_gradient, cnot, h, measure_all_z,
+                          measure_rows_z, run_circuit, run_rows, rx, ry, rz, zz)
 
 __version__ = "0.1.0"

@@ -2,9 +2,10 @@
 comparison families.
 
 A template is an immutable program of GateOps in which each rotation refers
-to a parameter slot. gate_angles turns parameter vectors into one angle per
-gate, the rows that statevector.run_rows executes; bind turns one vector
-into a bound GateOp list. Families:
+to a parameter slot. Its slot_map turns parameter vectors into one angle per
+gate (gate_angles, the rows that statevector.run_rows executes) and per-gate
+derivatives into parameter gradients; bind turns one vector into a bound
+GateOp list. Families:
 
   ours  p alternations of a ring ZZ cost layer and an RX mixer layer on a
         uniform superposition; parameter vector [g_1..g_p, b_1..b_p], 2p
@@ -21,7 +22,7 @@ always produce identical gate lists.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 from math import pi
 
@@ -34,40 +35,44 @@ FAMILIES = ("a", "b", "c", "ours")
 
 @dataclass(frozen=True)
 class CircuitTemplate:
+    """Gates plus slot_map, the read-only (gates, slot_count) matrix with each
+    slotted gate's scale at [gate, slot]: it maps parameters to gate angles
+    (gate_angles) and per-gate derivatives back to parameters."""
+
     n_qubits: int
     p: int
     family: str
     gates: tuple[GateOp, ...]
+    slot_map: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.p < 1:
+            raise ValueError(f"p must be >= 1, got {self.p}")
         slots = sorted({g.slot for g in self.gates if g.slot is not None})
         if slots != list(range(len(slots))):
             raise ValueError(f"template slots must be exactly 0..k-1, got {slots}")
+        slot_map = np.zeros((len(self.gates), len(slots)))
+        for i, g in enumerate(self.gates):
+            if g.slot is not None:
+                slot_map[i, g.slot] = g.scale
+        slot_map.setflags(write=False)
+        object.__setattr__(self, "slot_map", slot_map)
+        object.__setattr__(self, "_fixed", np.array([g.angle or 0.0 for g in self.gates]))
 
     @property
     def slot_count(self) -> int:
-        return len({g.slot for g in self.gates if g.slot is not None})
-
-    def bound_gate_indices(self) -> list[int]:
-        """Positions of parameterized gates, in program order."""
-        return [i for i, g in enumerate(self.gates) if g.slot is not None]
+        return self.slot_map.shape[1]
 
     def gate_angles(self, params) -> np.ndarray:
-        """Angle of every gate: scale * params[slot] if bound, else the fixed
-        angle (0 for H/CNOT). An (N, slot_count) batch gives one row each."""
+        """Angle of every gate, params @ slot_map.T plus the fixed angles (0
+        for H/CNOT). An (N, slot_count) batch gives one row each."""
         params = np.asarray(params, dtype=float)
         if params.ndim not in (1, 2) or params.shape[-1] != self.slot_count:
             raise ValueError(
                 f"family {self.family!r} (n={self.n_qubits}, p={self.p}) takes "
                 f"{self.slot_count} parameters, got shape {params.shape}"
             )
-        angles = np.zeros(params.shape[:-1] + (len(self.gates),))
-        for i, g in enumerate(self.gates):
-            if g.slot is not None:
-                angles[..., i] = g.scale * params[..., g.slot]
-            elif g.angle is not None:
-                angles[..., i] = g.angle
-        return angles
+        return params @ self.slot_map.T + self._fixed
 
     def bind(self, params) -> list[GateOp]:
         """Fill every slot and return the bound gate list: each rotation
@@ -94,8 +99,9 @@ def _chain_pairs(n_qubits: int) -> list[tuple[int, int]]:
 
 def qaoa_template(n_qubits: int, p: int) -> CircuitTemplate:
     """H wall, then p rounds of ZZ(2g_k) on ring edges and RX(2b_k) on all qubits."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
+    if n_qubits < 2:
+        raise ValueError(f"QAOA needs n_qubits >= 2: a {n_qubits}-qubit ring has no edge "
+                         "to carry the gamma slots")
     gates = [GateOp("h", (q,)) for q in range(n_qubits)]
     for k in range(p):
         for a, b in ring_edges(n_qubits):
@@ -110,8 +116,6 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
     family = family.lower()
     if family not in FAMILIES:
         raise ValueError(f"unknown circuit family {family!r}; choose from {FAMILIES}")
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
     if family == "ours":
         return qaoa_template(n_qubits, p)
 

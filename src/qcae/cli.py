@@ -60,7 +60,6 @@ class ExperimentConfig:
     depolarizing_prob: float = 0.0
     readout_flip_prob: float = 0.0
     image_size: int = 28
-    synthetic_count: int = 512
     output_dir: str = "runs"
 
 
@@ -116,6 +115,7 @@ def resolve_config(config_path=None, flag_overrides: dict | None = None) -> Expe
     # fail fast on numeric ranges, naming the offending key
     _model_spec(cfg)
     _train_config(cfg)
+    _parsed_classes(cfg)
     return cfg
 
 
@@ -167,11 +167,8 @@ def load_datasets(cfg: ExperimentConfig):
     """Return (train_set, val_set) already filtered to the configured classes."""
     classes = _parsed_classes(cfg)
     if cfg.dataset == "synthetic":
-        train_set = make_synthetic_digits(cfg.synthetic_count, classes=classes,
-                                          seed=cfg.seed, size=cfg.image_size)
-        val_set = make_synthetic_digits(cfg.val_limit, classes=classes,
-                                        seed=cfg.seed + 1, size=cfg.image_size)
-        return filter_classes(train_set, classes, cfg.limit), val_set
+        return (make_synthetic_digits(cfg.limit, classes, cfg.seed, cfg.image_size),
+                make_synthetic_digits(cfg.val_limit, classes, cfg.seed + 1, cfg.image_size))
     train_set = load_idx(_idx_path(cfg, "train_images"), _idx_path(cfg, "train_labels"))
     val_set = load_idx(_idx_path(cfg, "test_images"), _idx_path(cfg, "test_labels"))
     return (
@@ -193,10 +190,10 @@ def _read_manifest(run_dir: Path) -> ExperimentConfig:
 def _train_run(cfg: ExperimentConfig) -> tuple[Path, float]:
     """Shared by train and sweep: fit, persist, return (run dir, final ssim)."""
     spec, train_config = _model_spec(cfg), _train_config(cfg)
+    train_set, val_set = load_datasets(cfg)  # a data error leaves no run directory
     cid = config_id(cfg)
     out_dir = Path(cfg.output_dir) / cid
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_set, val_set = load_datasets(cfg)
     _write_manifest(out_dir, cfg, cid)
     try:
         model, records = train(spec, train_config, train_set, val_set, config_id=cid)

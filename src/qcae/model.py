@@ -32,7 +32,7 @@ from math import pi
 
 import numpy as np
 
-from .ansatz import FAMILIES, CircuitTemplate, family_template, normalize_to_angle
+from .ansatz import CircuitTemplate, family_template, normalize_to_angle
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import adjoint_gradient
 from .metrics import RunRecord, mean_ssim, ssim_config_for
@@ -69,14 +69,14 @@ class ModelSpec:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
         if self.image_size not in _WIDTHS:
             raise ValueError(f"image_size must be one of {tuple(_WIDTHS)}, got {self.image_size}")
-        if self.kind == "qcae" and self.family.lower() not in FAMILIES:
-            raise ValueError(f"unknown circuit family {self.family!r}; choose from {FAMILIES}")
         noisy = self.noise.depolarizing_prob > 0
         # depolarizing simulates 2n-qubit density matrices
         cap = MAX_QUBITS // 2 if noisy else MAX_QUBITS
         if self.kind == "qcae" and self.n_qubits > cap:
             raise ValueError(f"{'depolarizing noise' if noisy else 'the simulator'} caps "
                              f"n_qubits at {cap}, got {self.n_qubits}")
+        if self.kind == "qcae":  # refuses an unknown family and a one-qubit QAOA
+            family_template(self.family, self.n_qubits, self.p)
 
 
 @dataclass
@@ -165,10 +165,6 @@ class QuantumLatent:
         self._rows = None
 
     @property
-    def n_qubits(self) -> int:
-        return self.template.n_qubits
-
-    @property
     def n_parameters(self) -> int:
         return self.template.slot_count
 
@@ -179,7 +175,7 @@ class QuantumLatent:
             )
         self._squashed = np.tanh(y)
         self._angles = normalize_to_angle(self._squashed, SQUASH_LO, SQUASH_HI)
-        self._rows = run_rows(self.n_qubits, self.template.gates,
+        self._rows = run_rows(self.template.n_qubits, self.template.gates,
                               self.template.gate_angles(self._angles), self.channel)
         return measure_rows_z(self._rows, self.channel)
 

@@ -4,11 +4,12 @@ Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index, so the two-qubit basis state with qubit 0 set lives at
 index 1. One runner does all simulation: run_rows applies a gate sequence
 in place to M independent rows, fed by an (M, len(gates)) angle matrix, and
-measure_rows_z reads exact per-qubit Pauli-Z expectations from every row.
-run_circuit (bound gates in, one amplitude vector out) and measure_all_z are
-its one-row pure case. GateOp is the one gate record: a rotation holds either
-a fixed angle or, in a circuit template, a parameter slot that binding
-replaces.
+measure_rows_z reads exact per-qubit Pauli-Z expectations from every row,
+and angle_gradient differentiates a weighted sum of them against every gate
+angle in one reverse sweep. run_circuit (bound gates in, one amplitude vector
+out) and measure_all_z are the one-row pure case. GateOp is the one gate
+record: a rotation holds either a fixed angle or, in a circuit template, a
+parameter slot that binding replaces.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
@@ -30,6 +31,11 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 
 ROTATION_KINDS = ("rx", "ry", "rz", "zz")
 GATE_KINDS = ("h", "cnot") + ROTATION_KINDS
+
+# a rotation is exp(-i angle/2 G) for the generator G of its kind; zz applies Z to both targets
+_X, _Y, _Z = (np.array(m, dtype=complex)
+              for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
+_GENERATORS = {"rx": _X, "ry": _Y, "rz": _Z, "zz": _Z}
 
 
 @dataclass(frozen=True)
@@ -221,25 +227,21 @@ def _evolve(rows: np.ndarray, n_qubits: int, gate: GateOp, angles: np.ndarray) -
         _apply(rows, gate.kind, tuple(q + n_qubits for q in gate.targets), sign * angles)
 
 
+def _readout(n_qubits: int, channel: NoiseChannel | None) -> np.ndarray:
+    """(2^n, n) map of basis probabilities onto <Z_q>: +1 where qubit q's bit
+    is 0, -1 where it is 1, times (1 - 2 * readout_flip_prob)."""
+    bits = (np.arange(1 << n_qubits)[:, None] >> np.arange(n_qubits)) & 1
+    flip = 0.0 if channel is None else channel.readout_flip_prob
+    return (1.0 - 2.0 * bits) * (1.0 - 2.0 * flip)
+
+
 def measure_rows_z(rows: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
     """(M, n) exact per-qubit <Z> of run_rows output: of the amplitudes, or
     of the density matrices' diagonal when depolarizing is active."""
     if _mixed(channel):
         n = (rows.shape[1].bit_length() - 1) // 2
-        return _z_readout(rows[:, ::(1 << n) + 1].real, channel)
-    return _z_readout(np.abs(rows) ** 2, channel)
-
-
-def _z_readout(probs: np.ndarray, channel: NoiseChannel | None) -> np.ndarray:
-    # +1 where a qubit's bit is 0, -1 where it is 1, times (1 - 2 * readout_flip_prob)
-    n = probs.shape[1].bit_length() - 1
-    z = np.empty((probs.shape[0], n))
-    for q in range(n):
-        split = probs.reshape(probs.shape[0], -1, 2, 1 << q)
-        z[:, q] = split[:, :, 0, :].sum(axis=(1, 2)) - split[:, :, 1, :].sum(axis=(1, 2))
-    if channel is not None:
-        z *= 1.0 - 2.0 * channel.readout_flip_prob
-    return z
+        return rows[:, ::(1 << n) + 1].real @ _readout(n, channel)
+    return measure_all_z(rows, channel)
 
 
 def run_circuit(n_qubits: int, gates) -> np.ndarray:
@@ -254,5 +256,81 @@ def run_circuit(n_qubits: int, gates) -> np.ndarray:
 
 
 def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
-    """(n,) <Z> of one amplitude vector, each shrunk by (1 - 2 * readout_flip_prob)."""
-    return _z_readout(np.abs(np.asarray(amplitudes)[None]) ** 2, channel)[0]
+    """(n,) <Z> of one amplitude vector (or (M, n) of M), readout flip applied."""
+    probs = np.abs(np.asarray(amplitudes)) ** 2
+    return probs @ _readout(probs.shape[-1].bit_length() - 1, channel)
+
+
+def angle_gradient(n_qubits: int, gates, angles, d_z,
+                   channel: NoiseChannel | None = None, rows=None) -> np.ndarray:
+    """(M, len(gates)): d(sum_q d_z[q] <Z_q>)/d(angle of gate i) per row of
+    run_rows(n_qubits, gates, angles, channel) as measure_rows_z reads it,
+    and 0 for H and CNOT, by one reverse sweep with the costate of that
+    observable (Jones & Gacon 2020, arXiv:2009.02823). rows, if the caller
+    kept that run_rows output, start a pure sweep and are never written; a
+    noisy sweep re-runs the forward, since depolarizing cannot be undone.
+    """
+    gates = list(gates)
+    angles = np.asarray(angles, dtype=float)
+    d_z = np.asarray(d_z, dtype=float)
+    if d_z.shape != (len(angles), n_qubits):
+        raise ValueError(f"need an ({len(angles)}, {n_qubits}) downstream gradient d_z, "
+                         f"one row per angle row, got shape {d_z.shape}")
+    weights = d_z @ _readout(n_qubits, channel).T  # the diagonal of that observable O
+    out = np.zeros(angles.shape)
+    if _mixed(channel):
+        _density_sweep(n_qubits, gates, angles, weights, channel.depolarizing_prob, out)
+    else:
+        _pure_sweep(n_qubits, gates, angles, weights, rows, out)
+    return out
+
+
+def _generator(rows: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
+    """The one-qubit matrix g on each target qubit of a copy of rows."""
+    out = rows.copy()
+    for q in targets:
+        _apply_1q(out, q, g)
+    return out
+
+
+def _pure_sweep(n, gates, angles, weights, rows, out) -> None:
+    # d<psi|O|psi>/d angle is Im<lambda|G psi>, with psi the state after the
+    # gate and lambda = O psi carried back to it; psi and lambda share one array
+    m = len(angles)
+    if rows is None:
+        rows = run_rows(n, gates, angles)
+    state = np.concatenate([rows, weights * rows])
+    undo = -np.concatenate([angles, angles])
+    for i in reversed(range(len(gates))):
+        gate = gates[i]
+        if gate.kind in ROTATION_KINDS:
+            g_psi = _generator(state[:m], _GENERATORS[gate.kind], gate.targets)
+            out[:, i] = np.einsum("ij,ij->i", state[m:].conj(), g_psi).imag
+        _evolve(state, n, gate, undo[:, i])
+
+
+def _density_sweep(n, gates, angles, weights, p, out) -> None:
+    # the loss is <lambda|rho>; a gate's unitary moves the state sigma it
+    # leaves by (-i/2)(G sigma - sigma G) per unit angle, G on the ket bits
+    # and G^T on the bra bits, so the term is (1/2) Im<lambda|G_ket sigma -
+    # G^T_bra sigma>, sigma kept after the unitary and before depolarizing
+    rho = _zero_rows(len(angles), 2 * n)
+    sigmas = {}
+    for i, gate in enumerate(gates):
+        _evolve(rho, n, gate, angles[:, i])
+        if gate.kind in ROTATION_KINDS:
+            sigmas[i] = rho.copy()
+        for q in gate.targets:
+            _depolarize(rho, n, q, p)
+    costate = np.zeros_like(rho)
+    costate[:, ::(1 << n) + 1] = weights
+    for i in reversed(range(len(gates))):
+        gate = gates[i]
+        for q in gate.targets:  # the channel is self-adjoint
+            _depolarize(costate, n, q, p)
+        if i in sigmas:
+            sigma, g = sigmas.pop(i), _GENERATORS[gate.kind]  # g.T differs only for RY
+            d_sigma = (_generator(sigma, g, gate.targets)
+                       - _generator(sigma, g.T, [q + n for q in gate.targets]))
+            out[:, i] = 0.5 * np.einsum("ij,ij->i", costate.conj(), d_sigma).imag
+        _evolve(costate, n, gate, -angles[:, i])

@@ -341,7 +341,7 @@ def test_criterion_09_ssim_unit_correctness():
 
 def test_criterion_10_command_determinism(tmp_path):
     out = str(tmp_path / "runs")
-    fast = ["--dataset", "synthetic", "--synthetic-count", "24", "--limit", "24",
+    fast = ["--dataset", "synthetic", "--limit", "24",
             "--val-limit", "6", "--epochs", "1", "--batch-size", "8",
             "--qubits", "2", "--p", "1", "--image-size", "8", "--family", "b",
             "--output-dir", out]

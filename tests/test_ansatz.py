@@ -77,6 +77,26 @@ def test_ring_edges_shapes():
     assert ring_edges(1) == []
 
 
+def test_qaoa_slot_map_feeds_each_layer_from_one_slot():
+    n, p = 4, 2
+    template = qaoa_template(n, p)
+    expected = np.zeros((n + 2 * n * p, 2 * p))  # the H wall reads no slot
+    for k in range(p):
+        start = n + 2 * n * k
+        expected[start:start + n, k] = 2.0  # gamma_k feeds every ring edge at scale 2
+        expected[start + n:start + 2 * n, p + k] = 2.0  # beta_k feeds every mixer
+    assert np.array_equal(template.slot_map, expected)
+    params = np.random.default_rng(3).uniform(0, 2 * np.pi, (3, 2 * p))
+    assert np.array_equal(template.gate_angles(params), params @ expected.T)
+    with pytest.raises(ValueError):
+        template.slot_map[n, 0] = 1.0  # read-only
+
+
+def test_qaoa_refuses_one_qubit():
+    with pytest.raises(ValueError, match="ring has no edge"):
+        qaoa_template(1, 1)
+
+
 def test_qaoa_rejects_bad_p_and_lengths():
     with pytest.raises(ValueError):
         qaoa_template(2, 0)

@@ -18,7 +18,6 @@ from qcae.cli import (
 
 FAST = [
     "--dataset", "synthetic",
-    "--synthetic-count", "32",
     "--limit", "32",
     "--val-limit", "8",
     "--epochs", "1",
@@ -121,6 +120,23 @@ def test_missing_dataset_is_a_config_error(tmp_path):
     assert code == 1
 
 
+def test_data_errors_leave_no_run_directory(tmp_path):
+    # the data loads before the run directory is made
+    assert main(["train", "--dataset", "idx", "--data-dir", str(tmp_path / "nowhere"),
+                 "--output-dir", str(tmp_path / "runs")]) == 1
+    assert not (tmp_path / "runs").exists()
+    code, _ = run_train(tmp_path, "--classes", "2")  # the synthetic corpus has 0s and 1s only
+    assert code == 1 and not (tmp_path / "runs").exists()
+
+
+def test_one_qubit_qaoa_is_a_config_error(tmp_path):
+    # a one-qubit ring has no edge, so the gamma slots would vanish
+    with pytest.raises(ValueError, match="QAOA needs n_qubits >= 2"):
+        resolve_config(None, {"qubits": "1", "family": "ours"})
+    code, _ = run_train(tmp_path, "--qubits", "1", "--family", "ours")
+    assert code == 1 and not (tmp_path / "runs").exists()
+
+
 def test_env_var_overrides_data_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("QCAE_DATA_DIR", str(tmp_path / "missing"))
     code = main(["train", "--dataset", "idx", "--output-dir", str(tmp_path / "runs")])
@@ -186,7 +202,7 @@ def test_sweep_family_by_depth_grid_shape(tmp_path):
     # families x p in 1..5 gives the 20-row comparison-table layout
     out = tmp_path / "runs"
     argv = ["sweep", *FAST, "--output-dir", str(out),
-            "--limit", "12", "--synthetic-count", "12", "--val-limit", "4",
+            "--limit", "12", "--val-limit", "4",
             "--axis", "family=a,b,c,ours", "--axis", "p=1,2,3,4,5"]
     assert main(argv) == 0
     lines = next(out.glob("sweep_*.csv")).read_text().splitlines()
@@ -274,6 +290,7 @@ REFUSED = [
     ("learning_rate", "0", "learning_rate must be"),
     ("limit", "0", "sample_limit and val_limit"),
     ("val_limit", "0", "sample_limit and val_limit"),
+    ("classes", "x", "classes must be comma-separated integers"),
 ]
 
 

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 import qcae
 from qcae.ansatz import CircuitTemplate, family_template
 from qcae.gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient, psr_gradient
-from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, measure_all_z,
-                              measure_rows_z, run_circuit, run_rows)
+from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, angle_gradient,
+                              measure_all_z, measure_rows_z, run_circuit, run_rows)
 
 from oracles import fd_jacobian
 
@@ -83,7 +83,7 @@ def test_execution_count_bookkeeping():
         assert jac.n_executions == 2 * template.slot_count + 1
     # shared-slot QAOA: two executions per bound gate occurrence plus forward
     template = family_template("ours", 3, 2)
-    occurrences = len(template.bound_gate_indices())
+    occurrences = sum(g.slot is not None for g in template.gates)
     jac = psr_gradient(template, np.zeros(2 * 2))
     assert occurrences == 2 * (3 + 3)  # per layer: 3 ring edges + 3 mixers
     assert jac.n_executions == 2 * occurrences + 1
@@ -173,7 +173,7 @@ def test_chain_dimension_mismatch():
 
 
 
-# ------------------------------------------------------------- adjoint sweep
+# ----------------------------------------- gate-level and adjoint sweeps
 
 angles = st.floats(-2 * np.pi, 2 * np.pi, allow_subnormal=False)
 
@@ -202,6 +202,44 @@ def templated_batches(draw, max_n):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return (template, rng.uniform(-2 * np.pi, 2 * np.pi, (m, len(slot_ids))),
             rng.uniform(-2.0, 2.0, (m, n)))
+
+
+def assert_columns_match_central_differences(template, params, d_z, channel):
+    # every gate column, fixed-angle rotations included, which slot_map discards
+    n, gates, angles = template.n_qubits, template.gates, template.gate_angles(params)
+    got = angle_gradient(n, gates, angles, d_z, channel)
+    assert got.shape == angles.shape
+
+    def loss(rows):
+        return np.sum(measure_rows_z(run_rows(n, gates, rows, channel), channel) * d_z, axis=1)
+
+    h = 1e-5
+    for i, gate in enumerate(gates):
+        if gate.kind not in ROTATION_KINDS:
+            assert np.all(got[:, i] == 0.0), gate
+            continue
+        step = np.zeros_like(angles)
+        step[:, i] = h
+        fd = (loss(angles + step) - loss(angles - step)) / (2 * h)
+        assert np.max(np.abs(got[:, i] - fd)) <= 1e-7, gate
+
+
+@settings(max_examples=100, deadline=None)
+@given(templated_batches(max_n=4))
+def test_angle_gradient_matches_central_differences_pure(case):
+    assert_columns_match_central_differences(*case, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(templated_batches(max_n=3), st.floats(0.0, 1.0), st.floats(0.0, 0.45))
+def test_angle_gradient_matches_central_differences_noisy(case, p, flip):
+    assert_columns_match_central_differences(*case, NoiseChannel(p, flip))
+
+
+def test_angle_gradient_checks_d_z():
+    gates = [GateOp("h", (0,)), GateOp("ry", (1,), 0.3)]
+    with pytest.raises(ValueError, match="downstream gradient d_z"):
+        angle_gradient(2, gates, np.zeros((3, 2)), np.ones((1, 2)))
 
 
 def assert_sweep_matches_psr_chain(template, params, downstream, channel):
