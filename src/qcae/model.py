@@ -112,8 +112,8 @@ def default_encoder(latent_dim: int, image_size: int, rng: np.random.Generator) 
     """Three stride-reducing convolutions down to 1x1, then a dense head."""
     (c1, c2, c3), k = _WIDTHS[image_size]
     return [
-        Conv2d(1, c1, 3, 2, 1, rng), LeakyReLU(),
-        Conv2d(c1, c2, 3, 2, 1, rng), LeakyReLU(),
+        Conv2d(1, c1, 3, 2, 1, rng=rng), LeakyReLU(),
+        Conv2d(c1, c2, 3, 2, 1, rng=rng), LeakyReLU(),
         Conv2d(c2, c3, k, rng=rng), Flatten(),
         Dense(c3, latent_dim, rng),
     ]
@@ -125,8 +125,8 @@ def default_decoder(input_dim: int, image_size: int, rng: np.random.Generator) -
     return [
         Dense(input_dim, c3, rng), Reshape((c3, 1, 1)),
         ConvTranspose2d(c3, c2, k, rng=rng), LeakyReLU(),
-        ConvTranspose2d(c2, c1, 3, 2, 1, 1, rng), LeakyReLU(),
-        ConvTranspose2d(c1, 1, 3, 2, 1, 1, rng), Sigmoid(),
+        ConvTranspose2d(c2, c1, 3, 2, 1, 1, rng=rng), LeakyReLU(),
+        ConvTranspose2d(c1, 1, 3, 2, 1, 1, rng=rng), Sigmoid(),
     ]
 
 

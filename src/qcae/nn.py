@@ -3,11 +3,14 @@
 Arrays are float64 with a leading batch axis: images (N, C, H, W), feature
 vectors (N, F). conv2d is cross-correlation with zero padding; tconv2d is
 its exact adjoint (with an output_padding knob so stride-2 stacks invert
-cleanly). Each layer caches what its backward pass needs, so an instance
-handles one forward/backward pair at a time; backward writes grad_weight and
-grad_bias in place. Weight init is uniform in +-sqrt(1/fan_in) from an
-explicit numpy Generator. pack_parameters makes a layer list's weights and
-biases views of one flat buffer, and their gradients views of a second.
+cleanly); both contract in one 2-D matmul with the batch axis innermost,
+and return (N, C, H, W) views of (C, H, W, N) memory: never assume
+C-contiguity. Each layer caches what its backward pass needs, so an
+instance handles one forward/backward pair at a time; backward checks the
+upstream shape and writes grad_weight and grad_bias in place. Weight init
+is uniform in +-sqrt(1/fan_in) from an explicit numpy Generator.
+pack_parameters makes a layer list's weights and biases views of one flat
+buffer, and their gradients views of a second.
 """
 from __future__ import annotations
 
@@ -40,7 +43,7 @@ def tconv_out_size(size: int, kernel: int, stride: int, padding: int,
 
 
 def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(N, C, H, W) -> (N, C*k*k, P) patch matrix plus output dims."""
+    """(N, C, H, W) -> (C*k*k, P*N) patch matrix, batch innermost, plus output dims."""
     n, c, height, width = x.shape
     h_out = conv_out_size(height, k, stride, pad)
     w_out = conv_out_size(width, k, stride, pad)
@@ -49,30 +52,30 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
             f"kernel {k} with stride {stride}, padding {pad} does not fit "
             f"input of shape {x.shape}"
         )
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride][:, :, :h_out, :w_out]
-    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * k * k, h_out * w_out)
-    return np.ascontiguousarray(cols), (h_out, w_out)
+    xp = np.zeros((c, height + 2 * pad, width + 2 * pad, n))
+    xp[:, pad:pad + height, pad:pad + width] = x.transpose(1, 2, 3, 0)
+    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
+    win = win[:, ::stride, ::stride][:, :h_out, :w_out]
+    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, h_out * w_out * n), (h_out, w_out)
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patches back into (N, C, H, W), one
-    strided add per kernel offset or one window add per output position,
-    whichever loop is shorter (a k=7 kernel on a 1x1 map is a single add)."""
+    """Adjoint of _im2col, returned as an (N, C, H, W) view of (C, H, W, N)
+    memory: one strided add per kernel offset or one window add per output
+    position, whichever loop is shorter (a k=7 kernel on a 1x1 map is one add)."""
     n, c, height, width = x_shape
     h_out, w_out = out_hw
-    xp = np.zeros((n, c, height + 2 * pad, width + 2 * pad))
-    c6 = cols.reshape(n, c, k, k, h_out, w_out)
+    xp = np.zeros((c, height + 2 * pad, width + 2 * pad, n))
+    c6 = cols.reshape(c, k, k, h_out, w_out, n)
     if k * k <= h_out * w_out:
         for u in range(k):
             for v in range(k):
-                xp[:, :, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += c6[:, :, u, v]
+                xp[:, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += c6[:, u, v]
     else:
         for i in range(h_out):
             for j in range(w_out):
-                xp[:, :, i * stride:i * stride + k, j * stride:j * stride + k] += c6[..., i, j]
-    return xp[:, :, pad:pad + height, pad:pad + width]
+                xp[:, i * stride:i * stride + k, j * stride:j * stride + k] += c6[..., i, j, :]
+    return xp[:, pad:pad + height, pad:pad + width].transpose(3, 0, 1, 2)
 
 
 class Layer:
@@ -101,6 +104,11 @@ class _Weighted(Layer):
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
 
+    def _check_upstream(self, upstream: np.ndarray, out_shape) -> None:
+        if upstream.shape != out_shape:
+            raise ValueError(f"{type(self).__name__}.backward: upstream shape {upstream.shape} "
+                             f"!= forward output shape {out_shape}")
+
 
 class Dense(_Weighted):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
@@ -118,14 +126,15 @@ class Dense(_Weighted):
 
     def backward(self, upstream):
         x = self._take_cache("_x")
+        self._check_upstream(upstream, (x.shape[0], self.weight.shape[0]))
         self.grad_weight[...] = upstream.T @ x
         self.grad_bias[...] = upstream.sum(axis=0)
         return upstream @ self.weight
 
 
 class Conv2d(_Weighted):
-    def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
-                 rng: np.random.Generator | None = None):
+    def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0, *,
+                 rng: np.random.Generator):
         k = kernel_size
         super().__init__(rng, in_channels * k * k, (out_channels, in_channels, k, k), out_channels)
         self.stride, self.padding = stride, padding
@@ -136,27 +145,27 @@ class Conv2d(_Weighted):
         out_c, in_c, k, _ = self.weight.shape
         if x.ndim != 4 or x.shape[1] != in_c:
             raise ValueError(f"conv2d expects (N, {in_c}, H, W), got {x.shape}")
-        cols, out_hw = _im2col(x, k, self.stride, self.padding)
-        w2 = self.weight.reshape(out_c, -1)
-        y = w2 @ cols + self.bias[None, :, None]
-        self._cache = (x.shape, cols, out_hw)
-        return y.reshape(x.shape[0], out_c, *out_hw)
+        cols, (h_out, w_out) = _im2col(x, k, self.stride, self.padding)
+        y = self.weight.reshape(out_c, -1) @ cols + self.bias[:, None]
+        self._cache = (x.shape, cols, (len(x), out_c, h_out, w_out))
+        return y.reshape(out_c, h_out, w_out, len(x)).transpose(3, 0, 1, 2)
 
     def backward(self, upstream):
-        x_shape, cols, out_hw = self._take_cache("_cache")
+        x_shape, cols, out_shape = self._take_cache("_cache")
+        self._check_upstream(upstream, out_shape)
         out_c, _, k, _ = self.weight.shape
-        d_y = upstream.reshape(upstream.shape[0], out_c, -1)
-        self.grad_weight[...] = np.tensordot(d_y, cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
-        self.grad_bias[...] = d_y.sum(axis=(0, 2))
+        d_y = upstream.transpose(1, 2, 3, 0).reshape(out_c, -1)
+        self.grad_weight[...] = (d_y @ cols.T).reshape(self.weight.shape)
+        self.grad_bias[...] = d_y.sum(axis=1)
         d_cols = self.weight.reshape(out_c, -1).T @ d_y
-        return _col2im(d_cols, x_shape, k, self.stride, self.padding, out_hw)
+        return _col2im(d_cols, x_shape, k, self.stride, self.padding, out_shape[2:])
 
 
 class ConvTranspose2d(_Weighted):
     """Adjoint of Conv2d; weight layout (in_channels, out_channels, k, k)."""
 
     def __init__(self, in_channels, out_channels, kernel_size, stride=1, padding=0,
-                 output_padding=0, rng: np.random.Generator | None = None):
+                 output_padding=0, *, rng: np.random.Generator):
         k = kernel_size
         if not 0 <= output_padding < stride:
             raise ValueError(f"output_padding must be in [0, stride), got {output_padding}")
@@ -175,20 +184,22 @@ class ConvTranspose2d(_Weighted):
         w_out = tconv_out_size(width, k, s, p, self.output_padding)
         if h_out < 1 or w_out < 1:
             raise ValueError(f"tconv2d output collapses for input shape {x.shape}")
-        x2 = x.reshape(n, in_c, height * width)
+        x2 = x.transpose(1, 2, 3, 0).reshape(in_c, -1)
         cols = self.weight.reshape(in_c, -1).T @ x2
         y = _col2im(cols, (n, out_c, h_out, w_out), k, s, p, (height, width))
-        self._cache = (x2, x.shape)
-        return y + self.bias[None, :, None, None]
+        y += self.bias[:, None, None]
+        self._cache = (x2, x.shape, y.shape)
+        return y
 
     def backward(self, upstream):
-        x2, x_shape = self._take_cache("_cache")
-        in_c = self.weight.shape[0]
-        d_cols, _ = _im2col(upstream, self.weight.shape[2], self.stride, self.padding)
-        self.grad_weight[...] = np.tensordot(x2, d_cols, axes=([0, 2], [0, 2])).reshape(self.weight.shape)
-        self.grad_bias[...] = upstream.sum(axis=(0, 2, 3))
+        x2, x_shape, out_shape = self._take_cache("_cache")
+        self._check_upstream(upstream, out_shape)
+        in_c, out_c, k, _ = self.weight.shape
+        d_cols, _ = _im2col(upstream, k, self.stride, self.padding)
+        self.grad_weight[...] = (x2 @ d_cols.T).reshape(self.weight.shape)
+        self.grad_bias[...] = upstream.transpose(1, 2, 3, 0).reshape(out_c, -1).sum(axis=1)
         d_x = self.weight.reshape(in_c, -1) @ d_cols
-        return d_x.reshape(x_shape)
+        return d_x.reshape(in_c, *x_shape[2:], x_shape[0]).transpose(3, 0, 1, 2)
 
 
 class LeakyReLU(Layer):

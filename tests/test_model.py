@@ -3,7 +3,7 @@ end-to-end finite-difference agreement, and training behaviour."""
 import numpy as np
 import pytest
 
-from qcae.data_io import MnistSet, make_synthetic_digits
+from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
 from qcae.model import (
     SQUASH_HI,
@@ -305,6 +305,28 @@ def test_denoise_preserves_batch_order():
     batch = model.denoise(x)
     singles = np.concatenate([model.denoise(x[i:i + 1]) for i in range(4)])
     assert np.allclose(batch, singles, atol=1e-12)
+
+
+@pytest.mark.parametrize("spec", [toy_spec(family="b"), ModelSpec(kind="ccae")],
+                         ids=["qcae-8", "ccae-28"])
+def test_outputs_do_not_depend_on_input_memory_order(spec):
+    model = DenoisingAutoencoder(spec, seed=46)
+    x = toy_images(3, seed=47, size=spec.image_size)
+    assert np.array_equal(model.forward(x), model.forward(np.asfortranarray(x)))
+
+
+def test_denoised_images_write_the_bytes_of_their_c_ordered_copy(tmp_path):
+    # conv layers hand back views of batch-innermost memory; files must not see it
+    model = DenoisingAutoencoder(ModelSpec(kind="ccae"), seed=48)
+    denoised = model.denoise(toy_images(3, seed=49, size=28))
+    labels = np.arange(3)
+    written = []
+    for i, images in enumerate((denoised, np.ascontiguousarray(denoised))):
+        paths = [tmp_path / f"{i}{end}" for end in (".pgm", "-images", "-labels")]
+        export_pgm(images[1], paths[0])
+        write_idx(MnistSet(images, labels), paths[1], paths[2])
+        written.append([path.read_bytes() for path in paths])
+    assert written[0] == written[1]
 
 
 def test_weight_save_load_round_trip(tmp_path):

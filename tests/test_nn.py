@@ -206,6 +206,121 @@ def test_tconv_rejects_bad_output_padding():
         ConvTranspose2d(1, 1, 3, stride=2, padding=1, output_padding=2, rng=rng_for())
 
 
+def test_conv_layers_need_an_rng():
+    for layer_class in (Conv2d, ConvTranspose2d):
+        with pytest.raises(TypeError, match="rng"):
+            layer_class(1, 1, 3)
+
+
+# ------------------------------------------------- upstream shape and memory order
+
+def test_dense_backward_names_both_shapes_of_a_wrong_upstream():
+    dense = Dense(3, 2, rng_for())
+    dense.forward(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"\(2, 4\).*\(4, 2\)"):
+        dense.backward(np.zeros((2, 4)))
+
+
+def test_conv_backward_names_both_shapes_of_a_wrong_upstream():
+    # same size as the (2, 2, 3, 3) output, so a reshape alone would accept it
+    conv = Conv2d(1, 2, 3, rng=rng_for())
+    conv.forward(np.zeros((2, 1, 5, 5)))
+    with pytest.raises(ValueError, match=r"\(3, 2, 2, 3\).*\(2, 2, 3, 3\)"):
+        conv.backward(np.zeros((3, 2, 2, 3)))
+
+
+def test_tconv_backward_names_both_shapes_of_a_wrong_upstream():
+    tconv = ConvTranspose2d(1, 1, 3, stride=2, padding=1, output_padding=1, rng=rng_for())
+    tconv.forward(np.zeros((2, 1, 4, 4)))
+    with pytest.raises(ValueError, match=r"\(4, 1, 8, 4\).*\(2, 1, 8, 8\)"):
+        tconv.backward(np.zeros((4, 1, 8, 4)))
+
+
+def memory_orders(a):
+    """The same (N, C, H, W) values C-ordered, Fortran-ordered and batch-innermost."""
+    return [np.ascontiguousarray(a), np.asfortranarray(a),
+            np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)]
+
+
+def run_in_every_memory_order(layer, x, upstream):
+    """(output, grad_weight, grad_bias, input gradient) for each memory order,
+    after checking that all three are bit-identical."""
+    runs = []
+    for x_view, up_view in zip(memory_orders(x), memory_orders(upstream)):
+        out = layer.forward(x_view).copy()
+        d_x = layer.backward(up_view).copy()
+        runs.append((out, layer.grad_weight.copy(), layer.grad_bias.copy(), d_x))
+    for run in runs[1:]:
+        for got, want in zip(run, runs[0]):
+            np.testing.assert_array_equal(got, want)
+    return runs[0]
+
+
+@pytest.mark.parametrize("in_c, out_c, k, stride, padding, shape", [
+    (2, 3, 3, 2, 1, (2, 2, 7, 7)),
+    (1, 4, 3, 2, 1, (3, 1, 8, 8)),
+    (4, 3, 7, 1, 0, (2, 4, 7, 7)),
+    (2, 3, 5, 1, 0, (2, 2, 6, 6)),
+    (3, 2, 1, 1, 0, (2, 3, 4, 5)),
+    (3, 5, 1, 1, 0, (4, 3, 1, 1)),
+])
+def test_conv_results_do_not_depend_on_memory_order(in_c, out_c, k, stride, padding, shape):
+    conv = Conv2d(in_c, out_c, k, stride=stride, padding=padding, rng=rng_for(70))
+    x = rng_for(71).normal(size=shape)
+    out_shape = (shape[0], out_c, conv_out_size(shape[2], k, stride, padding),
+                 conv_out_size(shape[3], k, stride, padding))
+    upstream = rng_for(72).normal(size=out_shape)
+    out, grad_weight, grad_bias, d_x = run_in_every_memory_order(conv, x, upstream)
+    np.testing.assert_allclose(out, conv2d_direct(x, conv.weight, conv.bias, stride, padding),
+                               rtol=0, atol=1e-12)
+    # the loss <upstream, conv(x; W)> is linear in W, so <grad_weight, probe>
+    # is the same loss with W replaced by any probe
+    probe = rng_for(73).normal(size=conv.weight.shape)
+    assert np.isclose(np.sum(grad_weight * probe),
+                      np.sum(upstream * conv2d_direct(x, probe, np.zeros(out_c), stride, padding)),
+                      rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_bias, upstream.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+    # one output_padding fits both axes of every case above
+    output_padding = shape[2] - tconv_out_size(out_shape[2], k, stride, padding, 0)
+    np.testing.assert_allclose(
+        d_x, tconv2d_direct(upstream, conv.weight, np.zeros(in_c), stride, padding,
+                            output_padding), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("in_c, out_c, k, stride, padding, output_padding, shape", [
+    (3, 2, 3, 2, 1, 1, (2, 3, 4, 4)),
+    (4, 3, 7, 1, 0, 0, (2, 4, 1, 1)),
+    (2, 1, 3, 2, 1, 1, (3, 2, 7, 7)),
+    (2, 2, 5, 2, 1, 1, (1, 2, 2, 3)),
+    (2, 3, 1, 1, 0, 0, (2, 2, 3, 4)),
+    (3, 5, 1, 1, 0, 0, (4, 3, 1, 1)),
+])
+def test_tconv_results_do_not_depend_on_memory_order(in_c, out_c, k, stride, padding,
+                                                      output_padding, shape):
+    tconv = ConvTranspose2d(in_c, out_c, k, stride=stride, padding=padding,
+                            output_padding=output_padding, rng=rng_for(74))
+    x = rng_for(75).normal(size=shape)
+    out_shape = (shape[0], out_c,
+                 tconv_out_size(shape[2], k, stride, padding, output_padding),
+                 tconv_out_size(shape[3], k, stride, padding, output_padding))
+    upstream = rng_for(76).normal(size=out_shape)
+    out, grad_weight, grad_bias, d_x = run_in_every_memory_order(tconv, x, upstream)
+    np.testing.assert_allclose(
+        out, tconv2d_direct(x, tconv.weight, tconv.bias, stride, padding, output_padding),
+        rtol=0, atol=1e-12)
+    probe = rng_for(77).normal(size=tconv.weight.shape)
+    assert np.isclose(
+        np.sum(grad_weight * probe),
+        np.sum(upstream * tconv2d_direct(x, probe, np.zeros(out_c), stride, padding,
+                                         output_padding)),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(grad_bias, upstream.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+    # tconv's input gradient is the conv of its upstream with the same weight
+    np.testing.assert_allclose(
+        d_x, conv2d_direct(upstream, tconv.weight, np.zeros(in_c), stride, padding),
+        rtol=0, atol=1e-12)
+
+
 # ------------------------------------------------------- gradient correctness
 
 def _layer_loss(layer, x, target_shaper=None):
