@@ -1,6 +1,6 @@
 """Dataset handling: IDX parsing and writing, class filtering, Gaussian
 pixel noise, PGM export, and a deterministic synthetic digit corpus for
-machines without the real files.
+machines without the real files, blurred with metrics' Gaussian taps.
 
 IDX is the big-endian MNIST container: images carry magic 0x00000803 and a
 16-byte header (magic, count, rows, cols), labels carry magic 0x00000801
@@ -17,7 +17,8 @@ from pathlib import Path
 from urllib.request import urlopen
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
+
+from .metrics import band, gaussian_taps
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
@@ -227,6 +228,14 @@ def fetch_mnist(dest_dir, base_url: str, expected_sizes: dict | None = None) -> 
     return written
 
 
+def _blur(img: np.ndarray) -> np.ndarray:
+    """scipy.ndimage.gaussian_filter(img, 0.6) on the last two axes: radius-2 taps after
+    a mirrored pad (scipy's "reflect", numpy's "symmetric") folded into the bands."""
+    rows, cols = (band(gaussian_taps(0.6, 2), n + 4)
+                  @ np.pad(np.eye(n), ((2, 2), (0, 0)), mode="symmetric") for n in img.shape[-2:])
+    return rows @ img @ cols.T
+
+
 def make_synthetic_digits(count: int, classes=(0, 1), seed: int = 0,
                           size: int = 28) -> MnistSet:
     """Deterministic MNIST-shaped stand-in corpus of rendered 0s and 1s.
@@ -259,7 +268,6 @@ def make_synthetic_digits(count: int, classes=(0, 1), seed: int = 0,
             dist = np.abs(xx - (cx + slant * (yy - cy)))
             img = np.exp(-((dist / half_width) ** 2))
             img *= np.exp(-np.maximum(np.abs(yy - cy) - half_len, 0.0) ** 2)
-        img = gaussian_filter(img, sigma=0.6) * rng.uniform(0.85, 1.0)
-        images[i, 0] = np.clip(img, 0.0, 1.0)
+        images[i, 0] = img * rng.uniform(0.85, 1.0)
         labels[i] = label
-    return MnistSet(images, labels)
+    return MnistSet(np.clip(_blur(images), 0.0, 1.0), labels)

@@ -5,7 +5,7 @@ ssim follows the windowed form ((2*mu_a*mu_b + C1)(2*cov + C2)) /
 positions, with biased (weighted-sum) variance estimates. The default
 window is the canonical 11x11 Gaussian with sigma 1.5; an 8x8 uniform
 window is available as a cross-check. Pixels are assumed in [0, 1], so the
-dynamic range is 1.
+dynamic range is 1. gaussian_taps and band also build data_io's corpus blur.
 """
 from __future__ import annotations
 
@@ -31,20 +31,22 @@ class RunRecord:
     config_id: str = ""
 
 
-def _window_taps(cfg: SsimConfig) -> np.ndarray:
-    """1-D taps of the separable window: its 2-D weights are outer(taps, taps)."""
-    if cfg.window == "gaussian11":
-        radius, sigma = 5, 1.5
-        d = np.arange(-radius, radius + 1, dtype=float)
-        taps = np.exp(-(d * d) / (2.0 * sigma * sigma))
-    elif cfg.window == "uniform8":
-        taps = np.ones(8)
-    else:
-        raise ValueError(f"unknown ssim window {cfg.window!r}")
+def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
+    """Normalised 1-D Gaussian taps exp(-d^2 / (2 sigma^2)) at d = -radius..radius."""
+    taps = np.exp(-np.arange(-radius, radius + 1.0) ** 2 / (2.0 * sigma * sigma))
     return taps / taps.sum()
 
 
-def _band(taps: np.ndarray, size: int) -> np.ndarray:
+def _window_taps(cfg: SsimConfig) -> np.ndarray:
+    """1-D taps of the separable window: its 2-D weights are outer(taps, taps)."""
+    if cfg.window == "gaussian11":
+        return gaussian_taps(1.5, 5)
+    if cfg.window == "uniform8":
+        return np.full(8, 1.0 / 8)
+    raise ValueError(f"unknown ssim window {cfg.window!r}")
+
+
+def band(taps: np.ndarray, size: int) -> np.ndarray:
     """(size - k + 1, size) matrix whose row i holds the k taps at columns i..i+k-1."""
     valid = size - taps.size + 1
     return sum(t * np.eye(valid, size, u) for u, t in enumerate(taps))
@@ -58,7 +60,7 @@ def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray
     if min(height, width) < taps.size:
         raise ValueError(f"image {(height, width)} smaller than ssim window {taps.size}")
     stack = np.stack([a, b, a * a, b * b, a * b])
-    mu_a, mu_b, aa, bb, ab = _band(taps, height) @ stack @ _band(taps, width).T
+    mu_a, mu_b, aa, bb, ab = band(taps, height) @ stack @ band(taps, width).T
     var_a = aa - mu_a * mu_a
     var_b = bb - mu_b * mu_b
     cov = ab - mu_a * mu_b

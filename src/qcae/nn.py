@@ -10,17 +10,17 @@ instance handles one forward/backward pair at a time; backward checks the
 upstream shape and writes grad_weight and grad_bias in place. Weight init
 is uniform in +-sqrt(1/fan_in) from an explicit numpy Generator.
 pack_parameters makes a layer list's weights and biases views of one flat
-buffer, and their gradients views of a second.
+buffer, and their gradients views of a second. Sigmoid uses tanh: it never overflows.
 """
 from __future__ import annotations
 
 import struct
 
 import numpy as np
-from scipy.special import expit
 
 WEIGHTS_MAGIC = b"NNW1"
 ADAM_BLOCK = 16384  # entries per block of Adam's update pass
+LEAKY_SLOPE = 0.01  # LeakyReLU's negative slope; its np.maximum form needs a slope <= 1
 
 
 class NonFiniteTensor(ValueError):
@@ -203,18 +203,17 @@ class ConvTranspose2d(_Weighted):
 
 
 class LeakyReLU(Layer):
-    def __init__(self, negative_slope: float = 0.01):
-        self.negative_slope = negative_slope
+    def __init__(self):
         self._mask = None
 
     def forward(self, x):
         _check_finite("leaky_relu input", x)
         self._mask = x > 0
-        return np.where(self._mask, x, self.negative_slope * x)
+        return np.maximum(x, LEAKY_SLOPE * x)
 
     def backward(self, upstream):
         mask = self._take_cache("_mask")
-        return np.where(mask, upstream, self.negative_slope * upstream)
+        return np.where(mask, upstream, LEAKY_SLOPE * upstream)
 
 
 class Sigmoid(Layer):
@@ -223,7 +222,7 @@ class Sigmoid(Layer):
 
     def forward(self, x):
         _check_finite("sigmoid input", x)
-        self._out = expit(x)
+        self._out = 0.5 + 0.5 * np.tanh(0.5 * x)
         return self._out
 
     def backward(self, upstream):

@@ -123,7 +123,7 @@ def test_criterion_03_every_layer_passes_gradient_checks():
         ("conv2d", Conv2d(2, 3, 3, stride=2, padding=1, rng=rng), rng.normal(size=(2, 2, 7, 7))),
         ("tconv2d", ConvTranspose2d(2, 1, 3, stride=2, padding=1, output_padding=1, rng=rng),
          rng.normal(size=(2, 2, 4, 4))),
-        ("leaky_relu", LeakyReLU(0.01), rng.normal(size=(3, 6)) + 0.05),
+        ("leaky_relu", LeakyReLU(), rng.normal(size=(3, 6)) + 0.05),
         ("sigmoid", Sigmoid(), rng.normal(size=(2, 5))),
         ("flatten", Flatten(), rng.normal(size=(2, 2, 3, 3))),
         ("reshape", Reshape((6, 1, 1)), rng.normal(size=(2, 6))),

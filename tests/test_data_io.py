@@ -21,6 +21,7 @@ from qcae.data_io import (
     montage,
     write_idx,
 )
+from qcae.data_io import _blur
 
 
 def small_set(count=12, seed=0) -> MnistSet:
@@ -243,6 +244,16 @@ def test_synthetic_corpus_has_both_classes_and_distinct_shapes():
     # rings have a dark centre, strokes a bright one
     centre = (slice(None), 0, slice(12, 16), slice(12, 16))
     assert zeros[centre].mean() < ones[centre].mean()
+
+
+@pytest.mark.parametrize("shape", [(28, 28), (8, 8), (9, 14)])
+def test_blur_matches_scipy_gaussian_filter(shape):
+    # uniform noise keeps the border pixels as large as the rest, so a pad
+    # mode other than scipy's "reflect" shows
+    from scipy.ndimage import gaussian_filter
+
+    x = np.random.default_rng(sum(shape)).random(shape)
+    assert np.max(np.abs(_blur(x) - gaussian_filter(x, sigma=0.6))) <= 1e-15
 
 
 def test_synthetic_corpus_rejects_other_classes():

@@ -97,6 +97,19 @@ def test_importing_qcae_leaves_scipy_signal_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_qcae_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves only as a test oracle
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import qcae, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_ssim_degrades_monotonically_with_noise():
     images = make_synthetic_digits(50, seed=4).images
     means = []

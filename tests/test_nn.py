@@ -1,4 +1,6 @@
 """Layer forward semantics, finite-difference gradient checks, Adam, weight I/O."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,10 +59,21 @@ def test_dense_hand_computation():
 
 
 def test_leaky_relu_piecewise_derivative():
-    relu = LeakyReLU(0.01)
+    relu = LeakyReLU()
     relu.forward(np.array([[-1.0, 2.0]]))
     grad = relu.backward(np.array([[1.0, 1.0]]))
     assert np.allclose(grad, [[0.01, 1.0]])
+
+
+def test_sigmoid_matches_expit_and_saturates_quietly():
+    from scipy.special import expit
+
+    x = np.linspace(-40.0, 40.0, 8001)
+    assert np.max(np.abs(Sigmoid().forward(x[None])[0] - expit(x))) <= 3e-16
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = Sigmoid().forward(np.array([[-1e3, 1e3]]))
+    assert np.all(np.isfinite(out)) and np.all((out >= 0.0) & (out <= 1.0))
 
 
 def test_shape_mismatch_reports_both_shapes():
@@ -403,7 +416,7 @@ def test_tconv_unit_stride_gradients():
 def test_activation_and_reshape_gradients():
     rng = rng_for(20)
     for layer, shape in [
-        (LeakyReLU(0.01), (3, 5)),
+        (LeakyReLU(), (3, 5)),
         (Sigmoid(), (2, 4)),
         (Flatten(), (2, 3, 2, 2)),
         (Reshape((4, 1, 1)), (2, 4)),
@@ -430,7 +443,7 @@ def test_randomized_layer_sweep():
                                     output_padding=stride - 1, rng=rng)
             x = rng.normal(size=(1, c_in, 4, 4))
         else:
-            layer = LeakyReLU(0.01)
+            layer = LeakyReLU()
             x = rng.normal(size=(2, 8)) + 0.05
         _check_input_gradient(layer, x)
         _check_param_gradients(layer, x)
