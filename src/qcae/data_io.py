@@ -60,8 +60,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < float("inf"):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
 def _read_header(data: bytes, path, magic_expected: int, n_dims: int):

@@ -1,10 +1,10 @@
 """Circuit gradients of bound templates: the parameter-shift rule, and the
 adjoint sweep that training uses.
 
-Every parameterized gate is exp(-i angle/2 G) for a generator G squaring to
-the identity (X, Y, Z, or Z(x)Z). Both gradients are taken per gate angle
-and end the same way: a per-gate row times template.slot_map, which holds
-each gate's scale at its slot, sums the terms of gates that share a
+Every parameterized gate is exp(-i angle/2 G) with G^2 = 1, which makes the
+shift rule exact and gives the sweep U(pi) = -iG. Both gradients are taken
+per gate angle and end the same way: a per-gate row times template.slot_map,
+which holds each gate's scale at its slot, sums the terms of gates sharing a
 parameter (QAOA ties one gamma to every ring edge, one beta to every qubit).
 
 psr_gradient is the paper's parameter-shift rule, the one hardware could

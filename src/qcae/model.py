@@ -92,8 +92,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
+        if not 0.0 <= self.sigma < float("inf"):
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 < self.learning_rate < float("inf"):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.sample_limit < 1 or self.val_limit < 1:

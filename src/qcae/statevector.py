@@ -11,6 +11,11 @@ out) and measure_all_z are the one-row pure case. GateOp is the one gate
 record: a rotation holds either a fixed angle or, in a circuit template, a
 parameter slot that binding replaces.
 
+The gate kernels are the only description of a gate: H, RX and RY are 2x2
+matrices, CNOT a swap, and RZ and ZZ one phase by the parity of their target
+bits. A rotation is exp(-i angle/2 G) with G^2 = 1, so U(pi) = -iG: the
+sweeps take Im<lambda|G psi> as Re<lambda|U(pi) psi> through those kernels.
+
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
 depolarized, (1 - p) rho + p/3 (X rho X + Y rho Y + Z rho Z), and readout
@@ -31,11 +36,6 @@ _H_MATRIX = np.array([[1, 1], [1, -1]], dtype=complex) * _SQRT2_INV
 
 ROTATION_KINDS = ("rx", "ry", "rz", "zz")
 GATE_KINDS = ("h", "cnot") + ROTATION_KINDS
-
-# a rotation is exp(-i angle/2 G) for the generator G of its kind; zz applies Z to both targets
-_X, _Y, _Z = (np.array(m, dtype=complex)
-              for m in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]))
-_GENERATORS = {"rx": _X, "ry": _Y, "rz": _Z, "zz": _Z}
 
 
 @dataclass(frozen=True)
@@ -118,15 +118,12 @@ def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
 
 
 def _rotation_matrix(kind: str, angles) -> np.ndarray:
-    """Rotation matrices, shape angles.shape + (2, 2): one per angle."""
+    """RX or RY matrices, shape angles.shape + (2, 2): one per angle."""
     half = 0.5 * np.asarray(angles, dtype=float)
     u = np.zeros(half.shape + (2, 2), dtype=complex)
-    if kind == "rz":
-        u[..., 0, 0], u[..., 1, 1] = np.exp(-1j * half), np.exp(1j * half)
-    else:
-        cos, sin = np.cos(half), np.sin(half)
-        u[..., 0, 0] = u[..., 1, 1] = cos
-        u[..., 0, 1], u[..., 1, 0] = (-1j * sin, -1j * sin) if kind == "rx" else (-sin, sin)
+    cos, sin = np.cos(half), np.sin(half)
+    u[..., 0, 0] = u[..., 1, 1] = cos
+    u[..., 0, 1], u[..., 1, 0] = (-1j * sin, -1j * sin) if kind == "rx" else (-sin, sin)
     return u
 
 
@@ -151,27 +148,28 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
     bits[tuple(lo)], bits[tuple(hi)] = bits[tuple(hi)].copy(), bits[tuple(lo)].copy()
 
 
-def _apply_zz(amps: np.ndarray, qa: int, qb: int, angles: np.ndarray) -> None:
+def _apply_phase(amps: np.ndarray, targets: tuple[int, ...], angles) -> None:
+    # exp(-i angle/2 Z...Z) on the targets: e^(-i angle/2) where their bits
+    # have even parity, e^(+i angle/2) where odd; one angle or one per row
     idx = np.arange(amps.shape[1])
-    parity = ((idx >> qa) ^ (idx >> qb)) & 1
-    phases = np.stack([np.exp(-0.5j * angles), np.exp(0.5j * angles)], axis=-1)
-    amps *= phases[:, parity]
+    parity = sum(idx >> q for q in targets) & 1
+    amps *= np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))[..., parity]
 
 
-def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles: np.ndarray) -> None:
-    """One gate on every row; angles holds one gate angle per row."""
+def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles) -> None:
+    """One gate on every row; angles is one angle per row, or one for all."""
     n = amps.shape[1].bit_length() - 1
     for q in targets:
         if not 0 <= q < n:
             raise ValueError(f"gate target {q} out of range for {n} qubits")
     if kind == "h":
         _apply_1q(amps, targets[0], _H_MATRIX)
-    elif kind in ("rx", "ry", "rz"):
+    elif kind in ("rx", "ry"):
         _apply_1q(amps, targets[0], _rotation_matrix(kind, angles))
     elif kind == "cnot":
         _apply_cnot(amps, targets[0], targets[1])
-    elif kind == "zz":
-        _apply_zz(amps, targets[0], targets[1], angles)
+    else:
+        _apply_phase(amps, targets, angles)
 
 
 def _depolarize(rho: np.ndarray, n: int, q: int, p: float) -> None:
@@ -285,35 +283,31 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
     return out
 
 
-def _generator(rows: np.ndarray, g: np.ndarray, targets) -> np.ndarray:
-    """The one-qubit matrix g on each target qubit of a copy of rows."""
-    out = rows.copy()
-    for q in targets:
-        _apply_1q(out, q, g)
-    return out
+def _angle_term(costate: np.ndarray, state: np.ndarray, gate: GateOp) -> np.ndarray:
+    """Re<costate|U(pi) state> per row, which is Im<costate|G state>."""
+    turned = state.copy()
+    _apply(turned, gate.kind, gate.targets, np.pi)
+    return np.einsum("ij,ij->i", costate.conj(), turned).real
 
 
 def _pure_sweep(n, gates, angles, weights, rows, out) -> None:
     # d<psi|O|psi>/d angle is Im<lambda|G psi>, with psi the state after the
     # gate and lambda = O psi carried back to it; psi and lambda share one array
     m = len(angles)
-    if rows is None:
-        rows = run_rows(n, gates, angles)
+    rows = run_rows(n, gates, angles) if rows is None else rows
     state = np.concatenate([rows, weights * rows])
     undo = -np.concatenate([angles, angles])
-    for i in reversed(range(len(gates))):
-        gate = gates[i]
+    for i, gate in reversed(list(enumerate(gates))):
         if gate.kind in ROTATION_KINDS:
-            g_psi = _generator(state[:m], _GENERATORS[gate.kind], gate.targets)
-            out[:, i] = np.einsum("ij,ij->i", state[m:].conj(), g_psi).imag
+            out[:, i] = _angle_term(state[m:], state[:m], gate)
         _evolve(state, n, gate, undo[:, i])
 
 
 def _density_sweep(n, gates, angles, weights, p, out) -> None:
-    # the loss is <lambda|rho>; a gate's unitary moves the state sigma it
-    # leaves by (-i/2)(G sigma - sigma G) per unit angle, G on the ket bits
-    # and G^T on the bra bits, so the term is (1/2) Im<lambda|G_ket sigma -
-    # G^T_bra sigma>, sigma kept after the unitary and before depolarizing
+    # the loss is <lambda|rho>; a gate's unitary moves the state sigma it leaves
+    # (kept before depolarizing) by (-i/2)(G sigma - sigma G) per unit angle.
+    # lambda and sigma are Hermitian, so <lambda|sigma G> is the conjugate of
+    # <lambda|G sigma> and the term is Im<lambda|G sigma>, G on the ket bits
     rho = _zero_rows(len(angles), 2 * n)
     sigmas = {}
     for i, gate in enumerate(gates):
@@ -324,13 +318,9 @@ def _density_sweep(n, gates, angles, weights, p, out) -> None:
             _depolarize(rho, n, q, p)
     costate = np.zeros_like(rho)
     costate[:, ::(1 << n) + 1] = weights
-    for i in reversed(range(len(gates))):
-        gate = gates[i]
+    for i, gate in reversed(list(enumerate(gates))):
         for q in gate.targets:  # the channel is self-adjoint
             _depolarize(costate, n, q, p)
         if i in sigmas:
-            sigma, g = sigmas.pop(i), _GENERATORS[gate.kind]  # g.T differs only for RY
-            d_sigma = (_generator(sigma, g, gate.targets)
-                       - _generator(sigma, g.T, [q + n for q in gate.targets]))
-            out[:, i] = 0.5 * np.einsum("ij,ij->i", costate.conj(), d_sigma).imag
+            out[:, i] = _angle_term(costate, sigmas.pop(i), gate)
         _evolve(costate, n, gate, -angles[:, i])

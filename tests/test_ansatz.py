@@ -1,6 +1,7 @@
 """Circuit templates: structure, slot laws, and oracle-checked execution."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcae.ansatz import (
     FAMILIES,
@@ -10,7 +11,8 @@ from qcae.ansatz import (
     qaoa_template,
     ring_edges,
 )
-from qcae.statevector import GateOp, measure_all_z, run_circuit
+from qcae.statevector import (GateOp, NoiseChannel, measure_all_z, measure_rows_z, run_circuit,
+                              run_rows)
 
 from oracles import dense_all_z, run_dense
 
@@ -69,6 +71,28 @@ def test_qaoa_zero_parameters_zero_expectations_all_sizes():
         for p in (1, 2, 3):
             state = run_circuit(n, qaoa_template(n, p).bind(np.zeros(2 * p)))
             assert np.allclose(measure_all_z(state), np.zeros(n), atol=1e-12)
+
+
+def assert_qaoa_latent_vanishes(n, p, seed, channel):
+    # the H wall, ring ZZ cost, RX mixer and depolarizing all commute with
+    # the global bit flip, which anticommutes with every Z_q
+    template = family_template("ours", n, p)
+    params = np.random.default_rng(seed).uniform(-2 * np.pi, 2 * np.pi, (4, template.slot_count))
+    rows = run_rows(n, template.gates, template.gate_angles(params), channel)
+    assert np.max(np.abs(measure_rows_z(rows, channel))) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_qaoa_latent_vanishes_on_random_parameters_pure(n, p, seed):
+    assert_qaoa_latent_vanishes(n, p, seed, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1),
+       st.floats(0.0, 1.0), st.floats(0.0, 0.45))
+def test_qaoa_latent_vanishes_on_random_parameters_noisy(n, p, seed, dep, flip):
+    assert_qaoa_latent_vanishes(n, p, seed, NoiseChannel(dep, flip))
 
 
 def test_ring_edges_shapes():

@@ -291,6 +291,8 @@ REFUSED = [
     ("limit", "0", "sample_limit and val_limit"),
     ("val_limit", "0", "sample_limit and val_limit"),
     ("classes", "x", "classes must be comma-separated integers"),
+    ("sigma", "nan", "sigma must be finite"),
+    ("sigma", "inf", "sigma must be finite"),
 ]
 
 

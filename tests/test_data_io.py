@@ -131,6 +131,12 @@ def test_sigma_zero_is_exact_copy():
     assert out is not images
 
 
+@pytest.mark.parametrize("sigma", [-0.1, float("nan"), float("inf")])
+def test_noise_spec_refuses_negative_and_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+        NoiseSpec(sigma)
+
+
 def test_noise_is_deterministic_per_seed():
     images = small_set().images
     a = add_gaussian_noise(images, NoiseSpec(0.5, seed=2))
