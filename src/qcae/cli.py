@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -24,14 +23,8 @@ from .model import (DenoisingAutoencoder, ModelSpec, TrainConfig, TrainingAborte
                     derive_seeds, train)
 from .statevector import NoiseChannel
 
-ENV_DATA_DIR = "QCAE_DATA_DIR"
-
-IDX_NAMES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
+TRAIN_IDX = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
+TEST_IDX = ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
 
 
 @dataclass(frozen=True)
@@ -39,11 +32,7 @@ class ExperimentConfig:
     """Every tunable of a run; each field has a working default."""
 
     dataset: str = "idx"  # idx | synthetic
-    data_dir: str = "data/mnist"
-    train_images: str = ""  # blank: resolved from data_dir + standard names
-    train_labels: str = ""
-    test_images: str = ""
-    test_labels: str = ""
+    data_dir: str = "data/mnist"  # holds the four IDX files under their standard names
     classes: str = "0,1"
     limit: int = 2000
     val_limit: int = 100
@@ -155,22 +144,16 @@ def _parsed_classes(cfg: ExperimentConfig) -> list[int]:
         raise ValueError(f"classes must be comma-separated integers: {e}") from None
 
 
-def _idx_path(cfg: ExperimentConfig, key: str) -> Path:
-    explicit = getattr(cfg, key)
-    if explicit:
-        return Path(explicit)
-    data_dir = os.environ.get(ENV_DATA_DIR, cfg.data_dir)
-    return Path(data_dir) / IDX_NAMES[key]
-
-
 def load_datasets(cfg: ExperimentConfig):
-    """Return (train_set, val_set) already filtered to the configured classes."""
+    """Return (train_set, val_set) already filtered to the configured classes:
+    the IDX files under data_dir, or the synthetic corpus drawn from seed."""
     classes = _parsed_classes(cfg)
     if cfg.dataset == "synthetic":
         return (make_synthetic_digits(cfg.limit, classes, cfg.seed, cfg.image_size),
                 make_synthetic_digits(cfg.val_limit, classes, cfg.seed + 1, cfg.image_size))
-    train_set = load_idx(_idx_path(cfg, "train_images"), _idx_path(cfg, "train_labels"))
-    val_set = load_idx(_idx_path(cfg, "test_images"), _idx_path(cfg, "test_labels"))
+    data_dir = Path(cfg.data_dir)
+    train_set = load_idx(*(data_dir / name for name in TRAIN_IDX))
+    val_set = load_idx(*(data_dir / name for name in TEST_IDX))
     return (
         filter_classes(train_set, classes, cfg.limit),
         filter_classes(val_set, classes, cfg.val_limit),
@@ -223,7 +206,7 @@ def _load_run(run_dir: Path, sigma=None):
     model = DenoisingAutoencoder(_model_spec(cfg), seed=init_ss)
     model.load(run_dir / "weights.bin")
     _, val_set = load_datasets(cfg)
-    clean = val_set.images[:cfg.val_limit]
+    clean = val_set.images
     if len(clean) == 0:
         raise ValueError("no validation images available")
     return cfg, model, clean, add_gaussian_noise(clean, NoiseSpec(cfg.sigma, val_noise_seed))
@@ -269,8 +252,8 @@ def cmd_sweep(args) -> int:
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    for index, combo in enumerate(itertools.product(*(vals for _, vals in axes))):
-        point = replace(cfg, **dict(zip(names, combo)), seed=cfg.seed + index)
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        point = replace(cfg, **dict(zip(names, combo)))
         cid = config_id(point)
         try:
             _, final_ssim = _train_run(point)

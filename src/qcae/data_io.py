@@ -9,12 +9,10 @@ to [0, 1] on load.
 """
 from __future__ import annotations
 
-import gzip
 import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from urllib.request import urlopen
 
 import numpy as np
 
@@ -22,13 +20,6 @@ from .metrics import band, gaussian_taps
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
-
-MNIST_FILES = {
-    "train-images-idx3-ubyte": 16 + 60000 * 28 * 28,
-    "train-labels-idx1-ubyte": 8 + 60000,
-    "t10k-images-idx3-ubyte": 16 + 10000 * 28 * 28,
-    "t10k-labels-idx1-ubyte": 8 + 10000,
-}
 
 
 class IdxParseError(ValueError):
@@ -199,33 +190,6 @@ def montage(images, cols: int | None = None, gap: int = 1, fill: float = 1.0) ->
         top, left = r * (height + gap), c * (width + gap)
         canvas[top:top + height, left:left + width] = im
     return canvas
-
-
-def fetch_mnist(dest_dir, base_url: str, expected_sizes: dict | None = None) -> list[Path]:
-    """Download the four IDX files (optionally gzipped) from a mirror.
-
-    Each payload is gunzipped when it carries the gzip magic and its
-    decompressed length is checked against the expected table before
-    anything is written. Returns the written paths.
-    """
-    expected_sizes = MNIST_FILES if expected_sizes is None else expected_sizes
-    dest_dir = Path(dest_dir)
-    dest_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, size in expected_sizes.items():
-        url = f"{base_url.rstrip('/')}/{name}.gz"
-        with urlopen(url) as resp:
-            payload = resp.read()
-        if payload[:2] == b"\x1f\x8b":
-            payload = gzip.decompress(payload)
-        if len(payload) != size:
-            raise ValueError(
-                f"{url}: expected {size} bytes after decompression, got {len(payload)}"
-            )
-        path = dest_dir / name
-        path.write_bytes(payload)
-        written.append(path)
-    return written
 
 
 def _blur(img: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ buffer, and their gradients views of a second. Sigmoid uses tanh: it never overf
 """
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -350,21 +351,22 @@ def load_weights(path) -> list[np.ndarray]:
     if data[:4] != WEIGHTS_MAGIC:
         raise ValueError(f"{path}: bad weights magic {data[:4]!r}")
     offset = 4
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
+
+    def take(nbytes: int) -> memoryview:
+        nonlocal offset
+        if offset + nbytes > len(data):
+            raise ValueError(f"{path}: truncated, {nbytes} bytes needed at offset {offset} "
+                             f"but the file ends at offset {len(data)}")
+        offset += nbytes
+        return memoryview(data)[offset - nbytes:offset]
+
+    (count,) = struct.unpack("<I", take(4))
     shapes = []
     for _ in range(count):
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{ndim}I", data, offset)
-        offset += 4 * ndim
-        shapes.append(shape)
-    tensors = []
-    for shape in shapes:
-        size = int(np.prod(shape)) if shape else 1
-        t = np.frombuffer(data, dtype="<f8", count=size, offset=offset).reshape(shape)
-        offset += 8 * size
-        tensors.append(t.astype(np.float64))
+        (ndim,) = struct.unpack("<I", take(4))
+        shapes.append(struct.unpack(f"<{ndim}I", take(4 * ndim)))
+    tensors = [np.frombuffer(take(8 * math.prod(shape)), dtype="<f8").reshape(shape)
+               .astype(np.float64) for shape in shapes]
     if offset != len(data):
         raise ValueError(f"{path}: trailing bytes after tensor data (offset {offset})")
     return tensors

@@ -284,10 +284,10 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
 
 
 def _angle_term(costate: np.ndarray, state: np.ndarray, gate: GateOp) -> np.ndarray:
-    """Re<costate|U(pi) state> per row, which is Im<costate|G state>."""
-    turned = state.copy()
-    _apply(turned, gate.kind, gate.targets, np.pi)
-    return np.einsum("ij,ij->i", costate.conj(), turned).real
+    """Re<costate|U(pi) state> per row, which is Im<costate|G state>; turns
+    state in place. Re(conj(a) b) is the dot of their (re, im) float views."""
+    _apply(state, gate.kind, gate.targets, np.pi)
+    return np.einsum("ij,ij->i", costate.view(float), state.view(float))
 
 
 def _pure_sweep(n, gates, angles, weights, rows, out) -> None:
@@ -299,7 +299,7 @@ def _pure_sweep(n, gates, angles, weights, rows, out) -> None:
     undo = -np.concatenate([angles, angles])
     for i, gate in reversed(list(enumerate(gates))):
         if gate.kind in ROTATION_KINDS:
-            out[:, i] = _angle_term(state[m:], state[:m], gate)
+            out[:, i] = _angle_term(state[m:], state[:m].copy(), gate)
         _evolve(state, n, gate, undo[:, i])
 
 

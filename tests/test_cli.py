@@ -2,6 +2,7 @@
 exit codes, config handling."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,8 @@ from qcae.cli import (
     main,
     resolve_config,
 )
+from qcae.data_io import make_synthetic_digits, write_idx
+from qcae.nn import load_weights
 
 FAST = [
     "--dataset", "synthetic",
@@ -137,10 +140,17 @@ def test_one_qubit_qaoa_is_a_config_error(tmp_path):
     assert code == 1 and not (tmp_path / "runs").exists()
 
 
-def test_env_var_overrides_data_dir(tmp_path, monkeypatch):
+def test_idx_files_come_from_data_dir_alone(tmp_path, monkeypatch):
+    # the environment names no data location; only --data-dir does
     monkeypatch.setenv("QCAE_DATA_DIR", str(tmp_path / "missing"))
-    code = main(["train", "--dataset", "idx", "--output-dir", str(tmp_path / "runs")])
-    assert code == 1  # resolved the env dir, which has no files
+    data_dir = tmp_path / "mnist"
+    data_dir.mkdir()
+    for split, count, seed in (("train", 32, 0), ("t10k", 8, 1)):
+        write_idx(make_synthetic_digits(count, seed=seed, size=8),
+                  data_dir / f"{split}-images-idx3-ubyte", data_dir / f"{split}-labels-idx1-ubyte")
+    code, runs = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir))
+    assert code == 0 and len(runs) == 1
+    assert json.loads(runs[0].read_text())["config"]["data_dir"] == str(data_dir)
 
 
 # ----------------------------------------------------------------- denoise
@@ -186,6 +196,16 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
     content = sweeps[0].read_bytes()
     assert main(argv) == 0
     assert sweeps[0].read_bytes() == content
+
+
+def test_sweep_points_share_the_configured_seed(tmp_path):
+    # arms of a comparison train on one corpus from one initialization
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--seed", "3", "--output-dir", str(out),
+                 "--axis", "psr=true,false"]) == 0
+    manifests = [json.loads(m.read_text()) for m in out.glob("*/manifest.json")]
+    assert sorted(m["config"]["psr"] for m in manifests) == [False, True]
+    assert [m["config"]["seed"] for m in manifests] == [3, 3]
 
 
 def test_sweep_continues_past_failing_grid_point(tmp_path):
@@ -242,6 +262,19 @@ def test_eval_reproduces_final_curve_ssim(tmp_path):
         curve_ssim = (run_dir / "curve.csv").read_text().splitlines()[-1].split(",")[-1]
         eval_ssim = (run_dir / "eval.csv").read_text().splitlines()[-1].split(",")[-1]
         assert eval_ssim == curve_ssim, name
+
+
+def test_truncated_weights_are_a_config_error_naming_the_file(tmp_path, capsys):
+    code, runs = run_train(tmp_path)
+    run_dir = runs[0].parent
+    path = run_dir / "weights.bin"
+    blob = path.read_bytes()
+    for cut in (10, 60, len(blob) - 8):  # two cuts inside the header, one in the payload
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*offset"):
+            load_weights(path)
+        assert main(["eval", "--run", str(run_dir)]) == 1
+        assert str(path) in capsys.readouterr().err
 
 
 def test_unknown_manifest_key_is_a_config_error(tmp_path, capsys):

@@ -1,5 +1,4 @@
-"""IDX parsing and round trips, filtering, noise, PGM, fetch, synthetic corpus."""
-import gzip
+"""IDX parsing and round trips, filtering, noise, PGM, synthetic corpus."""
 import struct
 
 import numpy as np
@@ -13,7 +12,6 @@ from qcae.data_io import (
     NoiseSpec,
     add_gaussian_noise,
     export_pgm,
-    fetch_mnist,
     filter_classes,
     import_pgm,
     load_idx,
@@ -214,20 +212,6 @@ def test_montage_layout():
     assert np.all(grid[:, :4] == 0.0)
     assert np.all(grid[:, 4] == 1.0)  # gap column
     assert np.all(grid[:, 5:9] == 0.5)
-
-
-# ----------------------------------------------------------------- fetch
-
-def test_fetch_verifies_length_and_gunzips(tmp_path):
-    mirror = tmp_path / "mirror"
-    mirror.mkdir()
-    payload = bytes(range(256)) * 4
-    (mirror / "blob.gz").write_bytes(gzip.compress(payload))
-    dest = tmp_path / "dest"
-    written = fetch_mnist(dest, mirror.as_uri(), expected_sizes={"blob": len(payload)})
-    assert written[0].read_bytes() == payload
-    with pytest.raises(ValueError, match="expected"):
-        fetch_mnist(dest, mirror.as_uri(), expected_sizes={"blob": len(payload) + 1})
 
 
 # ------------------------------------------------------------- synthetic

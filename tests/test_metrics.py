@@ -97,17 +97,28 @@ def test_importing_qcae_leaves_scipy_signal_unloaded():
     assert result.stdout.strip() == "False"
 
 
-def test_importing_qcae_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy serves only as a test oracle
+# numpy is the only runtime dependency (scipy serves only as a test oracle),
+# and the package reads local files only, so it loads no network module.
+# urllib.parse is allowed: pathlib loads it
+UNLOADED_ON_IMPORT = ("scipy", "urllib.request", "http", "email", "ssl", "socket")
+
+
+@pytest.fixture(scope="module")
+def modules_after_import() -> list[str]:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import qcae, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "import qcae, sys; print(*sys.modules)"
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.split()
+
+
+@pytest.mark.parametrize("package", UNLOADED_ON_IMPORT)
+def test_importing_qcae_loads_no(modules_after_import, package):
+    loaded = [m for m in modules_after_import if m == package or m.startswith(package + ".")]
+    assert loaded == []
 
 
 def test_ssim_degrades_monotonically_with_noise():
