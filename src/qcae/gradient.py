@@ -10,8 +10,9 @@ parameter (QAOA ties one gamma to every ring edge, one beta to every qubit).
 psr_gradient is the paper's parameter-shift rule, the one hardware could
 run: df/dphi = (f(phi + pi/2) - f(phi - pi/2)) / 2 for each gate angle phi.
 The forward pass and every shift are angle rows of one gate program, run by
-one statevector.run_rows call, and give the full jacobian of per-qubit <Z>;
-chain_loss_gradient contracts it with the classical side's gradient.
+statevector.run_rows a block of rows at a time, and give the full jacobian
+of per-qubit <Z>; chain_loss_gradient contracts it with the classical side's
+gradient.
 
 adjoint_gradient gives that contraction directly from one reverse sweep
 (statevector.angle_gradient, with the costate of sum_q downstream[q] Z_q;
@@ -27,7 +28,9 @@ from math import pi
 import numpy as np
 
 from .ansatz import CircuitTemplate
-from .statevector import NoiseChannel, angle_gradient, measure_rows_z, run_rows
+from .statevector import NoiseChannel, angle_gradient, measure_rows_z, row_width, run_rows
+
+PSR_BLOCK_ENTRIES = 1 << 15  # row entries per run_rows call of psr_gradient (512 KB)
 
 
 @dataclass(frozen=True)
@@ -56,7 +59,9 @@ def psr_gradient(
     params is one vector or an (N, slot_count) batch. Each vector becomes
     1 + 2 * (bound gates) angle rows of the same gate program: row 0 is the
     forward pass, rows 1 + 2k and 2 + 2k shift the k-th bound gate by +pi/2
-    and -pi/2. All rows of the batch run in one run_rows call.
+    and -pi/2. The rows run through run_rows in blocks of at most
+    PSR_BLOCK_ENTRIES row entries (one row if a row is larger), so memory
+    stays flat in the batch size even for (M, 4^n) density rows.
     """
     base = template.gate_angles(params)
     batch = base.reshape(-1, base.shape[-1])
@@ -64,9 +69,12 @@ def psr_gradient(
     n_rows = 1 + 2 * len(bound)
     shifts = np.kron(np.eye(batch.shape[1])[bound], [[pi / 2], [-pi / 2]])
     rows = batch[:, None, :] + np.vstack([np.zeros(batch.shape[1]), shifts])
+    rows = rows.reshape(-1, batch.shape[1])
     n = template.n_qubits
-    out = run_rows(n, template.gates, rows.reshape(-1, batch.shape[1]), channel)
-    z = measure_rows_z(out, channel).reshape(len(batch), n_rows, n)
+    step = max(1, PSR_BLOCK_ENTRIES // row_width(n, channel))
+    z = np.concatenate([measure_rows_z(run_rows(n, template.gates, rows[lo:lo + step], channel),
+                                       channel) for lo in range(0, len(rows), step)])
+    z = z.reshape(len(batch), n_rows, n)
     per_gate = np.zeros((len(batch), n, len(template.gates)))
     per_gate[:, :, bound] = np.swapaxes(z[:, 1::2] - z[:, 2::2], 1, 2) / 2.0
     entries = per_gate @ template.slot_map

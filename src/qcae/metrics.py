@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 C1, C2 = 0.01 ** 2, 0.03 ** 2  # (k1 * range)**2, (k2 * range)**2 with range 1
+EVAL_BLOCK = 32  # most images per block of mean_ssim and DenoisingAutoencoder.denoise
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,15 @@ def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray
     return s_map.mean(axis=(-2, -1))
 
 
+def eval_blocks(count: int) -> list[slice]:
+    """Cut range(count) into the fewest blocks of at most EVAL_BLOCK, of
+    near-equal size: a short tail block would pay every layer's per-call
+    cost for a few images."""
+    n_blocks = -(-count // EVAL_BLOCK)
+    edges = [count * i // n_blocks for i in range(1, n_blocks + 1)]
+    return [slice(lo, hi) for lo, hi in zip([0] + edges, edges)]
+
+
 def _as_plane(image) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim == 3 and image.shape[0] == 1:
@@ -97,7 +107,8 @@ def ssim_config_for(image_shape) -> SsimConfig:
 
 
 def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
-    """Mean of per-image ssim over two equally long (N, H, W) or (N, 1, H, W) stacks."""
+    """Mean of per-image ssim over two equally long (N, H, W) or (N, 1, H, W)
+    stacks, scored over the blocks of eval_blocks so memory does not grow with N."""
     batch_a, batch_b = np.asarray(batch_a, dtype=float), np.asarray(batch_b, dtype=float)
     if batch_a.shape != batch_b.shape:
         raise ValueError(f"shape mismatch: {batch_a.shape} vs {batch_b.shape}")
@@ -105,7 +116,10 @@ def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
         batch_a, batch_b = batch_a[:, 0], batch_b[:, 0]
     if batch_a.ndim != 3:
         raise ValueError(f"expected a stack of images, got shape {batch_a.shape}")
-    return float(_ssim_per_image(batch_a, batch_b, cfg).mean())
+    per_image = np.empty(len(batch_a))
+    for block in eval_blocks(len(batch_a)):
+        per_image[block] = _ssim_per_image(batch_a[block], batch_b[block], cfg)
+    return float(per_image.mean())
 
 
 def write_csv(records: list[RunRecord], path) -> None:

@@ -35,7 +35,7 @@ import numpy as np
 from .ansatz import CircuitTemplate, family_template, normalize_to_angle
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import adjoint_gradient
-from .metrics import RunRecord, mean_ssim, ssim_config_for
+from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
 from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
@@ -144,6 +144,13 @@ class _Stack:
             grad = layer.backward(grad)
         return grad
 
+    def param_backward(self, grad) -> None:
+        """backward for a stack whose input is the data, which nothing
+        differentiates: the first layer fills only its parameter gradients."""
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        self.layers[0].param_backward(grad)
+
 
 class QuantumLatent:
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
@@ -223,11 +230,16 @@ class DenoisingAutoencoder:
         grad = self.decoder.backward(loss_gradient)
         if self.quantum is not None:
             grad = self.quantum.backward(grad)
-        self.encoder.backward(grad)
+        self.encoder.param_backward(grad)
 
     def denoise(self, images: np.ndarray) -> np.ndarray:
-        """Forward pass clamped to [0, 1], order preserved."""
-        return np.clip(self.forward(images), 0.0, 1.0)
+        """Forward pass clamped to [0, 1], order preserved, run over the
+        blocks of metrics.eval_blocks so memory does not grow with the image count."""
+        size = self.spec.image_size
+        out = np.empty((len(images), 1, size, size))
+        for block in eval_blocks(len(images)):
+            out[block] = self.forward(images[block])
+        return np.clip(out, 0.0, 1.0, out=out)
 
     def save(self, path) -> None:
         save_weights(path, self._tensors)

@@ -152,14 +152,22 @@ class Conv2d(_Weighted):
         return y.reshape(out_c, h_out, w_out, len(x)).transpose(3, 0, 1, 2)
 
     def backward(self, upstream):
-        x_shape, cols, out_shape = self._take_cache("_cache")
-        self._check_upstream(upstream, out_shape)
+        d_y = self.param_backward(upstream)
+        x_shape, _, out_shape = self._cache
         out_c, _, k, _ = self.weight.shape
-        d_y = upstream.transpose(1, 2, 3, 0).reshape(out_c, -1)
-        self.grad_weight[...] = (d_y @ cols.T).reshape(self.weight.shape)
-        self.grad_bias[...] = d_y.sum(axis=1)
         d_cols = self.weight.reshape(out_c, -1).T @ d_y
         return _col2im(d_cols, x_shape, k, self.stride, self.padding, out_shape[2:])
+
+    def param_backward(self, upstream):
+        """backward without the input gradient, for a layer whose input is the
+        data: writes grad_weight and grad_bias and returns upstream as the
+        (out_channels, P*N) matrix the input gradient would contract."""
+        _, cols, out_shape = self._take_cache("_cache")
+        self._check_upstream(upstream, out_shape)
+        d_y = upstream.transpose(1, 2, 3, 0).reshape(self.weight.shape[0], -1)
+        self.grad_weight[...] = (d_y @ cols.T).reshape(self.weight.shape)
+        self.grad_bias[...] = d_y.sum(axis=1)
+        return d_y
 
 
 class ConvTranspose2d(_Weighted):

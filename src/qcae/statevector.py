@@ -188,6 +188,11 @@ def _mixed(channel: NoiseChannel | None) -> bool:
     return channel is not None and channel.depolarizing_prob > 0.0
 
 
+def row_width(n_qubits: int, channel: NoiseChannel | None = None) -> int:
+    """Entries of one run_rows row: 2^n amplitudes, or a 4^n density matrix."""
+    return 1 << (2 * n_qubits if _mixed(channel) else n_qubits)
+
+
 def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) -> np.ndarray:
     """Run one gate sequence on M rows, each from |0...0>.
 

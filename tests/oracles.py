@@ -10,10 +10,11 @@ significant bit of the basis index.
 The convolution oracles loop over output pixels (conv) or scatter each input
 pixel times its kernel (tconv), and the SSIM oracle sums each window
 explicitly; none shares code with the package's patch matrices or its
-banded-window products.
+banded-window products. peak_bytes measures a call's memory high-water mark.
 """
 from __future__ import annotations
 
+import tracemalloc
 from math import cos, sin
 
 import numpy as np
@@ -215,3 +216,13 @@ def ssim_direct(a, b, window: str, c1: float, c2: float) -> float:
             values.append((2 * mu_a * mu_b + c1) * (2 * cov + c2)
                           / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)))
     return float(np.mean(values))
+
+
+def peak_bytes(fn, *args) -> int:
+    """High-water mark of the memory Python and numpy allocate during fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,12 +5,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import qcae
+import qcae.gradient
 from qcae.ansatz import CircuitTemplate, family_template
 from qcae.gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient, psr_gradient
 from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, angle_gradient,
                               measure_all_z, measure_rows_z, run_circuit, run_rows)
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, peak_bytes
 
 
 def single_ry_template() -> CircuitTemplate:
@@ -112,6 +113,30 @@ def test_batched_jacobian_equals_one_call_per_vector(family):
     downstream = rng.normal(size=(4, 3))
     assert np.array_equal(chain_loss_gradient(jac, downstream),
                           np.stack([chain_loss_gradient(s, d) for s, d in zip(singles, downstream)]))
+
+
+@pytest.mark.parametrize("depolarizing", [0.0, 0.05])
+def test_row_blocks_leave_the_jacobian_unchanged(monkeypatch, depolarizing):
+    template = family_template("c", 3, 2)
+    channel = NoiseChannel(depolarizing_prob=depolarizing)
+    batch = np.random.default_rng(7).uniform(0, 2 * np.pi, (3, template.slot_count))
+    whole = psr_gradient(template, batch, channel)
+    monkeypatch.setattr(qcae.gradient, "PSR_BLOCK_ENTRIES", 1)  # one row per block
+    rows = psr_gradient(template, batch, channel)
+    # the readout product of a one-row block may round differently in the last bit
+    np.testing.assert_allclose(rows.entries, whole.entries, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rows.forward, whole.forward, rtol=0, atol=1e-15)
+    assert rows.n_executions == whole.n_executions == 3 * (2 * template.slot_count + 1)
+
+
+def test_noisy_psr_memory_does_not_grow_with_the_batch():
+    # family c, n=5: 41 rows of 4^5-entry density matrices per vector
+    template = family_template("c", 5, 2)
+    channel = NoiseChannel(depolarizing_prob=0.01)
+    batch = np.random.default_rng(8).uniform(0, 2 * np.pi, (16, template.slot_count))
+    small = peak_bytes(psr_gradient, template, batch[:2], channel)
+    # in one run_rows call the 16-vector batch peaked at about 7x the 2-vector one
+    assert peak_bytes(psr_gradient, template, batch, channel) <= 1.5 * small
 
 
 def test_noisy_jacobian_matches_finite_differences_of_exact_expectation():

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 from qcae.data_io import NoiseSpec, add_gaussian_noise, make_synthetic_digits
-from qcae.metrics import C1, C2, RunRecord, SsimConfig, mean_ssim, ssim, write_csv
+from qcae import metrics
+from qcae.metrics import (C1, C2, EVAL_BLOCK, RunRecord, SsimConfig, eval_blocks, mean_ssim,
+                          ssim, write_csv)
 
-from oracles import ssim_direct
+from oracles import peak_bytes, ssim_direct
 
 
 def test_ssim_identity_is_one():
@@ -83,6 +85,36 @@ def test_mean_ssim_of_a_stack_is_the_mean_of_per_image_ssim():
         mean_ssim(a[0, 0], b[0, 0])
     with pytest.raises(ValueError):
         mean_ssim(np.zeros((2, 2, 28, 28)), np.zeros((2, 2, 28, 28)))
+
+
+def test_eval_blocks_cut_every_count_into_whole_blocks():
+    assert eval_blocks(0) == []
+    assert eval_blocks(32) == [slice(0, 32)]
+    assert eval_blocks(33) == [slice(0, 16), slice(16, 33)]
+    assert eval_blocks(70) == [slice(0, 23), slice(23, 46), slice(46, 70)]
+    for count in range(1, 300):
+        blocks = eval_blocks(count)
+        assert blocks[0].start == 0 and blocks[-1].stop == count
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        sizes = [b.stop - b.start for b in blocks]
+        assert len(blocks) == -(-count // EVAL_BLOCK) and max(sizes) <= EVAL_BLOCK
+        assert max(sizes) - min(sizes) <= 1
+
+
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 70, 100])
+def test_blocked_mean_ssim_equals_the_mean_of_one_call(count):
+    rng = np.random.default_rng(count)
+    a, b = rng.random((count, 28, 28)), rng.random((count, 28, 28))
+    one_call = metrics._ssim_per_image(a, b, SsimConfig())
+    assert mean_ssim(a, b) == float(one_call.mean())
+
+
+def test_mean_ssim_memory_does_not_grow_with_the_image_count():
+    rng = np.random.default_rng(10)
+    a, b = rng.random((256, 28, 28)), rng.random((256, 28, 28))
+    mean_ssim(a[:32], b[:32])  # warm-up
+    # one call over all 256 images held five (256, 18, 28) planes and their products
+    assert peak_bytes(mean_ssim, a, b) <= 2 * peak_bytes(mean_ssim, a[:32], b[:32])
 
 
 def test_importing_qcae_leaves_scipy_signal_unloaded():

@@ -3,8 +3,10 @@ end-to-end finite-difference agreement, and training behaviour."""
 import numpy as np
 import pytest
 
+import qcae.nn
 from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
+from qcae.metrics import EVAL_BLOCK, eval_blocks
 from qcae.model import (
     SQUASH_HI,
     SQUASH_LO,
@@ -17,7 +19,7 @@ from qcae.model import (
 from qcae.nn import mse_loss
 from qcae.statevector import NoiseChannel
 
-from oracles import fd_gradient
+from oracles import fd_gradient, peak_bytes
 
 TOY = dict(image_size=8, n_qubits=2, p=1)
 
@@ -115,6 +117,25 @@ def test_psr_disabled_freezes_encoder():
     for g in stack_tensors(model.encoder, "grad_"):
         assert np.allclose(g, 0.0)
     assert any(np.max(np.abs(g)) > 0 for g in stack_tensors(model.decoder, "grad_"))
+
+
+def test_backward_never_forms_the_image_gradient(monkeypatch):
+    # nothing reads d(loss)/d(input image), so the first conv skips its
+    # W.T @ d_y and the 9-offset scatter back onto the 28x28 grid
+    model = DenoisingAutoencoder(ModelSpec(kind="ccae"), seed=12)
+    x = toy_images(3, seed=13, size=28)
+    out = model.forward(x)
+    scattered = []
+
+    def spy(cols, x_shape, *args):
+        scattered.append(tuple(x_shape))
+        return col2im(cols, x_shape, *args)
+
+    col2im = qcae.nn._col2im
+    monkeypatch.setattr(qcae.nn, "_col2im", spy)
+    model.backward(np.ones_like(out))
+    assert scattered, "the spy saw no conv input gradient at all"
+    assert x.shape not in scattered
 
 
 def _total_loss(model, x, target):
@@ -297,6 +318,31 @@ def test_denoise_repeats_identically_and_clamps():
     a, b = model.denoise(x), model.denoise(x)
     assert np.array_equal(a, b)
     assert a.min() >= 0.0 and a.max() <= 1.0
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(n_qubits=4, p=2, family="c"), ModelSpec(kind="ccae")],
+                         ids=["qcae-c4", "ccae"])
+@pytest.mark.parametrize("count", [1, 31, 32, 33, 70])
+def test_denoise_is_the_block_loop_of_forward(spec, count):
+    model = DenoisingAutoencoder(spec, seed=14)
+    x = toy_images(count, seed=15, size=28)
+    denoised = model.denoise(x)
+    assert denoised.shape == x.shape and denoised.flags.c_contiguous
+    for block in eval_blocks(count):
+        assert np.array_equal(denoised[block], np.clip(model.forward(x[block]), 0.0, 1.0))
+    one_call = np.clip(model.forward(x), 0.0, 1.0)
+    if count <= EVAL_BLOCK:  # one block
+        assert np.array_equal(denoised, one_call)
+    else:  # BLAS rounds a product by its shape, so blocks may move the last bit
+        np.testing.assert_allclose(denoised, one_call, rtol=0, atol=1e-14)
+
+
+def test_denoise_memory_does_not_grow_with_the_image_count():
+    model = DenoisingAutoencoder(ModelSpec(n_qubits=4, p=2, family="c"), seed=16)
+    few, many = toy_images(32, seed=17, size=28), toy_images(256, seed=18, size=28)
+    model.denoise(few)  # warm-up
+    # one call over all 256 images peaks about 8x the 32-image pass
+    assert peak_bytes(model.denoise, many) <= 2 * peak_bytes(model.denoise, few)
 
 
 def test_denoise_preserves_batch_order():

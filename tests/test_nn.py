@@ -242,6 +242,19 @@ def test_conv_backward_names_both_shapes_of_a_wrong_upstream():
         conv.backward(np.zeros((3, 2, 2, 3)))
 
 
+def test_conv_param_backward_fills_the_gradients_backward_fills():
+    conv = Conv2d(1, 4, 3, stride=2, padding=1, rng=rng_for(67))
+    upstream = rng_for(68).normal(size=conv.forward(rng_for(69).normal(size=(3, 1, 8, 8))).shape)
+    conv.backward(upstream)
+    full = conv.grad_weight.copy(), conv.grad_bias.copy()
+    conv.grad_weight[...], conv.grad_bias[...] = 0.0, 0.0
+    conv.param_backward(upstream)
+    np.testing.assert_array_equal(conv.grad_weight, full[0])
+    np.testing.assert_array_equal(conv.grad_bias, full[1])
+    with pytest.raises(ValueError, match="upstream shape"):
+        conv.param_backward(upstream[:2])
+
+
 def test_tconv_backward_names_both_shapes_of_a_wrong_upstream():
     tconv = ConvTranspose2d(1, 1, 3, stride=2, padding=1, output_padding=1, rng=rng_for())
     tconv.forward(np.zeros((2, 1, 4, 4)))
