@@ -9,7 +9,6 @@ import numpy as np
 from qcae import (
     family_template,
     measure_all_z,
-    normalize_to_angle,
     qaoa_template,
     run_circuit,
     ry,
@@ -17,7 +16,7 @@ from qcae import (
 
 print("== values as RY angles ==")
 raw = np.array([0.1, 0.6, 0.9])
-angles = normalize_to_angle(raw, 0.0, 1.0)
+angles = 2 * np.pi * raw  # [0, 1] onto [0, 2*pi]
 print("raw values   :", raw)
 print("as angles    :", np.round(angles, 3))
 state = run_circuit(3, [ry(q, a) for q, a in enumerate(angles)])

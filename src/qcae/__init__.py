@@ -6,7 +6,7 @@ The package splits into small, composable pieces:
                of angle rows, exact Z expectations and their gradient by
                every gate angle, and an exact depolarizing/readout channel
   ansatz       circuit templates of GateOps (QAOA layers plus comparison
-               families) and the map of squashed values onto angles
+               families)
   gradient     parameter-shift jacobians, chain-rule glue, and the adjoint
                gradient that trains the circuit, both mapped by slot_map
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
@@ -16,7 +16,7 @@ The package splits into small, composable pieces:
   cli          train / denoise / sweep / eval entry points
 """
 
-from .ansatz import CircuitTemplate, family_template, normalize_to_angle, qaoa_template
+from .ansatz import CircuitTemplate, family_template, qaoa_template
 from .data_io import (MnistSet, NoiseSpec, add_gaussian_noise, export_pgm, filter_classes,
                       load_idx, make_synthetic_digits, montage, write_idx)
 from .gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient, psr_gradient

@@ -17,14 +17,13 @@ GateOp list. Families:
   c     per layer: RY column, CNOT ring (chain plus q_{n-1}->q0),
         then RZ column                                              (2*p*n slots)
 
-Slot indices follow gate order within each family, so identical inputs
-always produce identical gate lists.
+Slot indices follow gate order, so identical inputs give identical gate lists;
+model.QuantumLatent feeds a template the angles pi * (1 + tanh).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from math import pi
 
 import numpy as np
 
@@ -146,10 +145,3 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
             rotation_column("rz")
     return CircuitTemplate(n_qubits, p, family, tuple(gates))
 
-
-def normalize_to_angle(raw, lo: float, hi: float) -> np.ndarray:
-    """Affine map of [lo, hi] onto [0, 2*pi], clamped outside the range."""
-    if hi <= lo:
-        raise ValueError(f"need hi > lo, got lo={lo}, hi={hi}")
-    raw = np.asarray(raw, dtype=float)
-    return np.clip(2.0 * pi * (raw - lo) / (hi - lo), 0.0, 2.0 * pi)

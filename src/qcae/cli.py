@@ -227,16 +227,10 @@ def cmd_denoise(args) -> int:
     return 0
 
 
-SWEEP_AXES = ("p", "sigma", "family", "psr")
-
-
 def _parse_axis(text: str) -> tuple[str, list]:
     if "=" not in text:
         raise ValueError(f"axis must look like name=v1,v2,... got {text!r}")
-    name, _, values = text.partition("=")
-    name = name.strip()
-    if name not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {name!r}")
+    name, values = (part.strip() for part in text.split("=", 1))
     parsed = [_coerce(name, v) for v in values.split(",") if v.strip() != ""]
     if not parsed:
         raise ValueError(f"axis {name!r} has no values")
@@ -324,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_denoise.add_argument("--sigma", default=None)
     p_denoise.set_defaults(func=cmd_denoise)
 
-    p_sweep = sub.add_parser("sweep", help="train a grid over p/sigma/family/psr")
+    p_sweep = sub.add_parser("sweep", help="train a grid over any config keys")
     _add_override_flags(p_sweep)
     p_sweep.add_argument("--axis", action="append", default=[],
                          metavar="NAME=V1,V2", help="repeatable sweep axis")

@@ -144,13 +144,18 @@ def add_gaussian_noise(images: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     return np.clip(noisy, 0.0, 1.0)
 
 
-def export_pgm(image, path) -> None:
-    """8-bit binary PGM (P5), maxval 255, row-major."""
+def _as_plane(image) -> np.ndarray:
     image = np.asarray(image, dtype=float)
     if image.ndim == 3 and image.shape[0] == 1:
         image = image[0]
     if image.ndim != 2:
         raise ValueError(f"expected a 2-D image or (1, H, W), got shape {image.shape}")
+    return image
+
+
+def export_pgm(image, path) -> None:
+    """8-bit binary PGM (P5), maxval 255, row-major."""
+    image = _as_plane(image)
     height, width = image.shape
     body = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as f:
@@ -170,26 +175,16 @@ def import_pgm(path) -> np.ndarray:
     return body.reshape(1, height, width).astype(np.float64) / maxval
 
 
-def montage(images, cols: int | None = None, gap: int = 1, fill: float = 1.0) -> np.ndarray:
-    """Pack equally sized images into one grid image, row-major order."""
-    images = [np.asarray(im, dtype=float) for im in images]
-    images = [im[0] if im.ndim == 3 and im.shape[0] == 1 else im for im in images]
+def montage(images) -> np.ndarray:
+    """Equally sized images side by side in one row, one white (1.0) pixel apart."""
+    images = [_as_plane(im) for im in images]
     if not images:
         raise ValueError("montage needs at least one image")
     height, width = images[0].shape
     if any(im.shape != (height, width) for im in images):
         raise ValueError("all montage tiles must share one shape")
-    count = len(images)
-    cols = count if cols is None else cols
-    n_rows = -(-count // cols)
-    canvas = np.full(
-        (n_rows * height + (n_rows - 1) * gap, cols * width + (cols - 1) * gap), fill
-    )
-    for i, im in enumerate(images):
-        r, c = divmod(i, cols)
-        top, left = r * (height + gap), c * (width + gap)
-        canvas[top:top + height, left:left + width] = im
-    return canvas
+    gap = np.ones((height, 1))
+    return np.hstack([part for im in images for part in (gap, im)][1:])
 
 
 def _blur(img: np.ndarray) -> np.ndarray:

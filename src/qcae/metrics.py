@@ -5,11 +5,13 @@ ssim follows the windowed form ((2*mu_a*mu_b + C1)(2*cov + C2)) /
 positions, with biased (weighted-sum) variance estimates. The default
 window is the canonical 11x11 Gaussian with sigma 1.5; an 8x8 uniform
 window is available as a cross-check. Pixels are assumed in [0, 1], so the
-dynamic range is 1. gaussian_taps and band also build data_io's corpus blur.
+dynamic range is 1. ssim is mean_ssim of a one-image stack, and each band
+matrix is built once. gaussian_taps and band also build data_io's corpus blur.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -53,15 +55,24 @@ def band(taps: np.ndarray, size: int) -> np.ndarray:
     return sum(t * np.eye(valid, size, u) for u, t in enumerate(taps))
 
 
+@cache
+def _bands(cfg: SsimConfig, height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only band(taps, height) and band(taps, width) of cfg's window."""
+    taps = _window_taps(cfg)
+    if min(height, width) < taps.size:
+        raise ValueError(f"image {(height, width)} smaller than ssim window {taps.size}")
+    bands = band(taps, height), band(taps, width)
+    for matrix in bands:
+        matrix.setflags(write=False)
+    return bands
+
+
 def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray:
     """SSIM of each image pair in two (N, H, W) stacks; all five local means of
     all images are one product R @ [a, b, a*a, b*b, a*b] @ C.T of banded taps."""
-    taps = _window_taps(cfg)
-    height, width = a.shape[-2:]
-    if min(height, width) < taps.size:
-        raise ValueError(f"image {(height, width)} smaller than ssim window {taps.size}")
+    rows, cols = _bands(cfg, *a.shape[-2:])
     stack = np.stack([a, b, a * a, b * b, a * b])
-    mu_a, mu_b, aa, bb, ab = band(taps, height) @ stack @ band(taps, width).T
+    mu_a, mu_b, aa, bb, ab = rows @ stack @ cols.T
     var_a = aa - mu_a * mu_a
     var_b = bb - mu_b * mu_b
     cov = ab - mu_a * mu_b
@@ -80,20 +91,9 @@ def eval_blocks(count: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + edges, edges)]
 
 
-def _as_plane(image) -> np.ndarray:
-    image = np.asarray(image, dtype=float)
-    if image.ndim == 3 and image.shape[0] == 1:
-        image = image[0]
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image or (1, H, W), got shape {image.shape}")
-    return image
-
-
 def ssim(a, b, cfg: SsimConfig = SsimConfig()) -> float:
-    a, b = _as_plane(a), _as_plane(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return float(_ssim_per_image(a[None], b[None], cfg)[0])
+    """SSIM of one (H, W) or (1, H, W) image pair."""
+    return mean_ssim(np.asarray(a)[None], np.asarray(b)[None], cfg)
 
 
 def ssim_config_for(image_shape) -> SsimConfig:

@@ -4,8 +4,8 @@ Two kinds share one skeleton: a convolutional encoder compresses the noisy
 image to a short feature vector, and a transposed-convolutional decoder
 rebuilds a [0, 1] image from a short latent vector. The classical model
 (ccae) wires those vectors together directly. The hybrid model (qcae)
-instead squashes the encoder output through tanh, maps it affinely onto
-[0, 2*pi], uses the result as the rotation parameters of a circuit
+instead squashes the encoder output through tanh, maps it onto [0, 2*pi]
+as pi * (1 + tanh), uses the result as the rotation parameters of a circuit
 template, runs the batch from |0...0> as one angle row per sample (the QAOA
 family applies its own H wall), and feeds the per-qubit Z expectations to
 the decoder.
@@ -32,15 +32,13 @@ from math import pi
 
 import numpy as np
 
-from .ansatz import CircuitTemplate, family_template, normalize_to_angle
+from .ansatz import CircuitTemplate, family_template
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import adjoint_gradient
 from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
 from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
-
-SQUASH_LO, SQUASH_HI = -1.0, 1.0  # tanh range fed to the angle map
 
 # per supported image size: the three encoder widths, and the kernel of the
 # last convolution, which reaches 1x1 after two stride-2 halvings
@@ -181,7 +179,7 @@ class QuantumLatent:
                 f"quantum latent expects (N, {self.n_parameters}), got {y.shape}"
             )
         self._squashed = np.tanh(y)
-        self._angles = normalize_to_angle(self._squashed, SQUASH_LO, SQUASH_HI)
+        self._angles = pi * (1.0 + self._squashed)
         self._rows = run_rows(self.template.n_qubits, self.template.gates,
                               self.template.gate_angles(self._angles), self.channel)
         return measure_rows_z(self._rows, self.channel)
@@ -193,8 +191,7 @@ class QuantumLatent:
         if not self.psr_enabled:
             return np.zeros_like(squashed)
         d_theta = adjoint_gradient(self.template, self._angles, d_z, self.channel, self._rows)
-        angle_scale = 2.0 * pi / (SQUASH_HI - SQUASH_LO)
-        return d_theta * angle_scale * (1.0 - squashed ** 2)
+        return d_theta * pi * (1.0 - squashed ** 2)
 
 
 class DenoisingAutoencoder:
@@ -206,12 +203,10 @@ class DenoisingAutoencoder:
         rng = np.random.default_rng(init_ss)
         self.spec = spec
         if spec.kind == "qcae":
-            self.template = family_template(spec.family, spec.n_qubits, spec.p)
-            latent_dim = self.template.slot_count
-            decoder_in = spec.n_qubits
-            self.quantum = QuantumLatent(self.template, spec.psr_enabled, spec.noise)
+            self.quantum = QuantumLatent(family_template(spec.family, spec.n_qubits, spec.p),
+                                         spec.psr_enabled, spec.noise)
+            latent_dim, decoder_in = self.quantum.n_parameters, spec.n_qubits
         else:
-            self.template = None
             self.quantum = None
             latent_dim = spec.latent_width if spec.latent_width else spec.n_qubits
             decoder_in = latent_dim

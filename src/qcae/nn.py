@@ -11,6 +11,7 @@ upstream shape and writes grad_weight and grad_bias in place. Weight init
 is uniform in +-sqrt(1/fan_in) from an explicit numpy Generator.
 pack_parameters makes a layer list's weights and biases views of one flat
 buffer, and their gradients views of a second. Sigmoid uses tanh: it never overflows.
+Adam takes a learning rate; its betas and epsilon are fixed ADAM_* constants.
 """
 from __future__ import annotations
 
@@ -21,6 +22,7 @@ import numpy as np
 
 WEIGHTS_MAGIC = b"NNW1"
 ADAM_BLOCK = 16384  # entries per block of Adam's update pass
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 LEAKY_SLOPE = 0.01  # LeakyReLU's negative slope; its np.maximum form needs a slope <= 1
 
 
@@ -284,15 +286,11 @@ class Adam:
     place. step makes one elementwise pass in textbook operation order, in
     blocks of ADAM_BLOCK entries that keep its two temporaries in cache."""
 
-    def __init__(self, params: np.ndarray, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, epsilon: float = 1e-8):
-        if not 0.0 < beta1 < 1.0 or not 0.0 < beta2 < 1.0:
-            raise ValueError("betas must lie in (0, 1)")
+    def __init__(self, params: np.ndarray, learning_rate: float = 1e-3):
         if not params.flags.c_contiguous:
             raise ValueError("Adam updates one C-contiguous parameter array")
         self.params = params
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, epsilon
         self.step_count = 0
         self.m, self.v = np.zeros_like(params), np.zeros_like(params)
         self._num, self._den = np.empty((2, min(params.size, ADAM_BLOCK)))
@@ -301,7 +299,7 @@ class Adam:
         if grad.shape != self.params.shape:
             raise ValueError(f"gradient shape {grad.shape} != parameter shape {self.params.shape}")
         self.step_count += 1
-        b1, b2, t = self.beta1, self.beta2, self.step_count
+        b1, b2, t = ADAM_BETA1, ADAM_BETA2, self.step_count
         flat = [a.reshape(-1) for a in (self.params, grad, self.m, self.v)]
         for lo in range(0, grad.size, ADAM_BLOCK):
             p, g, m, v = (a[lo:lo + ADAM_BLOCK] for a in flat)
@@ -317,7 +315,7 @@ class Adam:
             num *= self.lr
             np.divide(v, 1 - b2**t, out=den)
             np.sqrt(den, out=den)
-            den += self.eps
+            den += ADAM_EPSILON
             p -= np.divide(num, den, out=num)
 
 

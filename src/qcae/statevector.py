@@ -156,12 +156,15 @@ def _apply_phase(amps: np.ndarray, targets: tuple[int, ...], angles) -> None:
     amps *= np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))[..., parity]
 
 
+def _check_targets(n_qubits: int, gates) -> None:
+    """Refuse a gate target outside range(n_qubits); the gate kernels do not check."""
+    bad = [q for gate in gates for q in gate.targets if not 0 <= q < n_qubits]
+    if bad:
+        raise ValueError(f"gate target {bad[0]} out of range for {n_qubits} qubits")
+
+
 def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles) -> None:
     """One gate on every row; angles is one angle per row, or one for all."""
-    n = amps.shape[1].bit_length() - 1
-    for q in targets:
-        if not 0 <= q < n:
-            raise ValueError(f"gate target {q} out of range for {n} qubits")
     if kind == "h":
         _apply_1q(amps, targets[0], _H_MATRIX)
     elif kind in ("rx", "ry"):
@@ -205,6 +208,7 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
     qubit it touched is depolarized. measure_rows_z with the same channel reads either.
     """
     gates = list(gates)
+    _check_targets(n_qubits, gates)
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
@@ -220,7 +224,7 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
 
 def _evolve(rows: np.ndarray, n_qubits: int, gate: GateOp, angles: np.ndarray) -> None:
     """U(angles) on amplitude rows, or U rho U^dagger on density rows: then
-    conj(U) acts on the bra bits, whose range check bounds the targets by n.
+    conj(U) acts on the bra bits, each target shifted up by n_qubits.
     Negated angles undo the gate, since every kind's U(-a) is U(a)^dagger
     (H and CNOT are their own inverses)."""
     _apply(rows, gate.kind, gate.targets, angles)
@@ -274,6 +278,7 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
     noisy sweep re-runs the forward, since depolarizing cannot be undone.
     """
     gates = list(gates)
+    _check_targets(n_qubits, gates)
     angles = np.asarray(angles, dtype=float)
     d_z = np.asarray(d_z, dtype=float)
     if d_z.shape != (len(angles), n_qubits):

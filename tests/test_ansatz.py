@@ -7,7 +7,6 @@ from qcae.ansatz import (
     FAMILIES,
     CircuitTemplate,
     family_template,
-    normalize_to_angle,
     qaoa_template,
     ring_edges,
 )
@@ -15,26 +14,6 @@ from qcae.statevector import (GateOp, NoiseChannel, measure_all_z, measure_rows_
                               run_rows)
 
 from oracles import dense_all_z, run_dense
-
-
-# ---------------------------------------------------------- normalize_to_angle
-
-def test_normalize_endpoints_and_midpoint():
-    out = normalize_to_angle([0.0, 0.5, 1.0], 0.0, 1.0)
-    assert np.allclose(out, [0.0, np.pi, 2 * np.pi])
-
-
-def test_normalize_clamps_below():
-    assert np.allclose(normalize_to_angle([-3.0], -1.0, 1.0), [0.0])
-
-
-def test_normalize_quarter():
-    assert np.allclose(normalize_to_angle([0.25], 0.0, 1.0), [np.pi / 2])
-
-
-def test_normalize_rejects_bad_range():
-    with pytest.raises(ValueError):
-        normalize_to_angle([0.0], 1.0, 1.0)
 
 
 # ------------------------------------------------------------------ QAOA

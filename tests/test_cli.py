@@ -231,9 +231,21 @@ def test_sweep_family_by_depth_grid_shape(tmp_path):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_sweep_takes_any_config_key_as_an_axis(tmp_path):
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--output-dir", str(out),
+                 "--axis", "learning_rate=1e-3,3e-3"]) == 0
+    lines = next(out.glob("sweep_*.csv")).read_text().splitlines()
+    assert lines[0] == "config_id,learning_rate,final_val_ssim,status"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(row[1], row[-1]) for row in rows] == [("0.001", "ok"), ("0.003", "ok")]
+    manifests = [json.loads(m.read_text()) for m in out.glob("*/manifest.json")]
+    assert sorted(m["config"]["learning_rate"] for m in manifests) == [1e-3, 3e-3]
+
+
 def test_sweep_rejects_unknown_axis(tmp_path):
     assert main(["sweep", *FAST, "--output-dir", str(tmp_path),
-                 "--axis", "qubits=2,3"]) == 1
+                 "--axis", "qbits=2,3"]) == 1
     assert main(["sweep", *FAST, "--output-dir", str(tmp_path)]) == 1
 
 

@@ -207,7 +207,7 @@ def test_pgm_round_trip_within_quantization(tmp_path):
 
 def test_montage_layout():
     tiles = [np.full((1, 4, 4), v) for v in (0.0, 0.5, 1.0)]
-    grid = montage(tiles, gap=1, fill=1.0)
+    grid = montage(tiles)
     assert grid.shape == (4, 4 * 3 + 2)
     assert np.all(grid[:, :4] == 0.0)
     assert np.all(grid[:, 4] == 1.0)  # gap column

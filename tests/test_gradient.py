@@ -267,6 +267,16 @@ def test_angle_gradient_checks_d_z():
         angle_gradient(2, gates, np.zeros((3, 2)), np.ones((1, 2)))
 
 
+def test_angle_gradient_refuses_an_out_of_range_target():
+    gates = [GateOp("h", (0,)), GateOp("ry", (2,), 0.3)]
+    angles, d_z = np.zeros((1, 2)), np.ones((1, 2))
+    rows = run_rows(2, gates[:1], angles[:, :1])
+    with pytest.raises(ValueError, match="out of range"):
+        angle_gradient(2, gates, angles, d_z, rows=rows)
+    with pytest.raises(ValueError, match="out of range"):
+        angle_gradient(2, gates, angles, d_z, NoiseChannel(0.05))
+
+
 def assert_sweep_matches_psr_chain(template, params, downstream, channel):
     jac = psr_gradient(template, params, channel)
     # a jacobian that is identically zero cannot tell a right sweep from a wrong one

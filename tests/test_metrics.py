@@ -186,6 +186,31 @@ def test_ssim_accepts_channel_leading_images():
     assert abs(ssim(a, a) - 1.0) < 1e-12
 
 
+def test_ssim_is_mean_ssim_of_a_one_image_stack():
+    rng = np.random.default_rng(8)
+    a, b = rng.random((1, 28, 28)), rng.random((1, 28, 28))
+    want = mean_ssim(a[None], b[None])
+    assert ssim(a, b) == want
+    assert ssim(a[0], b[0]) == want
+    with pytest.raises(ValueError):
+        ssim(np.zeros((2, 28, 28)), np.zeros((2, 28, 28)))
+    with pytest.raises(ValueError):
+        ssim(np.zeros(28), np.zeros(28))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ssim(a, b[0])
+
+
+def test_mean_ssim_builds_each_band_matrix_once(monkeypatch):
+    rng = np.random.default_rng(10)
+    a, b = rng.random((100, 1, 28, 28)), rng.random((100, 1, 28, 28))
+    first = mean_ssim(a, b)
+    built = []
+    real_band = metrics.band
+    monkeypatch.setattr(metrics, "band", lambda *args: built.append(args) or real_band(*args))
+    assert mean_ssim(a, b) == first
+    assert built == []
+
+
 # ----------------------------------------------------------------- CSV
 
 def test_write_csv_single_record(tmp_path):

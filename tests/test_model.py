@@ -8,8 +8,6 @@ from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
 from qcae.metrics import EVAL_BLOCK, eval_blocks
 from qcae.model import (
-    SQUASH_HI,
-    SQUASH_LO,
     DenoisingAutoencoder,
     ModelSpec,
     TrainConfig,
@@ -200,8 +198,8 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     rows = latent._rows.copy()
 
     d_y = latent.backward(d_z)
-    jac = psr_gradient(model.template, latent._angles, noise)
-    squash = 2.0 * np.pi / (SQUASH_HI - SQUASH_LO) * (1.0 - np.tanh(y) ** 2)
+    jac = psr_gradient(model.quantum.template, latent._angles, noise)
+    squash = np.pi * (1.0 - np.tanh(y) ** 2)
     expected = chain_loss_gradient(jac, d_z) * squash
     assert np.max(np.abs(expected)) > 1e-3
     assert np.max(np.abs(d_y - expected)) <= 1e-12
