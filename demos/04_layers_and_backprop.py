@@ -1,27 +1,22 @@
-"""The classical toolkit: layer shapes through the autoencoder stacks,
-a hand-rolled gradient check, and Adam fitting a tiny problem.
+"""The classical toolkit: layer shapes through the hybrid model's one layer
+list, a hand-rolled gradient check, and Adam fitting a tiny problem.
 
 Run with: python3 demos/04_layers_and_backprop.py
 """
 import numpy as np
 
-from qcae import Adam, mse_loss
-from qcae.model import default_decoder, default_encoder
+from qcae import Adam, DenoisingAutoencoder, ModelSpec, mse_loss
 from qcae.nn import Conv2d
 
 rng = np.random.default_rng(0)
 
-print("== shape walk through the default 28x28 stacks ==")
+print("== shape walk through the 28x28 hybrid (family c, 4 qubits, p=2) ==")
+model = DenoisingAutoencoder(ModelSpec(n_qubits=4, p=2, family="c"), seed=0)
 x = rng.random((1, 1, 28, 28))
 print(f"input {x.shape[1:]}")
-for layer in default_encoder(4, 28, rng):
+for layer in model.layers:  # encoder, the circuit latent, decoder
     x = layer.forward(x)
     print(f"  {type(layer).__name__:<16} -> {tuple(x.shape[1:])}")
-z = rng.random((1, 4)) * 2 - 1
-print(f"latent {z.shape[1:]}")
-for layer in default_decoder(4, 28, rng):
-    z = layer.forward(z)
-    print(f"  {type(layer).__name__:<16} -> {tuple(z.shape[1:])}")
 
 print("\n== gradient check on a strided convolution ==")
 conv = Conv2d(1, 2, 3, stride=2, padding=1, rng=rng)

@@ -154,6 +154,10 @@ def load_datasets(cfg: ExperimentConfig):
     data_dir = Path(cfg.data_dir)
     train_set = load_idx(*(data_dir / name for name in TRAIN_IDX))
     val_set = load_idx(*(data_dir / name for name in TEST_IDX))
+    for images in (train_set.images, val_set.images):
+        if images.shape[2:] != (cfg.image_size, cfg.image_size):
+            raise ValueError(f"{data_dir}: IDX images are {images.shape[2]}x{images.shape[3]}, "
+                             f"image_size is {cfg.image_size}")
     return (
         filter_classes(train_set, classes, cfg.limit),
         filter_classes(val_set, classes, cfg.val_limit),
@@ -243,6 +247,8 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise ValueError("sweep needs at least one --axis")
     names = [name for name, _ in axes]
+    if len(set(names)) < len(names):
+        raise ValueError(f"sweep axis {max(names, key=names.count)!r} is given more than once")
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []

@@ -1,18 +1,18 @@
 """End-to-end denoising autoencoders.
 
-Two kinds share one skeleton: a convolutional encoder compresses the noisy
-image to a short feature vector, and a transposed-convolutional decoder
-rebuilds a [0, 1] image from a short latent vector. The classical model
-(ccae) wires those vectors together directly. The hybrid model (qcae)
-instead squashes the encoder output through tanh, maps it onto [0, 2*pi]
-as pi * (1 + tanh), uses the result as the rotation parameters of a circuit
-template, runs the batch from |0...0> as one angle row per sample (the QAOA
-family applies its own H wall), and feeds the per-qubit Z expectations to
-the decoder.
+A model is one ordered layer list: a convolutional encoder compresses the
+noisy image to a short feature vector, the latent layer (hybrid only) maps
+it to a short latent vector, and a transposed-convolutional decoder rebuilds
+a [0, 1] image from that. The classical model (ccae) has no latent layer.
+The hybrid model (qcae) has QuantumLatent: it squashes the encoder output
+through tanh, maps it onto [0, 2*pi] as pi * (1 + tanh), uses the result as
+the rotation parameters of a circuit template, runs the batch from |0...0>
+as one angle row per sample (the QAOA family applies its own H wall), and
+feeds the per-qubit Z expectations to the decoder.
 
-Gradients: the decoder and encoder backpropagate classically; the circuit
-parameters get the decoder's input gradient contracted with the circuit's
-jacobian, computed by one adjoint sweep over the gates for the whole batch
+Gradients: backward runs the list in reverse; the circuit parameters get the
+decoder's input gradient contracted with the circuit's jacobian, computed by
+one adjoint sweep over the gates for the whole batch
 (gradient.adjoint_gradient). It equals the paper's parameter-shift rule,
 which gradient.psr_gradient keeps as the rule hardware could run. With
 psr_enabled=False the circuit gradient is taken as zero, so only the
@@ -21,7 +21,7 @@ decoder trains - that is the "no gradient refinement" ablation.
 Training minimizes MSE between the reconstruction and the clean image
 (inputs are the noised versions) with one Adam over model.params, recording
 per-epoch loss and validation SSIM. The layers' weights and biases are views
-of that one flat buffer (encoder then decoder, weight then bias: the order of
+of that one flat buffer (in list order, weight then bias: the order of
 weights.bin), their gradients views of model.grads. Everything is seeded,
 and the circuit noise channel is simulated exactly, so runs are bit-reproducible.
 """
@@ -36,7 +36,7 @@ from .ansatz import CircuitTemplate, family_template
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .gradient import adjoint_gradient
 from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
-from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, NonFiniteTensor,
+from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Layer, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
 from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
 
@@ -112,7 +112,7 @@ def default_encoder(latent_dim: int, image_size: int, rng: np.random.Generator) 
     return [
         Conv2d(1, c1, 3, 2, 1, rng=rng), LeakyReLU(),
         Conv2d(c1, c2, 3, 2, 1, rng=rng), LeakyReLU(),
-        Conv2d(c2, c3, k, rng=rng), Flatten(),
+        Conv2d(c2, c3, k, rng=rng), Reshape((c3,)),
         Dense(c3, latent_dim, rng),
     ]
 
@@ -128,29 +128,7 @@ def default_decoder(input_dim: int, image_size: int, rng: np.random.Generator) -
     ]
 
 
-class _Stack:
-    def __init__(self, layers: list):
-        self.layers = layers
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer.forward(x)
-        return x
-
-    def backward(self, grad):
-        for layer in reversed(self.layers):
-            grad = layer.backward(grad)
-        return grad
-
-    def param_backward(self, grad) -> None:
-        """backward for a stack whose input is the data, which nothing
-        differentiates: the first layer fills only its parameter gradients."""
-        for layer in reversed(self.layers[1:]):
-            grad = layer.backward(grad)
-        self.layers[0].param_backward(grad)
-
-
-class QuantumLatent:
+class QuantumLatent(Layer):
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
 
     forward runs the whole batch as one run_rows call, one angle row per
@@ -165,19 +143,12 @@ class QuantumLatent:
         self.template = template
         self.psr_enabled = psr_enabled
         self.channel = channel
-        self._squashed = None
-        self._angles = None
-        self._rows = None
-
-    @property
-    def n_parameters(self) -> int:
-        return self.template.slot_count
+        self._squashed = self._angles = self._rows = None
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        if y.ndim != 2 or y.shape[1] != self.n_parameters:
-            raise ValueError(
-                f"quantum latent expects (N, {self.n_parameters}), got {y.shape}"
-            )
+        slots = self.template.slot_count
+        if y.ndim != 2 or y.shape[1] != slots:
+            raise ValueError(f"quantum latent expects (N, {slots}), got {y.shape}")
         self._squashed = np.tanh(y)
         self._angles = pi * (1.0 + self._squashed)
         self._rows = run_rows(self.template.n_qubits, self.template.gates,
@@ -185,9 +156,7 @@ class QuantumLatent:
         return measure_rows_z(self._rows, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
-        squashed = self._squashed
-        if squashed is None:
-            raise ValueError("QuantumLatent.backward called before forward")
+        squashed = self._take_cache("_squashed")
         if not self.psr_enabled:
             return np.zeros_like(squashed)
         d_theta = adjoint_gradient(self.template, self._angles, d_z, self.channel, self._rows)
@@ -195,7 +164,7 @@ class QuantumLatent:
 
 
 class DenoisingAutoencoder:
-    """Encoder + (quantum or identity) latent + decoder, with manual backprop."""
+    """Encoder, circuit latent (qcae only) and decoder as one layer list, with manual backprop."""
 
     def __init__(self, spec: ModelSpec, seed=0):
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -205,27 +174,27 @@ class DenoisingAutoencoder:
         if spec.kind == "qcae":
             self.quantum = QuantumLatent(family_template(spec.family, spec.n_qubits, spec.p),
                                          spec.psr_enabled, spec.noise)
-            latent_dim, decoder_in = self.quantum.n_parameters, spec.n_qubits
+            latent = [self.quantum]
+            latent_dim, decoder_in = self.quantum.template.slot_count, spec.n_qubits
         else:
-            self.quantum = None
-            latent_dim = spec.latent_width if spec.latent_width else spec.n_qubits
-            decoder_in = latent_dim
-        self.encoder = _Stack(default_encoder(latent_dim, spec.image_size, rng))
-        self.decoder = _Stack(default_decoder(decoder_in, spec.image_size, rng))
-        self._tensors, self.params, self.grads = pack_parameters(
-            self.encoder.layers + self.decoder.layers)
+            self.quantum, latent = None, []
+            latent_dim = decoder_in = spec.latent_width or spec.n_qubits
+        # encoder first: the rng draws and the weights.bin order follow the list
+        self.layers = (default_encoder(latent_dim, spec.image_size, rng) + latent
+                       + default_decoder(decoder_in, spec.image_size, rng))
+        self._tensors, self.params, self.grads = pack_parameters(self.layers)
 
     def forward(self, images: np.ndarray) -> np.ndarray:
-        latent = self.encoder.forward(images)
-        if self.quantum is not None:
-            latent = self.quantum.forward(latent)
-        return self.decoder.forward(latent)
+        x = images
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x
 
     def backward(self, loss_gradient: np.ndarray) -> None:
-        grad = self.decoder.backward(loss_gradient)
-        if self.quantum is not None:
-            grad = self.quantum.backward(grad)
-        self.encoder.param_backward(grad)
+        grad = loss_gradient
+        for layer in reversed(self.layers[1:]):
+            grad = layer.backward(grad)
+        self.layers[0].param_backward(grad)  # its input is the data: no input gradient
 
     def denoise(self, images: np.ndarray) -> np.ndarray:
         """Forward pass clamped to [0, 1], order preserved, run over the

@@ -1,17 +1,18 @@
 """Small feed-forward toolkit with manual backpropagation.
 
 Arrays are float64 with a leading batch axis: images (N, C, H, W), feature
-vectors (N, F). conv2d is cross-correlation with zero padding; tconv2d is
-its exact adjoint (with an output_padding knob so stride-2 stacks invert
-cleanly); both contract in one 2-D matmul with the batch axis innermost,
-and return (N, C, H, W) views of (C, H, W, N) memory: never assume
-C-contiguity. Each layer caches what its backward pass needs, so an
-instance handles one forward/backward pair at a time; backward checks the
-upstream shape and writes grad_weight and grad_bias in place. Weight init
-is uniform in +-sqrt(1/fan_in) from an explicit numpy Generator.
-pack_parameters makes a layer list's weights and biases views of one flat
-buffer, and their gradients views of a second. Sigmoid uses tanh: it never overflows.
-Adam takes a learning rate; its betas and epsilon are fixed ADAM_* constants.
+vectors (N, F); Reshape((F,)) flattens one into the other. conv2d is
+cross-correlation with zero padding; tconv2d is its exact adjoint (with an
+output_padding knob so stride-2 stacks invert cleanly); both contract in one
+2-D matmul with the batch axis innermost, and return (N, C, H, W) views of
+(C, H, W, N) memory: never assume C-contiguity. Each layer caches what its
+backward pass needs, so an instance handles one forward/backward pair at a
+time; backward checks the upstream shape and writes grad_weight and grad_bias
+in place. Weight init is uniform in +-sqrt(1/fan_in) from an explicit numpy
+Generator. pack_parameters makes a layer list's weights and biases views of
+one flat buffer, and their gradients views of a second. Sigmoid uses tanh: it
+never overflows. Adam takes a learning rate; its betas and epsilon are fixed
+ADAM_* constants.
 """
 from __future__ import annotations
 
@@ -239,18 +240,6 @@ class Sigmoid(Layer):
     def backward(self, upstream):
         out = self._take_cache("_out")
         return upstream * out * (1.0 - out)
-
-
-class Flatten(Layer):
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, upstream):
-        return upstream.reshape(self._take_cache("_shape"))
 
 
 class Reshape(Layer):

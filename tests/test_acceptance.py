@@ -27,7 +27,7 @@ from qcae.data_io import (
 from qcae.gradient import psr_gradient
 from qcae.metrics import C1, SsimConfig, mean_ssim, ssim
 from qcae.model import ModelSpec, TrainConfig, train
-from qcae.nn import Conv2d, ConvTranspose2d, Dense, Flatten, LeakyReLU, Reshape, Sigmoid
+from qcae.nn import Conv2d, ConvTranspose2d, Dense, LeakyReLU, Reshape, Sigmoid
 from qcae.statevector import measure_all_z, run_circuit
 
 from oracles import fd_gradient, fd_jacobian, random_gate_list, run_dense
@@ -125,7 +125,7 @@ def test_criterion_03_every_layer_passes_gradient_checks():
          rng.normal(size=(2, 2, 4, 4))),
         ("leaky_relu", LeakyReLU(), rng.normal(size=(3, 6)) + 0.05),
         ("sigmoid", Sigmoid(), rng.normal(size=(2, 5))),
-        ("flatten", Flatten(), rng.normal(size=(2, 2, 3, 3))),
+        ("flatten", Reshape((18,)), rng.normal(size=(2, 2, 3, 3))),
         ("reshape", Reshape((6, 1, 1)), rng.normal(size=(2, 6))),
     ]
     worst = {}

@@ -153,6 +153,19 @@ def test_idx_files_come_from_data_dir_alone(tmp_path, monkeypatch):
     assert json.loads(runs[0].read_text())["config"]["data_dir"] == str(data_dir)
 
 
+def test_idx_images_must_match_image_size(tmp_path, capsys):
+    data_dir = tmp_path / "mnist"
+    data_dir.mkdir()
+    for split, count, seed in (("train", 32, 0), ("t10k", 8, 1)):
+        write_idx(make_synthetic_digits(count, seed=seed, size=28),
+                  data_dir / f"{split}-images-idx3-ubyte", data_dir / f"{split}-labels-idx1-ubyte")
+    code, _ = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir),
+                        "--model", "ccae")
+    assert code == 1
+    assert "IDX images are 28x28, image_size is 8" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 # ----------------------------------------------------------------- denoise
 
 def test_denoise_writes_reproducible_panels(tmp_path):
@@ -243,10 +256,16 @@ def test_sweep_takes_any_config_key_as_an_axis(tmp_path):
     assert sorted(m["config"]["learning_rate"] for m in manifests) == [1e-3, 3e-3]
 
 
-def test_sweep_rejects_unknown_axis(tmp_path):
+def test_sweep_rejects_unknown_axis(tmp_path, capsys):
     assert main(["sweep", *FAST, "--output-dir", str(tmp_path),
                  "--axis", "qbits=2,3"]) == 1
     assert main(["sweep", *FAST, "--output-dir", str(tmp_path)]) == 1
+    # a repeated axis would train one point twice under one config_id
+    capsys.readouterr()
+    assert main(["sweep", *FAST, "--output-dir", str(tmp_path / "out"),
+                 "--axis", "p=1,2", "--axis", "p=3"]) == 1
+    assert "'p'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -------------------------------------------------------------------- eval

@@ -10,8 +10,10 @@ from qcae.metrics import EVAL_BLOCK, eval_blocks
 from qcae.model import (
     DenoisingAutoencoder,
     ModelSpec,
+    QuantumLatent,
     TrainConfig,
     TrainingAborted,
+    default_encoder,
     train,
 )
 from qcae.nn import mse_loss
@@ -27,10 +29,28 @@ def toy_spec(**kw) -> ModelSpec:
     return ModelSpec(**merged)
 
 
-def stack_tensors(stack, prefix=""):
-    """Every weight and bias (or, with prefix "grad_", gradient) of a stack."""
-    return [getattr(layer, prefix + name) for layer in stack.layers
+def stack_tensors(layers, prefix=""):
+    """Every weight and bias (or, with prefix "grad_", gradient) of a layer list."""
+    return [getattr(layer, prefix + name) for layer in layers
             for name in ("weight", "bias") if hasattr(layer, name)]
+
+
+def halves(model):
+    """(encoder, decoder) of a hybrid: the layers before and after its latent."""
+    cut = model.layers.index(model.quantum)
+    return model.layers[:cut], model.layers[cut + 1:]
+
+
+def run_forward(layers, x):
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
+def run_backward(layers, grad):
+    for layer in reversed(layers):
+        grad = layer.backward(grad)
+    return grad
 
 
 def toy_images(count=2, seed=0, size=8):
@@ -50,7 +70,7 @@ def test_forward_is_deterministic():
 
 def test_zero_weights_send_all_angles_to_pi():
     model = DenoisingAutoencoder(toy_spec(family="ours"), seed=2)
-    for p in stack_tensors(model.encoder):
+    for p in stack_tensors(halves(model)[0]):
         p[...] = 0.0
     out1 = model.forward(np.zeros((1, 1, 8, 8)))
     assert np.allclose(model.quantum._angles, np.pi)
@@ -63,14 +83,14 @@ def test_qaoa_latent_expectations_are_zero():
     # anticommutes with every Z: the per-qubit readout vanishes identically
     model = DenoisingAutoencoder(toy_spec(family="ours"), seed=3)
     model.forward(toy_images(3, seed=4))
-    latent = model.decoder.layers[0]._x
+    latent = halves(model)[1][0]._x
     assert np.allclose(latent, 0.0, atol=1e-12)
 
 
 def test_family_b_latent_carries_signal():
     model = DenoisingAutoencoder(toy_spec(family="b"), seed=3)
     model.forward(toy_images(3, seed=4))
-    latent = model.decoder.layers[0]._x
+    latent = halves(model)[1][0]._x
     assert not np.allclose(latent, 0.0, atol=1e-6)
     assert np.all(np.abs(latent) <= 1.0 + 1e-12)
 
@@ -80,8 +100,8 @@ def test_latent_contract_for_qaoa_grid():
         for p in (1, 2):
             spec = ModelSpec(image_size=8, n_qubits=n, p=p, family="ours")
             model = DenoisingAutoencoder(spec, seed=5)
-            assert model.quantum.n_parameters == 2 * p
-            encoded = model.encoder.forward(toy_images(2, seed=6))
+            assert model.quantum.template.slot_count == 2 * p
+            encoded = run_forward(halves(model)[0], toy_images(2, seed=6))
             assert encoded.shape == (2, 2 * p)
             z = model.quantum.forward(encoded)
             assert z.shape == (2, n)
@@ -90,9 +110,26 @@ def test_latent_contract_for_qaoa_grid():
 
 def test_ccae_latent_width_defaults_to_n_qubits():
     model = DenoisingAutoencoder(toy_spec(kind="ccae", n_qubits=3), seed=7)
-    encoded = model.encoder.forward(toy_images(2, seed=8))
+    encoder = model.layers[:len(default_encoder(3, 8, np.random.default_rng()))]
+    encoded = run_forward(encoder, toy_images(2, seed=8))
     assert encoded.shape == (2, 3)
     assert model.forward(toy_images(2, seed=8)).shape == (2, 1, 8, 8)
+
+
+@pytest.mark.parametrize("image_size", [8, 28])
+@pytest.mark.parametrize("kind, family", [("ccae", "ours"), ("qcae", "a"), ("qcae", "b"),
+                                          ("qcae", "c"), ("qcae", "ours")])
+def test_model_is_one_layer_list(kind, family, image_size):
+    spec = ModelSpec(kind=kind, family=family, n_qubits=4, p=2, image_size=image_size)
+    model = DenoisingAutoencoder(spec, seed=3)
+    latents = [layer for layer in model.layers if isinstance(layer, QuantumLatent)]
+    if kind == "ccae":
+        assert latents == [] and model.quantum is None
+    else:
+        assert len(latents) == 1 and latents[0] is model.quantum
+    # the flat buffer (and weights.bin) holds each weight then bias, in list order
+    assert np.array_equal(model.params,
+                          np.concatenate([t.ravel() for t in stack_tensors(model.layers)]))
 
 
 # ------------------------------------------------------------- backward pass
@@ -112,9 +149,10 @@ def test_psr_disabled_freezes_encoder():
     out = model.forward(x)
     _, grad = mse_loss(out, np.zeros_like(out))
     model.backward(grad)
-    for g in stack_tensors(model.encoder, "grad_"):
+    encoder, decoder = halves(model)
+    for g in stack_tensors(encoder, "grad_"):
         assert np.allclose(g, 0.0)
-    assert any(np.max(np.abs(g)) > 0 for g in stack_tensors(model.decoder, "grad_"))
+    assert any(np.max(np.abs(g)) > 0 for g in stack_tensors(decoder, "grad_"))
 
 
 def test_backward_never_forms_the_image_gradient(monkeypatch):
@@ -171,16 +209,17 @@ def test_quantum_path_gradient_matches_finite_differences_tightly():
     x = toy_images(1, seed=16)
     target = toy_images(1, seed=17)
 
-    encoded = model.encoder.forward(x)
+    encoder, decoder = halves(model)
+    encoded = run_forward(encoder, x)
     z = model.quantum.forward(encoded)
-    recon = model.decoder.forward(z)
+    recon = run_forward(decoder, z)
     _, loss_grad = mse_loss(recon, target)
-    d_z = model.decoder.backward(loss_grad)
+    d_z = run_backward(decoder, loss_grad)
     d_y = model.quantum.backward(d_z)
 
     def scalar(y_flat):
         z_val = model.quantum.forward(y_flat.reshape(encoded.shape))
-        return mse_loss(model.decoder.forward(z_val), target)[0]
+        return mse_loss(run_forward(decoder, z_val), target)[0]
 
     numeric = fd_gradient(scalar, encoded.ravel(), h=1e-5).reshape(encoded.shape)
     assert np.max(np.abs(d_y - numeric)) < 1e-6
@@ -193,7 +232,7 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     model = DenoisingAutoencoder(toy_spec(family=family, n_qubits=3, p=2, noise=noise), seed=18)
     latent = model.quantum
     rng = np.random.default_rng(19)
-    y = rng.normal(size=(4, latent.n_parameters))
+    y = rng.normal(size=(4, latent.template.slot_count))
     d_z = rng.normal(size=latent.forward(y).shape)
     rows = latent._rows.copy()
 
@@ -289,7 +328,7 @@ def test_training_aborts_on_poisoned_weights():
     class Poisoned(original):
         def __init__(self, *a, **kw):
             super().__init__(*a, **kw)
-            self.encoder.layers[0].weight[0] = np.nan
+            self.layers[0].weight[0] = np.nan
 
     model_module.DenoisingAutoencoder, saved = Poisoned, original
     try:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qcae.ansatz import family_template
+from qcae.model import QuantumLatent
 from qcae.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -14,7 +16,6 @@ from qcae.nn import (
     Conv2d,
     ConvTranspose2d,
     Dense,
-    Flatten,
     LeakyReLU,
     Reshape,
     Sigmoid,
@@ -89,8 +90,9 @@ def test_shape_mismatch_reports_both_shapes():
 
 
 def test_backward_before_forward_is_an_error():
-    with pytest.raises(ValueError, match="before forward"):
-        Sigmoid().backward(np.zeros((1, 2)))
+    for layer in (Sigmoid(), QuantumLatent(family_template("c", 2, 1))):
+        with pytest.raises(ValueError, match="before forward"):
+            layer.backward(np.zeros((1, 2)))
 
 
 def test_non_finite_input_rejected():
@@ -434,7 +436,7 @@ def test_activation_and_reshape_gradients():
     for layer, shape in [
         (LeakyReLU(), (3, 5)),
         (Sigmoid(), (2, 4)),
-        (Flatten(), (2, 3, 2, 2)),
+        (Reshape((12,)), (2, 3, 2, 2)),
         (Reshape((4, 1, 1)), (2, 4)),
     ]:
         x = rng.normal(size=shape) + 0.05  # keep clear of the ReLU kink
@@ -555,7 +557,7 @@ def test_adam_validation():
 
 
 def test_parameter_free_layers_pack_into_an_empty_buffer_adam_can_step():
-    tensors, params, grads = pack_parameters([Flatten()])
+    tensors, params, grads = pack_parameters([Reshape((1,))])
     assert tensors == [] and params.shape == grads.shape == (0,)
     Adam(params).step(grads)
 
