@@ -139,9 +139,11 @@ def add_gaussian_noise(images: np.ndarray, spec: NoiseSpec) -> np.ndarray:
     """clamp(x + sigma * g, 0, 1) with g standard normal from the seeded rng."""
     if spec.sigma == 0.0:
         return images.copy()
-    rng = np.random.default_rng(spec.seed)
-    noisy = images + spec.sigma * rng.standard_normal(images.shape)
-    return np.clip(noisy, 0.0, 1.0)
+    # one buffer: x + sigma * g built in place, bit for bit the out-of-place sum
+    noisy = np.random.default_rng(spec.seed).standard_normal(images.shape)
+    noisy *= spec.sigma
+    noisy += images
+    return np.clip(noisy, 0.0, 1.0, out=noisy)
 
 
 def _as_plane(image) -> np.ndarray:

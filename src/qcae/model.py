@@ -23,7 +23,13 @@ Training minimizes MSE between the reconstruction and the clean image
 per-epoch loss and validation SSIM. The layers' weights and biases are views
 of that one flat buffer (in list order, weight then bias: the order of
 weights.bin), their gradients views of model.grads. Everything is seeded,
-and the circuit noise channel is simulated exactly, so runs are bit-reproducible.
+and the circuit noise channel is simulated exactly, so runs are
+bit-reproducible at a fixed BLAS thread count (BLAS may split a product
+differently at another count, which moves the last bits).
+
+forward keeps each layer's backward cache; denoise, which never runs
+backward, releases each layer's cache as soon as that layer has run, so it
+holds at most one layer's activations at a time and leaves none behind.
 """
 from __future__ import annotations
 
@@ -143,23 +149,23 @@ class QuantumLatent(Layer):
         self.template = template
         self.psr_enabled = psr_enabled
         self.channel = channel
-        self._squashed = self._angles = self._rows = None
 
     def forward(self, y: np.ndarray) -> np.ndarray:
         slots = self.template.slot_count
         if y.ndim != 2 or y.shape[1] != slots:
             raise ValueError(f"quantum latent expects (N, {slots}), got {y.shape}")
-        self._squashed = np.tanh(y)
-        self._angles = pi * (1.0 + self._squashed)
-        self._rows = run_rows(self.template.n_qubits, self.template.gates,
-                              self.template.gate_angles(self._angles), self.channel)
-        return measure_rows_z(self._rows, self.channel)
+        squashed = np.tanh(y)
+        angles = pi * (1.0 + squashed)
+        rows = run_rows(self.template.n_qubits, self.template.gates,
+                        self.template.gate_angles(angles), self.channel)
+        self._cache = squashed, angles, rows
+        return measure_rows_z(rows, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
-        squashed = self._take_cache("_squashed")
+        squashed, angles, rows = self._take_cache()
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        d_theta = adjoint_gradient(self.template, self._angles, d_z, self.channel, self._rows)
+        d_theta = adjoint_gradient(self.template, angles, d_z, self.channel, rows)
         return d_theta * pi * (1.0 - squashed ** 2)
 
 
@@ -198,11 +204,16 @@ class DenoisingAutoencoder:
 
     def denoise(self, images: np.ndarray) -> np.ndarray:
         """Forward pass clamped to [0, 1], order preserved, run over the
-        blocks of metrics.eval_blocks so memory does not grow with the image count."""
+        blocks of metrics.eval_blocks so memory does not grow with the image
+        count; each layer's cache is released as soon as the layer has run."""
         size = self.spec.image_size
         out = np.empty((len(images), 1, size, size))
         for block in eval_blocks(len(images)):
-            out[block] = self.forward(images[block])
+            x = images[block]
+            for layer in self.layers:
+                x = layer.forward(x)
+                layer.release()
+            out[block] = x
         return np.clip(out, 0.0, 1.0, out=out)
 
     def save(self, path) -> None:

@@ -5,10 +5,13 @@ vectors (N, F); Reshape((F,)) flattens one into the other. conv2d is
 cross-correlation with zero padding; tconv2d is its exact adjoint (with an
 output_padding knob so stride-2 stacks invert cleanly); both contract in one
 2-D matmul with the batch axis innermost, and return (N, C, H, W) views of
-(C, H, W, N) memory: never assume C-contiguity. Each layer caches what its
-backward pass needs, so an instance handles one forward/backward pair at a
-time; backward checks the upstream shape and writes grad_weight and grad_bias
-in place. Weight init is uniform in +-sqrt(1/fan_in) from an explicit numpy
+(C, H, W, N) memory: never assume C-contiguity. Each layer keeps what its
+backward needs in one attribute, _cache: forward sets it, backward reads it
+(refusing to run before a forward), and release drops it, so an instance
+handles one forward/backward pair at a time and a forward-only caller can
+free each layer's activations as soon as the next layer has them. backward
+checks the upstream shape and writes grad_weight and grad_bias in place.
+Weight init is uniform in +-sqrt(1/fan_in) from an explicit numpy
 Generator. pack_parameters makes a layer list's weights and biases views of
 one flat buffer, and their gradients views of a second. Sigmoid uses tanh: it
 never overflows. Adam takes a learning rate; its betas and epsilon are fixed
@@ -85,17 +88,21 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) ->
 class Layer:
     """Base: parameter-free, shape-preserving by default."""
 
+    _cache = None  # what backward needs from the last forward
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, upstream: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def _take_cache(self, name: str):
-        cache = getattr(self, name, None)
-        if cache is None:
+    def _take_cache(self):
+        if self._cache is None:
             raise ValueError(f"{type(self).__name__}.backward called before forward")
-        return cache
+        return self._cache
+
+    def release(self) -> None:
+        self._cache = None
 
 
 class _Weighted(Layer):
@@ -117,7 +124,6 @@ class _Weighted(Layer):
 class Dense(_Weighted):
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator):
         super().__init__(rng, in_features, (out_features, in_features), out_features)
-        self._x = None
 
     def forward(self, x):
         _check_finite("dense input", x)
@@ -125,11 +131,11 @@ class Dense(_Weighted):
             raise ValueError(
                 f"dense expects (N, {self.weight.shape[1]}), got {x.shape}"
             )
-        self._x = x
+        self._cache = x
         return x @ self.weight.T + self.bias
 
     def backward(self, upstream):
-        x = self._take_cache("_x")
+        x = self._take_cache()
         self._check_upstream(upstream, (x.shape[0], self.weight.shape[0]))
         self.grad_weight[...] = upstream.T @ x
         self.grad_bias[...] = upstream.sum(axis=0)
@@ -142,7 +148,6 @@ class Conv2d(_Weighted):
         k = kernel_size
         super().__init__(rng, in_channels * k * k, (out_channels, in_channels, k, k), out_channels)
         self.stride, self.padding = stride, padding
-        self._cache = None
 
     def forward(self, x):
         _check_finite("conv2d input", x)
@@ -165,7 +170,7 @@ class Conv2d(_Weighted):
         """backward without the input gradient, for a layer whose input is the
         data: writes grad_weight and grad_bias and returns upstream as the
         (out_channels, P*N) matrix the input gradient would contract."""
-        _, cols, out_shape = self._take_cache("_cache")
+        _, cols, out_shape = self._take_cache()
         self._check_upstream(upstream, out_shape)
         d_y = upstream.transpose(1, 2, 3, 0).reshape(self.weight.shape[0], -1)
         self.grad_weight[...] = (d_y @ cols.T).reshape(self.weight.shape)
@@ -183,7 +188,6 @@ class ConvTranspose2d(_Weighted):
             raise ValueError(f"output_padding must be in [0, stride), got {output_padding}")
         super().__init__(rng, in_channels * k * k, (in_channels, out_channels, k, k), out_channels)
         self.stride, self.padding, self.output_padding = stride, padding, output_padding
-        self._cache = None
 
     def forward(self, x):
         _check_finite("tconv2d input", x)
@@ -204,7 +208,7 @@ class ConvTranspose2d(_Weighted):
         return y
 
     def backward(self, upstream):
-        x2, x_shape, out_shape = self._take_cache("_cache")
+        x2, x_shape, out_shape = self._take_cache()
         self._check_upstream(upstream, out_shape)
         in_c, out_c, k, _ = self.weight.shape
         d_cols, _ = _im2col(upstream, k, self.stride, self.padding)
@@ -215,30 +219,25 @@ class ConvTranspose2d(_Weighted):
 
 
 class LeakyReLU(Layer):
-    def __init__(self):
-        self._mask = None
-
     def forward(self, x):
         _check_finite("leaky_relu input", x)
-        self._mask = x > 0
+        self._cache = x > 0
         return np.maximum(x, LEAKY_SLOPE * x)
 
     def backward(self, upstream):
-        mask = self._take_cache("_mask")
-        return np.where(mask, upstream, LEAKY_SLOPE * upstream)
+        # bit-identical to np.where(mask, upstream, slope * upstream), and about 9x
+        # faster on the batch-innermost views that conv layers return
+        return upstream * np.maximum(self._take_cache(), LEAKY_SLOPE)
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        self._out = None
-
     def forward(self, x):
         _check_finite("sigmoid input", x)
-        self._out = 0.5 + 0.5 * np.tanh(0.5 * x)
-        return self._out
+        self._cache = 0.5 + 0.5 * np.tanh(0.5 * x)
+        return self._cache
 
     def backward(self, upstream):
-        out = self._take_cache("_out")
+        out = self._take_cache()
         return upstream * out * (1.0 - out)
 
 
@@ -247,18 +246,17 @@ class Reshape(Layer):
 
     def __init__(self, shape: tuple[int, ...]):
         self.shape = tuple(shape)
-        self._in_shape = None
 
     def forward(self, x):
         want = int(np.prod(self.shape))
         have = int(np.prod(x.shape[1:]))
         if want != have:
             raise ValueError(f"cannot reshape per-sample {x.shape[1:]} into {self.shape}")
-        self._in_shape = x.shape
+        self._cache = x.shape
         return x.reshape(x.shape[0], *self.shape)
 
     def backward(self, upstream):
-        return upstream.reshape(self._take_cache("_in_shape"))
+        return upstream.reshape(self._take_cache())
 
 
 def mse_loss(prediction: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:

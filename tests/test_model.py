@@ -73,7 +73,8 @@ def test_zero_weights_send_all_angles_to_pi():
     for p in stack_tensors(halves(model)[0]):
         p[...] = 0.0
     out1 = model.forward(np.zeros((1, 1, 8, 8)))
-    assert np.allclose(model.quantum._angles, np.pi)
+    _, angles, _ = model.quantum._cache
+    assert np.allclose(angles, np.pi)
     out2 = model.forward(np.zeros((1, 1, 8, 8)))
     assert np.array_equal(out1, out2)
 
@@ -83,14 +84,14 @@ def test_qaoa_latent_expectations_are_zero():
     # anticommutes with every Z: the per-qubit readout vanishes identically
     model = DenoisingAutoencoder(toy_spec(family="ours"), seed=3)
     model.forward(toy_images(3, seed=4))
-    latent = halves(model)[1][0]._x
+    latent = halves(model)[1][0]._cache  # the decoder's first dense keeps its input
     assert np.allclose(latent, 0.0, atol=1e-12)
 
 
 def test_family_b_latent_carries_signal():
     model = DenoisingAutoencoder(toy_spec(family="b"), seed=3)
     model.forward(toy_images(3, seed=4))
-    latent = halves(model)[1][0]._x
+    latent = halves(model)[1][0]._cache
     assert not np.allclose(latent, 0.0, atol=1e-6)
     assert np.all(np.abs(latent) <= 1.0 + 1e-12)
 
@@ -234,17 +235,18 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     rng = np.random.default_rng(19)
     y = rng.normal(size=(4, latent.template.slot_count))
     d_z = rng.normal(size=latent.forward(y).shape)
-    rows = latent._rows.copy()
+    _, angles, rows = latent._cache
+    kept = rows.copy()
 
     d_y = latent.backward(d_z)
-    jac = psr_gradient(model.quantum.template, latent._angles, noise)
+    jac = psr_gradient(model.quantum.template, angles, noise)
     squash = np.pi * (1.0 - np.tanh(y) ** 2)
     expected = chain_loss_gradient(jac, d_z) * squash
     assert np.max(np.abs(expected)) > 1e-3
     assert np.max(np.abs(d_y - expected)) <= 1e-12
     # backward reads the cached forward rows and never writes into them
     assert np.array_equal(latent.backward(d_z), d_y)
-    assert np.array_equal(latent._rows, rows)
+    assert np.array_equal(rows, kept)
 
 
 # ------------------------------------------------------------------ training
@@ -380,6 +382,26 @@ def test_denoise_memory_does_not_grow_with_the_image_count():
     model.denoise(few)  # warm-up
     # one call over all 256 images peaks about 8x the 32-image pass
     assert peak_bytes(model.denoise, many) <= 2 * peak_bytes(model.denoise, few)
+
+
+def test_denoise_holds_one_layer_of_activations():
+    model = DenoisingAutoencoder(ModelSpec(n_qubits=4, p=2, family="c"), seed=16)
+    x = toy_images(100, seed=17, size=28)
+    model.forward(x[:25])  # training caches, as a validation pass finds them
+    # 6.6 MiB while each layer kept its backward cache, 3.3 MiB with them released
+    assert peak_bytes(model.denoise, x) <= 4.5 * 2**20
+    assert all(layer._cache is None for layer in model.layers)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(n_qubits=4, p=2, family="c"), ModelSpec(kind="ccae")],
+                         ids=["qcae-c4", "ccae"])
+def test_backward_after_denoise_is_an_error(spec):
+    model = DenoisingAutoencoder(spec, seed=19)
+    x = toy_images(3, seed=20, size=28)
+    model.forward(x)
+    model.denoise(x)  # drops what the forward kept
+    with pytest.raises(ValueError, match="before forward"):
+        model.backward(np.zeros_like(x))
 
 
 def test_denoise_preserves_batch_order():

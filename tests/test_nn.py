@@ -90,7 +90,10 @@ def test_shape_mismatch_reports_both_shapes():
 
 
 def test_backward_before_forward_is_an_error():
-    for layer in (Sigmoid(), QuantumLatent(family_template("c", 2, 1))):
+    released = Sigmoid()
+    released.forward(np.zeros((1, 2)))
+    released.release()
+    for layer in (Sigmoid(), QuantumLatent(family_template("c", 2, 1)), released):
         with pytest.raises(ValueError, match="before forward"):
             layer.backward(np.zeros((1, 2)))
 
