@@ -3,7 +3,8 @@ synthetic digit corpus, compare SSIM against the noisy baseline, and write
 comparison panels as PGM images.
 
 Uses the bundled synthetic 0/1 corpus so it runs anywhere; point the CLI at
-real MNIST IDX files for the full-size experience. Takes about a minute.
+real MNIST IDX files for the full-size experience. Takes a few seconds, and
+writes its panels to demo_output/ in the working directory.
 
 Run with: python3 demos/05_train_denoiser.py
 """

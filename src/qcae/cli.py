@@ -96,7 +96,11 @@ def resolve_config(config_path=None, flag_overrides: dict | None = None) -> Expe
     for key, raw in (flag_overrides or {}).items():
         if raw is not None:
             values[key] = _coerce(key, raw)
-    cfg = ExperimentConfig(**values)
+    return _checked(ExperimentConfig(**values))
+
+
+def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
+    """cfg, once every value train would refuse has been refused."""
     if cfg.dataset not in ("idx", "synthetic"):
         raise ValueError(f"dataset must be idx or synthetic, got {cfg.dataset!r}")
     if cfg.model not in ("qcae", "ccae"):
@@ -249,11 +253,16 @@ def cmd_sweep(args) -> int:
     names = [name for name, _ in axes]
     if len(set(names)) < len(names):
         raise ValueError(f"sweep axis {max(names, key=names.count)!r} is given more than once")
+    points = []
+    for combo in itertools.product(*(vals for _, vals in axes)):
+        try:  # refuse the whole grid before anything trains or any directory exists
+            points.append((combo, _checked(replace(cfg, **dict(zip(names, combo))))))
+        except ValueError as e:
+            raise ValueError(f"grid point {dict(zip(names, combo))}: {e}") from None
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
-    for combo in itertools.product(*(vals for _, vals in axes)):
-        point = replace(cfg, **dict(zip(names, combo)))
+    for combo, point in points:
         cid = config_id(point)
         try:
             _, final_ssim = _train_run(point)

@@ -2,7 +2,7 @@
 adjoint sweep that training uses.
 
 Every parameterized gate is exp(-i angle/2 G) with G^2 = 1, which makes the
-shift rule exact and gives the sweep U(pi) = -iG. Both gradients are taken
+shift rule exact and each sweep term Im<lambda|G psi>. Both gradients are taken
 per gate angle and end the same way: a per-gate row times template.slot_map,
 which holds each gate's scale at its slot, sums the terms of gates sharing a
 parameter (QAOA ties one gamma to every ring edge, one beta to every qubit).
@@ -104,7 +104,7 @@ def chain_loss_gradient(jacobian: QuantumJacobian, downstream) -> np.ndarray:
 def adjoint_gradient(template: CircuitTemplate, params, downstream,
                      channel: NoiseChannel | None = None, rows=None) -> np.ndarray:
     """chain_loss_gradient(psr_gradient(template, params, channel), downstream)
-    by one reverse sweep over the gates, with no jacobian built.
+    by one reverse sweep over the layers, with no jacobian built.
 
     params is one vector or an (N, slot_count) batch and downstream one (n,)
     gradient per vector. rows, if the caller kept them, are run_rows's output

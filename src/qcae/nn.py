@@ -5,7 +5,12 @@ vectors (N, F); Reshape((F,)) flattens one into the other. conv2d is
 cross-correlation with zero padding; tconv2d is its exact adjoint (with an
 output_padding knob so stride-2 stacks invert cleanly); both contract in one
 2-D matmul with the batch axis innermost, and return (N, C, H, W) views of
-(C, H, W, N) memory: never assume C-contiguity. Each layer keeps what its
+(C, H, W, N) memory: never assume C-contiguity. The patch matrix comes from
+a row-index plan built once per (C, H, W, k, stride, padding) and cached,
+whatever the batch size: _im2col is one take of the padded (C*Hp*Wp, N)
+rows, or a view of the input when one window covers it; _col2im adds each
+kernel offset into stride x stride phase planes, or, when each pixel has
+exactly one tap, is a reshape. Each layer keeps what its
 backward needs in one attribute, _cache: forward sets it, backward reads it
 (refusing to run before a forward), and release drops it, so an instance
 handles one forward/backward pair at a time and a forward-only caller can
@@ -19,6 +24,7 @@ ADAM_* constants.
 """
 from __future__ import annotations
 
+import functools
 import math
 import struct
 
@@ -49,40 +55,68 @@ def tconv_out_size(size: int, kernel: int, stride: int, padding: int,
     return (size - 1) * stride - 2 * padding + kernel + output_padding
 
 
-def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
-    """(N, C, H, W) -> (C*k*k, P*N) patch matrix, batch innermost, plus output dims."""
-    n, c, height, width = x.shape
+@functools.lru_cache(maxsize=256)
+def _patch_plan(c: int, height: int, width: int, k: int, stride: int, pad: int):
+    """Row indices of every patch entry in the padded (C*Hp*Wp, N) rows, in
+    patch-matrix order (channel, kernel row, kernel column, output position),
+    and the output dims; read-only, built once per geometry of any batch size."""
     h_out = conv_out_size(height, k, stride, pad)
     w_out = conv_out_size(width, k, stride, pad)
     if h_out < 1 or w_out < 1:
-        raise ValueError(
-            f"kernel {k} with stride {stride}, padding {pad} does not fit "
-            f"input of shape {x.shape}"
-        )
-    xp = np.zeros((c, height + 2 * pad, width + 2 * pad, n))
-    xp[:, pad:pad + height, pad:pad + width] = x.transpose(1, 2, 3, 0)
-    win = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    win = win[:, ::stride, ::stride][:, :h_out, :w_out]
-    return win.transpose(0, 4, 5, 1, 2, 3).reshape(c * k * k, h_out * w_out * n), (h_out, w_out)
+        raise ValueError(f"kernel {k} with stride {stride}, padding {pad} does not fit "
+                         f"a {height}x{width} input")
+    hp, wp = height + 2 * pad, width + 2 * pad
+    ch, u, v, i, j = np.ix_(*(np.arange(m) for m in (c, k, k, h_out, w_out)))
+    plan = ((ch * hp + u + stride * i) * wp + v + stride * j).reshape(-1)
+    plan.setflags(write=False)
+    return plan, (h_out, w_out)
+
+
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
+    """(N, C, H, W) -> (C*k*k, P*N) patch matrix, batch innermost, plus output
+    dims: one take of _patch_plan's rows, or, when one window covers the whole
+    unpadded input, the input's own (C*H*W, N) rows (a view of batch-innermost
+    memory)."""
+    n, c, height, width = x.shape
+    plan, out_hw = _patch_plan(c, height, width, k, stride, pad)
+    rows = x.transpose(1, 2, 3, 0)
+    if pad == 0 and k == height == width:
+        return np.ascontiguousarray(rows.reshape(c * k * k, n)), out_hw
+    if pad:
+        xp = np.zeros((c, height + 2 * pad, width + 2 * pad, n))
+        xp[:, pad:pad + height, pad:pad + width] = rows
+        rows = xp
+    return np.take(rows.reshape(-1, n), plan, axis=0).reshape(c * k * k, -1), out_hw
 
 
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) -> np.ndarray:
     """Adjoint of _im2col, returned as an (N, C, H, W) view of (C, H, W, N)
-    memory: one strided add per kernel offset or one window add per output
-    position, whichever loop is shorter (a k=7 kernel on a 1x1 map is one add)."""
+    memory. When one window covers the padded map, each pixel has exactly one
+    tap and the map is cols reshaped. Otherwise each kernel offset (u, v) adds
+    its (h_out, w_out, N) block into the phase plane (u % s, v % s) of a
+    (C, s, s, Hp/s, Wp/s, N) buffer, where its rows are contiguous (W, N)
+    runs, and s x s strided copies interleave the planes into the cropped
+    map. The offsets go in ascending order, or in descending order when there
+    are more offsets than output positions, which sums each pixel's taps as a
+    loop over output positions would."""
     n, c, height, width = x_shape
     h_out, w_out = out_hw
-    xp = np.zeros((c, height + 2 * pad, width + 2 * pad, n))
+    s = stride
+    hp, wp = height + 2 * pad, width + 2 * pad
     c6 = cols.reshape(c, k, k, h_out, w_out, n)
-    if k * k <= h_out * w_out:
-        for u in range(k):
-            for v in range(k):
-                xp[:, u:u + stride * h_out:stride, v:v + stride * w_out:stride] += c6[:, u, v]
-    else:
-        for i in range(h_out):
-            for j in range(w_out):
-                xp[:, i * stride:i * stride + k, j * stride:j * stride + k] += c6[..., i, j, :]
-    return xp[:, pad:pad + height, pad:pad + width].transpose(3, 0, 1, 2)
+    if h_out == w_out == 1 and k == hp == wp:
+        return c6.reshape(c, k, k, n)[:, pad:pad + height, pad:pad + width].transpose(3, 0, 1, 2)
+    planes = np.zeros((c, s, s, -(-hp // s), -(-wp // s), n))
+    taps = [(u, v) for u in range(k) for v in range(k)]
+    for u, v in taps[::-1] if k * k > h_out * w_out else taps:
+        planes[:, u % s, v % s, u // s:u // s + h_out, v // s:v // s + w_out] += c6[:, u, v]
+    out = np.empty((c, height, width, n))
+    for a in range(s):
+        for b in range(s):  # output rows y = a - pad (mod s) live in plane rows (y + pad) // s on
+            y, x = (a - pad) % s, (b - pad) % s
+            out[:, y::s, x::s] = planes[:, a, b, (y + pad) // s:, (x + pad) // s:][
+                :, :len(range(y, height, s)), :len(range(x, width, s))]
+    return out.transpose(3, 0, 1, 2)
 
 
 class Layer:

@@ -3,7 +3,7 @@
 Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index, so the two-qubit basis state with qubit 0 set lives at
 index 1. One runner does all simulation: run_rows applies a gate sequence
-in place to M independent rows, fed by an (M, len(gates)) angle matrix, and
+to M independent rows, fed by an (M, len(gates)) angle matrix, and
 measure_rows_z reads exact per-qubit Pauli-Z expectations from every row,
 and angle_gradient differentiates a weighted sum of them against every gate
 angle in one reverse sweep. run_circuit (bound gates in, one amplitude vector
@@ -11,20 +11,35 @@ out) and measure_all_z are the one-row pure case. GateOp is the one gate
 record: a rotation holds either a fixed angle or, in a circuit template, a
 parameter slot that binding replaces.
 
-The gate kernels are the only description of a gate: H, RX and RY are 2x2
-matrices, CNOT a swap, and RZ and ZZ one phase by the parity of their target
-bits. A rotation is exp(-i angle/2 G) with G^2 = 1, so U(pi) = -iG: the
-sweeps take Im<lambda|G psi> as Re<lambda|U(pi) psi> through those kernels.
+Every circuit runs as a program of layers, compiled once per gate list
+(compile_circuit; only kinds and targets matter, so any angles and any row
+count reuse it). A greedy pass in gate order makes three kinds of layer:
+  column       H, RX and RY on distinct qubits: each 2x2 matrix applied
+               elementwise to all rows;
+  diagonal     a run of RZ and ZZ: one phase multiply per group of target
+               bits, its (M, 2, ..., 2) table from one product of the angles
+               with a fixed exponent matrix;
+  permutation  a run of CNOTs: one gather by the composed basis permutation.
+A rotation is exp(-i angle/2 G) with G^2 = 1 and G commutes with the rest
+of its layer, so the sweep takes every derivative of a layer,
+Im<lambda|G psi>, from the (psi, lambda) pair at the layer's end and then
+undoes the whole layer: a column from reduced matrices of kron blocks of
+adjacent qubits, a diagonal run as Im(conj(lambda) * psi) summed against
+each gate's Z...Z signs.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
 depolarized, (1 - p) rho + p/3 (X rho X + Y rho Y + Z rho Z), and readout
 expectations are shrunk by (1 - 2 * flip probability). run_rows simulates
 the channel exactly on density matrices, so noisy runs draw no random
-numbers and are reproducible.
+numbers and are reproducible. A density row is a register of 2n qubits (ket
+bits low, bra bits high) that the layers run like amplitudes, with conj(U)
+on the bra bits; under a channel no two gates of a layer share a qubit, so
+each gate's depolarizing can follow its layer.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,62 +132,232 @@ def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
     return amps
 
 
-def _rotation_matrix(kind: str, angles) -> np.ndarray:
-    """RX or RY matrices, shape angles.shape + (2, 2): one per angle."""
-    half = 0.5 * np.asarray(angles, dtype=float)
-    u = np.zeros(half.shape + (2, 2), dtype=complex)
-    cos, sin = np.cos(half), np.sin(half)
-    u[..., 0, 0] = u[..., 1, 1] = cos
-    u[..., 0, 1], u[..., 1, 0] = (-1j * sin, -1j * sin) if kind == "rx" else (-sin, sin)
-    return u
-
-
-def _apply_1q(amps: np.ndarray, q: int, u: np.ndarray) -> None:
-    # u is one (2, 2) matrix for every row or an (M, 2, 2) stack, one per row;
-    # each row viewed as (high bits, bit q, low bits), axis 2 is qubit q
-    m = amps.reshape(amps.shape[0], -1, 2, 1 << q)
-    u = u.reshape(-1, 1, 1, 2, 2)
-    a0 = m[:, :, 0, :].copy()
-    a1 = m[:, :, 1, :]
-    m[:, :, 0, :] = u[..., 0, 0] * a0 + u[..., 0, 1] * a1
-    m[:, :, 1, :] = u[..., 1, 0] * a0 + u[..., 1, 1] * a1
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    # one axis per qubit after the row axis, most significant first
-    n = amps.shape[1].bit_length() - 1
-    bits = amps.reshape((amps.shape[0],) + (2,) * n)
-    lo, hi = [slice(None)] * (n + 1), [slice(None)] * (n + 1)
-    lo[n - control] = hi[n - control] = 1
-    lo[n - target], hi[n - target] = 0, 1
-    bits[tuple(lo)], bits[tuple(hi)] = bits[tuple(hi)].copy(), bits[tuple(lo)].copy()
-
-
-def _apply_phase(amps: np.ndarray, targets: tuple[int, ...], angles) -> None:
-    # exp(-i angle/2 Z...Z) on the targets: e^(-i angle/2) where their bits
-    # have even parity, e^(+i angle/2) where odd; one angle or one per row
-    idx = np.arange(amps.shape[1])
-    parity = sum(idx >> q for q in targets) & 1
-    amps *= np.exp(np.multiply.outer(angles, [-0.5j, 0.5j]))[..., parity]
-
-
-def _check_targets(n_qubits: int, gates) -> None:
-    """Refuse a gate target outside range(n_qubits); the gate kernels do not check."""
-    bad = [q for gate in gates for q in gate.targets if not 0 <= q < n_qubits]
+def _check_targets(n_qubits: int, ops) -> None:
+    """Refuse a gate target outside range(n_qubits); the layers do not check."""
+    bad = [q for _, targets in ops for q in targets if not 0 <= q < n_qubits]
     if bad:
         raise ValueError(f"gate target {bad[0]} out of range for {n_qubits} qubits")
 
 
-def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angles) -> None:
-    """One gate on every row; angles is one angle per row, or one for all."""
-    if kind == "h":
-        _apply_1q(amps, targets[0], _H_MATRIX)
-    elif kind in ("rx", "ry"):
-        _apply_1q(amps, targets[0], _rotation_matrix(kind, angles))
-    elif kind == "cnot":
-        _apply_cnot(amps, targets[0], targets[1])
-    else:
-        _apply_phase(amps, targets, angles)
+def _block_qubits(register: int) -> int:
+    """Qubits per reduced-matrix block of a column's sweep and per phase
+    table of a diagonal run, on a register of that many qubits: about a
+    third of it, from 2 to 4."""
+    return min(4, max(2, (register + 2) // 3))
+
+
+def _bit_axes(register: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Shape that splits a register row into one axis of 2 per bit of bits
+    (most significant first) and one axis per run of bits between them, and
+    the indices of those in-between axes."""
+    shape, top = [], register
+    for b in sorted(bits, reverse=True):
+        shape += [1 << (top - 1 - b), 2]
+        top = b
+    shape.append(1 << top)
+    return tuple(shape), tuple(range(0, len(shape), 2))
+
+
+class _Column:
+    """H, RX and RY gates on distinct qubits: each 2x2 matrix (conj(U) on the
+    bra bits of density rows) applied elementwise as u[a, 0] x_0 + u[a, 1] x_1,
+    all rows at once. Elementwise, each output sums the same two products
+    whichever way its qubit is flipped, so a state symmetric under a flip of
+    every qubit stays symmetric bit for bit (batched BLAS products, which
+    may fuse multiply-adds, do not keep that). A gate's derivative comes from
+    the reduced matrix R[a, c] = sum conj(lambda_a) psi_c of a block of at
+    most _block_qubits adjacent qubits, one batched matmul per block, and a
+    fixed coefficient column: Im<lambda|X psi> or Im<lambda|Y psi>."""
+
+    kind = "column"
+
+    def __init__(self, n: int, ops, run, mixed: bool):
+        self.gates = tuple(run)
+        self.qubits = tuple(ops[i][1][0] for i in run)
+        kinds = [ops[i][0] for i in run]
+        # u[0, 1] and u[1, 0] are sin(angle/2) times these: RX -i, -i; RY -1, +1
+        self._off = np.array([(-1j, -1j) if k == "rx" else (-1, 1) for k in kinds]).T
+        self._h = [j for j, k in enumerate(kinds) if k == "h"]
+        self._mixed = mixed
+        members = {q: (j, False) for j, q in enumerate(self.qubits)}
+        if mixed:
+            members.update({q + n: (j, True) for j, q in enumerate(self.qubits)})
+        register = 2 * n if mixed else n
+        self._steps = [(j, conj, (1 << register) >> (q + 1), 1 << q)
+                       for q, (j, conj) in sorted(members.items())]
+        width = _block_qubits(register)
+        runs = []
+        for q in sorted(q for q, (j, conj) in members.items() if not conj and kinds[j] != "h"):
+            if runs and q == runs[-1][-1] + 1 and len(runs[-1]) < width:
+                runs[-1].append(q)
+            else:
+                runs.append([q])
+        self.blocks, deriv = [], []
+        for qs in runs:
+            d = 1 << len(qs)
+            coef = []
+            for t, q in enumerate(qs):
+                j = members[q][0]
+                col = np.zeros((d, d), dtype=complex)
+                a = np.arange(d)
+                col[a, a ^ (1 << t)] = -1j if kinds[j] == "rx" else np.where(a >> t & 1, 1.0, -1.0)
+                coef.append(col.reshape(-1))
+                deriv.append(run[j])
+            self.blocks.append((d, 1 << qs[0], (1 << register) >> (qs[-1] + 1), np.array(coef).T))
+        self.deriv = tuple(deriv)
+
+    def apply(self, rows, angles, inverse=False):
+        m = len(angles)
+        half = (-0.5 if inverse else 0.5) * angles[:, self.gates]
+        sin = np.sin(half)
+        u = np.empty(half.shape + (2, 2), dtype=complex)
+        u[..., 0, 0] = u[..., 1, 1] = np.cos(half)
+        u[..., 0, 1] = sin * self._off[0]
+        u[..., 1, 0] = sin * self._off[1]
+        if self._h:
+            u[:, self._h] = _H_MATRIX
+        # u[:, j, :, c] as (M, 1, a, 1), broadcast over the (k, M, high bits,
+        # qubit, low bits) view of the rows
+        u = u[:, :, None, :, :, None]
+        pair = (u, u.conj() if self._mixed else None)
+        out, term = np.empty_like(rows), np.empty_like(rows)  # rows is the third buffer
+        for j, conj, hi, lo in self._steps:
+            x, y, t = (a.reshape(-1, m, hi, 2, lo) for a in (rows, out, term))
+            uj = pair[conj][:, j]
+            np.multiply(x[:, :, :, :1], uj[..., 0, :], out=y)
+            y += np.multiply(x[:, :, :, 1:], uj[..., 1, :], out=t)
+            rows, out = out, rows
+        return rows
+
+    def terms(self, psi, lam):
+        m = len(psi)
+        lam = lam.conj()
+        out = []
+        for d, lo, hi, coef in self.blocks:
+            if lo == 1:
+                r = lam.reshape(m, hi, d).swapaxes(1, 2) @ psi.reshape(m, hi, d)
+            else:
+                r = (lam.reshape(m, hi, d, lo) @ psi.reshape(m, hi, d, lo).swapaxes(2, 3)).sum(1)
+            out.append((r.reshape(m, -1) @ coef).real)
+        return np.concatenate(out, axis=1)
+
+
+class _Diagonal:
+    """RZ and ZZ gates: a phase exp(-i/2 sum_g angle_g s_g), s_g the +-1 Z...Z
+    sign of gate g's target bits, on the ket bits and, with the angle
+    negated, on the bra bits of density rows (conj(U(a)) is U(-a)). The
+    factors are grouped by target bits, at most _block_qubits bits a group:
+    one product of the angles with a fixed exponent matrix gives every
+    group's (M, 2, ..., 2) phase table, and each table multiplies the rows
+    broadcast over its bits. A gate's derivative is the sum of
+    Im(conj(lambda) * psi) * s_g, reduced to its group's bits first."""
+
+    kind = "diagonal"
+
+    def __init__(self, n: int, ops, run, mixed: bool):
+        self.gates = self.deriv = tuple(run)
+        self.qubits = tuple(q for i in run for q in ops[i][1])
+        register = 2 * n if mixed else n
+        width = _block_qubits(register)
+        factors = [(j, ops[i][1], 1.0) for j, i in enumerate(run)]
+        if mixed:
+            factors += [(j, tuple(q + n for q in ops[i][1]), -1.0) for j, i in enumerate(run)]
+        groups = []  # [bits, factors]
+        for factor in factors:
+            for group in groups:
+                if len(group[0].union(factor[1])) <= width:
+                    break
+            else:
+                group = [set(), []]
+                groups.append(group)
+            group[0].update(factor[1])
+            group[1].append(factor)
+        self.groups, exponent, start = [], [], 0
+        for bits, members in groups:
+            bits = sorted(bits, reverse=True)
+            pattern = np.arange(1 << len(bits))[:, None] >> np.arange(len(bits) - 1, -1, -1) & 1
+            block = np.zeros((len(run), len(pattern)))
+            ket = np.zeros((len(run), len(pattern)))
+            for j, targets, sign in members:
+                signs = 1.0 - 2.0 * (pattern[:, [bits.index(q) for q in targets]].sum(1) & 1)
+                block[j] += -0.5 * sign * signs
+                if sign > 0:
+                    ket[j] = signs
+            exponent.append(block)
+            shape, gaps = _bit_axes(register, bits)
+            derived = np.flatnonzero(ket.any(axis=1))
+            self.groups.append((slice(start, start + len(pattern)), shape, gaps,
+                                derived, ket[derived].T))
+            start += len(pattern)
+        self._exponent = np.concatenate(exponent, axis=1)  # (gates, sum of table sizes)
+
+    def apply(self, rows, angles, inverse=False):
+        m = len(angles)
+        phase = np.exp((-1j if inverse else 1j) * (angles[:, self.gates] @ self._exponent))
+        for cols, shape, *_ in self.groups:
+            view = rows.reshape(-1, m, *shape)
+            view *= phase[:, cols].reshape(m, *[1, 2] * (len(shape) // 2), 1)
+        return rows
+
+    def terms(self, psi, lam):
+        m = len(psi)
+        im = lam.real * psi.imag - lam.imag * psi.real
+        out = np.empty((m, len(self.gates)))
+        for _, shape, gaps, derived, ket in self.groups:
+            if len(derived):  # the generator acts on the ket bits only
+                reduced = im.reshape(m, *shape).sum(axis=tuple(g + 1 for g in gaps))
+                out[:, derived] = reduced.reshape(m, -1) @ ket
+        return out
+
+
+class _Permutation:
+    """CNOT gates: one index gather by the composed basis permutation (each
+    CNOT also acts on the bra bits of density rows); undone by its inverse."""
+
+    kind = "permutation"
+    deriv = ()
+
+    def __init__(self, n: int, ops, run, mixed: bool):
+        self.gates = tuple(run)
+        self.qubits = tuple(q for i in run for q in ops[i][1])
+        index = np.arange(1 << (2 * n if mixed else n))
+        perm = index
+        for i in run:
+            for shift in (0, n) if mixed else (0,):
+                control, target = (q + shift for q in ops[i][1])
+                perm = perm[index ^ ((index >> control & 1) << target)]
+        self.perm, self.undo = perm, np.argsort(perm)
+
+    def apply(self, rows, angles, inverse=False):
+        return rows.take(self.undo if inverse else self.perm, axis=1)
+
+
+_LAYER_KINDS = {"h": _Column, "rx": _Column, "ry": _Column,
+                "rz": _Diagonal, "zz": _Diagonal, "cnot": _Permutation}
+
+
+def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -> tuple:
+    """The layers that run_rows and angle_gradient run for this gate list,
+    built once per (n_qubits, gate kinds and targets, channel kind) and
+    shared by every caller: any angles and any number of rows reuse them."""
+    return _compile(n_qubits, tuple((g.kind, g.targets) for g in gates), _mixed(channel))
+
+
+@functools.lru_cache(maxsize=64)
+def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
+    # greedy, in gate order: a gate joins the last run if it is of the same
+    # layer kind and, in a column or under a channel, shares no qubit with it
+    _check_targets(n_qubits, ops)
+    runs = []
+    for i, (kind, targets) in enumerate(ops):
+        layer = _LAYER_KINDS[kind]
+        if runs and layer is _LAYER_KINDS[ops[runs[-1][0]][0]] and not (
+                (layer is _Column or mixed)
+                and {q for j in runs[-1] for q in ops[j][1]}.intersection(targets)):
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return tuple(_LAYER_KINDS[ops[run[0]][0]](n_qubits, ops, run, mixed) for run in runs)
 
 
 def _depolarize(rho: np.ndarray, n: int, q: int, p: float) -> None:
@@ -207,31 +392,18 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
     take n <= MAX_QUBITS // 2): a gate U maps rho to U rho U^dagger, then each
     qubit it touched is depolarized. measure_rows_z with the same channel reads either.
     """
-    gates = list(gates)
-    _check_targets(n_qubits, gates)
+    gates = tuple(gates)
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
     mixed = _mixed(channel)
     rows = _zero_rows(angles.shape[0], 2 * n_qubits if mixed else n_qubits)
-    for i, gate in enumerate(gates):
-        _evolve(rows, n_qubits, gate, angles[:, i])
-        if mixed:
-            for q in gate.targets:
+    for layer in compile_circuit(n_qubits, gates, channel):
+        rows = layer.apply(rows, angles)
+        if mixed:  # a layer's gates share no qubit, so each kick can follow the layer
+            for q in layer.qubits:
                 _depolarize(rows, n_qubits, q, channel.depolarizing_prob)
     return rows
-
-
-def _evolve(rows: np.ndarray, n_qubits: int, gate: GateOp, angles: np.ndarray) -> None:
-    """U(angles) on amplitude rows, or U rho U^dagger on density rows: then
-    conj(U) acts on the bra bits, each target shifted up by n_qubits.
-    Negated angles undo the gate, since every kind's U(-a) is U(a)^dagger
-    (H and CNOT are their own inverses)."""
-    _apply(rows, gate.kind, gate.targets, angles)
-    if rows.shape[1] > 1 << n_qubits:
-        # conj(U(angle)) is U(-angle) but for the real H, CNOT, RY
-        sign = -1.0 if gate.kind in ("rx", "rz", "zz") else 1.0
-        _apply(rows, gate.kind, tuple(q + n_qubits for q in gate.targets), sign * angles)
 
 
 def _readout(n_qubits: int, channel: NoiseChannel | None) -> np.ndarray:
@@ -272,13 +444,14 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
                    channel: NoiseChannel | None = None, rows=None) -> np.ndarray:
     """(M, len(gates)): d(sum_q d_z[q] <Z_q>)/d(angle of gate i) per row of
     run_rows(n_qubits, gates, angles, channel) as measure_rows_z reads it,
-    and 0 for H and CNOT, by one reverse sweep with the costate of that
-    observable (Jones & Gacon 2020, arXiv:2009.02823). rows, if the caller
-    kept that run_rows output, start a pure sweep and are never written; a
-    noisy sweep re-runs the forward, since depolarizing cannot be undone.
+    and 0 for H and CNOT, by one reverse sweep over the layers with the
+    costate of that observable (Jones & Gacon 2020, arXiv:2009.02823). rows,
+    if the caller kept that run_rows output, start a pure sweep and are never
+    written; a noisy sweep re-runs the forward, since depolarizing cannot be
+    undone.
     """
-    gates = list(gates)
-    _check_targets(n_qubits, gates)
+    gates = tuple(gates)
+    layers = compile_circuit(n_qubits, gates, channel)
     angles = np.asarray(angles, dtype=float)
     d_z = np.asarray(d_z, dtype=float)
     if d_z.shape != (len(angles), n_qubits):
@@ -287,50 +460,46 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
     weights = d_z @ _readout(n_qubits, channel).T  # the diagonal of that observable O
     out = np.zeros(angles.shape)
     if _mixed(channel):
-        _density_sweep(n_qubits, gates, angles, weights, channel.depolarizing_prob, out)
+        _density_sweep(n_qubits, layers, angles, weights, channel.depolarizing_prob, out)
     else:
-        _pure_sweep(n_qubits, gates, angles, weights, rows, out)
+        rows = run_rows(n_qubits, gates, angles) if rows is None else rows
+        _pure_sweep(layers, angles, weights, rows, out)
     return out
 
 
-def _angle_term(costate: np.ndarray, state: np.ndarray, gate: GateOp) -> np.ndarray:
-    """Re<costate|U(pi) state> per row, which is Im<costate|G state>; turns
-    state in place. Re(conj(a) b) is the dot of their (re, im) float views."""
-    _apply(state, gate.kind, gate.targets, np.pi)
-    return np.einsum("ij,ij->i", costate.view(float), state.view(float))
-
-
-def _pure_sweep(n, gates, angles, weights, rows, out) -> None:
+def _pure_sweep(layers, angles, weights, rows, out) -> None:
     # d<psi|O|psi>/d angle is Im<lambda|G psi>, with psi the state after the
-    # gate and lambda = O psi carried back to it; psi and lambda share one array
+    # gate and lambda = O psi carried back to it. A layer's generators commute
+    # with its other gates, so all its terms come from the pair at its end;
+    # psi and lambda share one array, and each layer is undone on both
     m = len(angles)
-    rows = run_rows(n, gates, angles) if rows is None else rows
     state = np.concatenate([rows, weights * rows])
-    undo = -np.concatenate([angles, angles])
-    for i, gate in reversed(list(enumerate(gates))):
-        if gate.kind in ROTATION_KINDS:
-            out[:, i] = _angle_term(state[m:], state[:m].copy(), gate)
-        _evolve(state, n, gate, undo[:, i])
+    for layer in reversed(layers):
+        if layer.deriv:
+            out[:, layer.deriv] = layer.terms(state[:m], state[m:])
+        state = layer.apply(state, angles, inverse=True)
 
 
-def _density_sweep(n, gates, angles, weights, p, out) -> None:
+def _density_sweep(n, layers, angles, weights, p, out) -> None:
     # the loss is <lambda|rho>; a gate's unitary moves the state sigma it leaves
     # (kept before depolarizing) by (-i/2)(G sigma - sigma G) per unit angle.
     # lambda and sigma are Hermitian, so <lambda|sigma G> is the conjugate of
-    # <lambda|G sigma> and the term is Im<lambda|G sigma>, G on the ket bits
+    # <lambda|G sigma> and the term is Im<lambda|G sigma>, G on the ket bits;
+    # sigma is kept once per layer with derivatives, at the layer's end
     rho = _zero_rows(len(angles), 2 * n)
     sigmas = {}
-    for i, gate in enumerate(gates):
-        _evolve(rho, n, gate, angles[:, i])
-        if gate.kind in ROTATION_KINDS:
-            sigmas[i] = rho.copy()
-        for q in gate.targets:
+    for j, layer in enumerate(layers):
+        rho = layer.apply(rho, angles)
+        if layer.deriv:
+            sigmas[j] = rho.copy()
+        for q in layer.qubits:
             _depolarize(rho, n, q, p)
     costate = np.zeros_like(rho)
     costate[:, ::(1 << n) + 1] = weights
-    for i, gate in reversed(list(enumerate(gates))):
-        for q in gate.targets:  # the channel is self-adjoint
+    for j in reversed(range(len(layers))):
+        layer = layers[j]
+        for q in layer.qubits:  # the channel is self-adjoint
             _depolarize(costate, n, q, p)
-        if i in sigmas:
-            out[:, i] = _angle_term(costate, sigmas.pop(i), gate)
-        _evolve(costate, n, gate, -angles[:, i])
+        if j in sigmas:
+            out[:, layer.deriv] = layer.terms(sigmas.pop(j), costate)
+        costate = layer.apply(costate, angles, inverse=True)

@@ -149,6 +149,26 @@ def random_gate_list(n: int, n_gates: int, rng: np.random.Generator):
     return gates
 
 
+def layered_gate_list(n: int, n_runs: int, rng: np.random.Generator):
+    """Random circuit in runs of 1-6 gates of one kind, as GateOps with one
+    slot per rotation, so that compiled layers hold many gates: wide
+    columns, long phase runs with overlapping ZZ targets, CNOT runs."""
+    from qcae.statevector import ROTATION_KINDS, GateOp
+
+    kinds = ["h", "rx", "ry", "rz"] + (["cnot", "zz"] if n > 1 else [])
+    gates, slots = [], 0
+    for _ in range(n_runs):
+        kind = str(rng.choice(kinds))
+        for _ in range(int(rng.integers(1, 7))):
+            targets = tuple(int(q) for q in rng.permutation(n)[:2 if kind in ("cnot", "zz") else 1])
+            if kind in ROTATION_KINDS:
+                gates.append(GateOp(kind, targets, slot=slots))
+                slots += 1
+            else:
+                gates.append(GateOp(kind, targets))
+    return gates
+
+
 def conv2d_direct(x, weight, bias, stride: int = 1, padding: int = 0) -> np.ndarray:
     """Cross-correlation, one output pixel at a time:
     y[n, o, i, j] = bias[o] + sum over c, u, v of

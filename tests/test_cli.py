@@ -223,12 +223,26 @@ def test_sweep_points_share_the_configured_seed(tmp_path):
 
 def test_sweep_continues_past_failing_grid_point(tmp_path):
     out = tmp_path / "runs"
-    # family d does not exist and must fail that point only
-    argv = ["sweep", *FAST, "--output-dir", str(out), "--axis", "family=c,d"]
+    # the idx point finds no IDX files when it loads its data and must fail
+    # that point only
+    argv = ["sweep", *FAST, "--output-dir", str(out), "--data-dir", str(tmp_path / "none"),
+            "--axis", "dataset=synthetic,idx"]
     assert main(argv) == 0
     lines = next(out.glob("sweep_*.csv")).read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
-    assert [(row[1], row[-1]) for row in rows] == [("c", "ok"), ("d", "FAILED")]
+    assert [(row[1], row[-1]) for row in rows] == [("synthetic", "ok"), ("idx", "FAILED")]
+
+
+@pytest.mark.parametrize("axis, key", [("dataset=synthetic,bogus", "dataset"),
+                                       ("family=c,d", "family")])
+def test_sweep_refuses_a_grid_point_train_refuses(tmp_path, capsys, axis, key):
+    # train refuses --dataset bogus and --family d at config time; a sweep
+    # over them trains no point and makes no directory
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", axis]) == 1
+    err = capsys.readouterr().err
+    assert "config error: grid point" in err and key in err
+    assert not out.exists()
 
 
 def test_sweep_family_by_depth_grid_shape(tmp_path):

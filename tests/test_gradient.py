@@ -11,7 +11,7 @@ from qcae.gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient
 from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, angle_gradient,
                               measure_all_z, measure_rows_z, run_circuit, run_rows)
 
-from oracles import fd_jacobian, peak_bytes
+from oracles import fd_jacobian, layered_gate_list, peak_bytes
 
 
 def single_ry_template() -> CircuitTemplate:
@@ -259,6 +259,24 @@ def test_angle_gradient_matches_central_differences_pure(case):
 @given(templated_batches(max_n=3), st.floats(0.0, 1.0), st.floats(0.0, 0.45))
 def test_angle_gradient_matches_central_differences_noisy(case, p, flip):
     assert_columns_match_central_differences(*case, NoiseChannel(p, flip))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([None, 0.05, 0.7]))
+def test_angle_gradient_of_wide_layers_matches_central_differences(n, n_runs, seed, p):
+    # runs of one kind make layers that take many derivatives from one
+    # (psi, lambda) pair: whole columns, phase runs with overlapping ZZ targets
+    n = min(n, 3) if p else n
+    rng = np.random.default_rng(seed)
+    gates = layered_gate_list(n, n_runs, rng)
+    slots = sum(g.kind in ROTATION_KINDS for g in gates)
+    assume(slots)
+    template = CircuitTemplate(n, 1, "a", tuple(gates))
+    channel = NoiseChannel(p, 0.1) if p else None
+    assert_columns_match_central_differences(
+        template, rng.uniform(-2 * np.pi, 2 * np.pi, (2, slots)), rng.uniform(-2, 2, (2, n)),
+        channel)
 
 
 def test_angle_gradient_checks_d_z():

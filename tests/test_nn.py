@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import qcae.nn
 from qcae.ansatz import family_template
 from qcae.model import QuantumLatent
 from qcae.nn import (
@@ -187,6 +188,96 @@ def test_tconv_is_the_adjoint_of_conv(case):
     conv_x, tconv_y = conv.forward(x), tconv.forward(y)
     lhs, rhs = np.sum(conv_x * y), np.sum(x * tconv_y)
     assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(conv_x * y))
+
+
+@st.composite
+def layer_cases(draw):
+    """A conv or tconv geometry with random batch, channels, non-square maps,
+    kernel, stride, padding and output_padding, drawn in C order or batch
+    innermost; one case in four is the one-window geometry (a k x k input
+    with no padding for conv, a 1x1 input for tconv)."""
+    k = draw(st.integers(1, 4))
+    stride = draw(st.integers(1, 3))
+    one_window = draw(st.integers(0, 3)) == 0
+    pad = 0 if one_window else draw(st.sampled_from(range(k)))
+    if one_window:
+        height = width = k
+    else:
+        height, width = (draw(st.integers(max(1, k - 2 * pad), 8)) for _ in range(2))
+    return (draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 3)), k, stride,
+            pad, height, width, draw(st.integers(0, stride - 1)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def in_memory_order(a, batch_inner):
+    return np.ascontiguousarray(a.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2) if batch_inner else a
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer_cases())
+def test_conv_and_tconv_match_the_loop_oracles_forward_and_backward(case):
+    n, in_c, out_c, k, stride, pad, height, width, output_padding, batch_inner, seed = case
+    rng = rng_for(seed)
+    conv = Conv2d(in_c, out_c, k, stride, pad, rng=rng)
+    x = rng.normal(size=(n, in_c, height, width))
+    h_out, w_out = conv_out_size(height, k, stride, pad), conv_out_size(width, k, stride, pad)
+    upstream = rng.normal(size=(n, out_c, h_out, w_out))
+    np.testing.assert_allclose(conv.forward(in_memory_order(x, batch_inner)),
+                               conv2d_direct(x, conv.weight, conv.bias, stride, pad),
+                               rtol=0, atol=1e-12)
+    d_x = conv.backward(in_memory_order(upstream, batch_inner))
+    # conv's input gradient is tconv of the upstream with the same weight,
+    # cropped to the input: rows past the last window get no gradient
+    extra = max(height - tconv_out_size(h_out, k, stride, pad, 0),
+                width - tconv_out_size(w_out, k, stride, pad, 0))
+    expected = tconv2d_direct(upstream, conv.weight, np.zeros(in_c), stride, pad, extra)
+    np.testing.assert_allclose(d_x, expected[:, :, :height, :width], rtol=0, atol=1e-12)
+    probe = rng.normal(size=conv.weight.shape)
+    assert np.isclose(np.sum(conv.grad_weight * probe),
+                      np.sum(upstream * conv2d_direct(x, probe, np.zeros(out_c), stride, pad)),
+                      rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(conv.grad_bias, upstream.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+    # tconv maps an h x w map up; one window's input is a 1x1 map
+    tconv = ConvTranspose2d(in_c, out_c, k, stride, pad, output_padding, rng=rng)
+    h, w = (1, 1) if (height, width) == (k, k) and pad == 0 else (h_out, w_out)
+    t_out = (tconv_out_size(h, k, stride, pad, output_padding),
+             tconv_out_size(w, k, stride, pad, output_padding))
+    if min(t_out) < 1:
+        return
+    x = rng.normal(size=(n, in_c, h, w))
+    upstream = rng.normal(size=(n, out_c) + t_out)
+    np.testing.assert_allclose(
+        tconv.forward(in_memory_order(x, batch_inner)),
+        tconv2d_direct(x, tconv.weight, tconv.bias, stride, pad, output_padding),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tconv.backward(in_memory_order(upstream, batch_inner)),
+                               conv2d_direct(upstream, tconv.weight, np.zeros(in_c), stride, pad),
+                               rtol=0, atol=1e-12)
+    probe = rng.normal(size=tconv.weight.shape)
+    assert np.isclose(
+        np.sum(tconv.grad_weight * probe),
+        np.sum(upstream * tconv2d_direct(x, probe, np.zeros(out_c), stride, pad, output_padding)),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(tconv.grad_bias, upstream.sum(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+
+
+def test_a_second_forward_of_the_same_shape_builds_no_new_plan():
+    conv = Conv2d(2, 3, 3, 2, 1, rng=rng_for(80))
+    tconv = ConvTranspose2d(3, 2, 3, 2, 1, 1, rng=rng_for(81))
+
+    def step(n):
+        y = conv.forward(rng_for(n).normal(size=(n, 2, 9, 9)))
+        conv.backward(np.ones_like(y))
+        out = tconv.forward(y)
+        tconv.backward(np.ones_like(out))
+
+    step(4)
+    before = qcae.nn._patch_plan.cache_info()
+    step(4)
+    step(7)  # the plans do not depend on the batch size
+    after = qcae.nn._patch_plan.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
 
 
 # --------------------------------------------------------------- shape algebra

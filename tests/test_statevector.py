@@ -4,12 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import qcae.statevector
+from qcae.ansatz import family_template
 from qcae.statevector import (
     GATE_KINDS,
     ROTATION_KINDS,
     GateOp,
     NoiseChannel,
+    angle_gradient,
     cnot,
+    compile_circuit,
     h,
     measure_all_z,
     measure_rows_z,
@@ -21,7 +25,8 @@ from qcae.statevector import (
     zz,
 )
 
-from oracles import dense_all_z, dense_mixed_z, random_gate_list, run_dense, run_dense_mixed
+from oracles import (dense_all_z, dense_mixed_z, layered_gate_list, random_gate_list, run_dense,
+                     run_dense_mixed)
 
 SQRT2_INV = 1 / np.sqrt(2)
 
@@ -278,3 +283,67 @@ def test_measure_all_z_matches_per_qubit_calls():
     stacked = measure_all_z(amps)
     assert np.array_equal(stacked, measure_rows_z(amps[None])[0])
     assert np.allclose(stacked, dense_all_z(run_dense(3, gates), 3), atol=1e-12)
+
+
+# ----------------------------------------------------------- compiled layers
+
+LAYER_KINDS = {"column": {"h", "rx", "ry"}, "diagonal": {"rz", "zz"}, "permutation": {"cnot"}}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_compiled_layers_cover_every_gate_once_in_order(n, n_runs, seed, noisy):
+    gates = layered_gate_list(n, n_runs, np.random.default_rng(seed))
+    channel = NoiseChannel(0.1) if noisy else None
+    layers = compile_circuit(n, gates, channel)
+    assert [i for layer in layers for i in layer.gates] == list(range(len(gates)))
+    for layer in layers:
+        assert {gates[i].kind for i in layer.gates} <= LAYER_KINDS[layer.kind]
+        targets = [q for i in layer.gates for q in gates[i].targets]
+        # each gate's depolarizing follows its layer, so under a channel no
+        # two gates of a layer may share a qubit; a column never may
+        if noisy or layer.kind == "column":
+            assert len(targets) == len(set(targets)), (layer.kind, targets)
+    # greedy: a layer ends only where the next gate could not join it
+    for before, after in zip(layers, layers[1:]):
+        if before.kind == after.kind:
+            assert noisy or before.kind == "column"
+            first = set(gates[after.gates[0]].targets)
+            assert first & {q for i in before.gates for q in gates[i].targets}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), st.integers(0, 2**32 - 1),
+       st.sampled_from([0.0, 0.05, 1.0]))
+def test_wide_layers_match_dense_oracles(n, n_runs, seed, p):
+    # runs of one kind fill the layers that gate_rows' random kinds seldom make;
+    # density rows square the register, so noisy runs take n <= 3
+    n = min(n, 3) if p > 0 else n
+    rng = np.random.default_rng(seed)
+    gates = layered_gate_list(n, n_runs, rng)
+    angles = rng.uniform(-2 * np.pi, 2 * np.pi, (3, len(gates)))
+    channel = NoiseChannel(p) if p > 0 else None
+    rows = run_rows(n, gates, angles, channel)
+    for row, theta in zip(rows, angles):
+        ops = bound_ops(gates, theta)
+        if channel is None:
+            assert np.max(np.abs(row - run_dense(n, ops))) < 1e-12
+        else:
+            rho = run_dense_mixed(n, ops, p)
+            assert np.max(np.abs(row.reshape(2**n, 2**n).T - rho)) < 1e-12
+
+
+def test_a_second_run_of_the_same_gates_compiles_nothing():
+    template = family_template("c", 4, 2)
+    rng = np.random.default_rng(3)
+    for channel in (None, NoiseChannel(0.01)):
+        run_rows(4, template.gates, template.gate_angles(rng.uniform(size=(2, 16))), channel)
+        before = qcae.statevector._compile.cache_info()
+        # other angles, another row count, the sweep and a bound copy of the gates
+        angles = template.gate_angles(rng.uniform(size=(25, 16)))
+        run_rows(4, template.gates, angles, channel)
+        angle_gradient(4, template.gates, angles, rng.normal(size=(25, 4)), channel)
+        if channel is None:
+            run_circuit(4, template.bind(rng.uniform(size=16)))
+        after = qcae.statevector._compile.cache_info()
+        assert after.misses == before.misses and after.hits > before.hits
