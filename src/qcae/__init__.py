@@ -7,8 +7,8 @@ The package splits into small, composable pieces:
                every gate angle, and an exact depolarizing/readout channel
   ansatz       circuit templates of GateOps (QAOA layers plus comparison
                families)
-  gradient     parameter-shift jacobians, chain-rule glue, and the adjoint
-               gradient that trains the circuit, both mapped by slot_map
+  gradient     parameter-shift jacobians and chain-rule glue, the reference
+               that the training sweep (statevector.angle_gradient) matches
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
   model        the assembled denoisers (classical and hybrid) and training
   data_io      IDX datasets, Gaussian noising, PGM export, synthetic corpus
@@ -19,7 +19,7 @@ The package splits into small, composable pieces:
 from .ansatz import CircuitTemplate, family_template, qaoa_template
 from .data_io import (MnistSet, NoiseSpec, add_gaussian_noise, export_pgm, filter_classes,
                       load_idx, make_synthetic_digits, montage, write_idx)
-from .gradient import QuantumJacobian, adjoint_gradient, chain_loss_gradient, psr_gradient
+from .gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
 from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 from .model import (DenoisingAutoencoder, ModelSpec, QuantumLatent, TrainConfig,
                     TrainingAborted, train)

@@ -165,18 +165,6 @@ def export_pgm(image, path) -> None:
         f.write(body.tobytes())
 
 
-def import_pgm(path) -> np.ndarray:
-    """Read a binary PGM written by export_pgm back into (1, H, W) floats."""
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if len(parts) != 4 or parts[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM written by this package")
-    width, height = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    body = np.frombuffer(parts[3], dtype=np.uint8, count=width * height)
-    return body.reshape(1, height, width).astype(np.float64) / maxval
-
-
 def montage(images) -> np.ndarray:
     """Equally sized images side by side in one row, one white (1.0) pixel apart."""
     images = [_as_plane(im) for im in images]

@@ -1,24 +1,21 @@
-"""Circuit gradients of bound templates: the parameter-shift rule, and the
-adjoint sweep that training uses.
+"""The paper's parameter-shift rule, the circuit gradient hardware could run.
 
 Every parameterized gate is exp(-i angle/2 G) with G^2 = 1, which makes the
-shift rule exact and each sweep term Im<lambda|G psi>. Both gradients are taken
-per gate angle and end the same way: a per-gate row times template.slot_map,
-which holds each gate's scale at its slot, sums the terms of gates sharing a
-parameter (QAOA ties one gamma to every ring edge, one beta to every qubit).
+rule exact: df/dphi = (f(phi + pi/2) - f(phi - pi/2)) / 2 for each gate
+angle phi. psr_gradient runs the forward pass and every shift as angle rows
+of one gate program (statevector.run_rows, a block of rows at a time) and
+gives the full jacobian of per-qubit <Z>; its per-gate rows times
+template.slot_map, which holds each gate's scale at its slot, sum the terms
+of gates sharing a parameter (QAOA ties one gamma to every ring edge, one
+beta to every qubit). chain_loss_gradient contracts the jacobian with the
+classical side's gradient.
 
-psr_gradient is the paper's parameter-shift rule, the one hardware could
-run: df/dphi = (f(phi + pi/2) - f(phi - pi/2)) / 2 for each gate angle phi.
-The forward pass and every shift are angle rows of one gate program, run by
-statevector.run_rows a block of rows at a time, and give the full jacobian
-of per-qubit <Z>; chain_loss_gradient contracts it with the classical side's
-gradient.
-
-adjoint_gradient gives that contraction directly from one reverse sweep
-(statevector.angle_gradient, with the costate of sum_q downstream[q] Z_q;
-Jones & Gacon 2020, arXiv:2009.02823), O(gates) work against the shift
-rule's O(gates^2). Depolarizing depends on no angle and run_rows simulates
-it exactly, so both are exact under noise and agree to rounding.
+Training takes that contraction from one reverse sweep instead
+(statevector.angle_gradient times slot_map, in model.QuantumLatent):
+O(gates) work against the shift rule's O(gates^2). Depolarizing depends on
+no angle and run_rows simulates it exactly, so both are exact under noise
+and agree to rounding; this module is the reference the sweep is tested
+against.
 """
 from __future__ import annotations
 
@@ -28,7 +25,7 @@ from math import pi
 import numpy as np
 
 from .ansatz import CircuitTemplate
-from .statevector import NoiseChannel, angle_gradient, measure_rows_z, row_width, run_rows
+from .statevector import NoiseChannel, measure_rows_z, row_width, run_rows
 
 PSR_BLOCK_ENTRIES = 1 << 15  # row entries per run_rows call of psr_gradient (512 KB)
 
@@ -100,22 +97,3 @@ def chain_loss_gradient(jacobian: QuantumJacobian, downstream) -> np.ndarray:
         )
     return (downstream[..., None, :] @ entries)[..., 0, :]
 
-
-def adjoint_gradient(template: CircuitTemplate, params, downstream,
-                     channel: NoiseChannel | None = None, rows=None) -> np.ndarray:
-    """chain_loss_gradient(psr_gradient(template, params, channel), downstream)
-    by one reverse sweep over the layers, with no jacobian built.
-
-    params is one vector or an (N, slot_count) batch and downstream one (n,)
-    gradient per vector. rows, if the caller kept them, are run_rows's output
-    for params, which statevector.angle_gradient's pure sweep starts from.
-    """
-    angles = template.gate_angles(params)
-    n = template.n_qubits
-    downstream = np.asarray(downstream, dtype=float)
-    if downstream.shape != angles.shape[:-1] + (n,):
-        raise ValueError(f"downstream gradient of shape {downstream.shape} does not fit "
-                         f"{angles[..., 0].size} parameter vector(s) on {n} measured qubits")
-    per_gate = angle_gradient(n, template.gates, angles.reshape(-1, angles.shape[-1]),
-                              downstream.reshape(-1, n), channel, rows)
-    return (per_gate @ template.slot_map).reshape(angles.shape[:-1] + (template.slot_count,))

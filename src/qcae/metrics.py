@@ -116,6 +116,8 @@ def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
         batch_a, batch_b = batch_a[:, 0], batch_b[:, 0]
     if batch_a.ndim != 3:
         raise ValueError(f"expected a stack of images, got shape {batch_a.shape}")
+    if len(batch_a) == 0:
+        raise ValueError("mean_ssim needs at least one image pair, got an empty stack")
     per_image = np.empty(len(batch_a))
     for block in eval_blocks(len(batch_a)):
         per_image[block] = _ssim_per_image(batch_a[block], batch_b[block], cfg)

@@ -13,8 +13,9 @@ feeds the per-qubit Z expectations to the decoder.
 Gradients: backward runs the list in reverse; the circuit parameters get the
 decoder's input gradient contracted with the circuit's jacobian, computed by
 one adjoint sweep over the gates for the whole batch
-(gradient.adjoint_gradient). It equals the paper's parameter-shift rule,
-which gradient.psr_gradient keeps as the rule hardware could run. With
+(statevector.angle_gradient, mapped onto the parameters by the template's
+slot_map). It equals the paper's parameter-shift rule, which
+gradient.psr_gradient keeps as the rule hardware could run. With
 psr_enabled=False the circuit gradient is taken as zero, so only the
 decoder trains - that is the "no gradient refinement" ablation.
 
@@ -40,11 +41,10 @@ import numpy as np
 
 from .ansatz import CircuitTemplate, family_template
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
-from .gradient import adjoint_gradient
 from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Layer, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
-from .statevector import MAX_QUBITS, NoiseChannel, measure_rows_z, run_rows
+from .statevector import MAX_QUBITS, NoiseChannel, angle_gradient, measure_rows_z, run_rows
 
 # per supported image size: the three encoder widths, and the kernel of the
 # last convolution, which reaches 1x1 after two stride-2 halvings
@@ -137,11 +137,12 @@ def default_decoder(input_dim: int, image_size: int, rng: np.random.Generator) -
 class QuantumLatent(Layer):
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
 
-    forward runs the whole batch as one run_rows call, one angle row per
-    sample, and keeps the rows; backward takes the vector-Jacobian product
-    of the whole batch in one adjoint_gradient sweep, which starts from
-    those rows when they are pure. Both are deterministic, noise channel
-    included.
+    forward runs the whole batch as one run_rows call, one gate-angle row
+    per sample, and keeps those angles and the rows; backward takes the
+    vector-Jacobian product of the whole batch in one angle_gradient sweep,
+    which starts from those rows when they are pure, and maps its per-gate
+    terms onto the parameters with template.slot_map. Both are
+    deterministic, noise channel included.
     """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
@@ -155,18 +156,18 @@ class QuantumLatent(Layer):
         if y.ndim != 2 or y.shape[1] != slots:
             raise ValueError(f"quantum latent expects (N, {slots}), got {y.shape}")
         squashed = np.tanh(y)
-        angles = pi * (1.0 + squashed)
-        rows = run_rows(self.template.n_qubits, self.template.gates,
-                        self.template.gate_angles(angles), self.channel)
-        self._cache = squashed, angles, rows
+        gate_angles = self.template.gate_angles(pi * (1.0 + squashed))
+        rows = run_rows(self.template.n_qubits, self.template.gates, gate_angles, self.channel)
+        self._cache = squashed, gate_angles, rows
         return measure_rows_z(rows, self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
-        squashed, angles, rows = self._take_cache()
+        squashed, gate_angles, rows = self._take_cache()
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        d_theta = adjoint_gradient(self.template, angles, d_z, self.channel, rows)
-        return d_theta * pi * (1.0 - squashed ** 2)
+        t = self.template
+        d_theta = angle_gradient(t.n_qubits, t.gates, gate_angles, d_z, self.channel, rows)
+        return d_theta @ t.slot_map * pi * (1.0 - squashed ** 2)
 
 
 class DenoisingAutoencoder:

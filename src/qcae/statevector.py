@@ -11,6 +11,13 @@ out) and measure_all_z are the one-row pure case. GateOp is the one gate
 record: a rotation holds either a fixed angle or, in a circuit template, a
 parameter slot that binding replaces.
 
+Every <Z_q> is read from basis probabilities (|amplitude|^2, or a density
+row's diagonal) in one place, _paired_z, as the sum over the x whose bit q
+is 0 of p[x] - p[~x], ~x flipping every bit. A state fixed by the global
+flip, as the QAOA family's always is, so reads exactly 0.0 at any n and for
+any summation order of the kernels before it. angle_gradient's costate is
+the transpose of the same linear map, _readout.
+
 Every circuit runs as a program of layers, compiled once per gate list
 (compile_circuit; only kinds and targets matter, so any angles and any row
 count reuse it). A greedy pass in gate order makes three kinds of layer:
@@ -414,13 +421,23 @@ def _readout(n_qubits: int, channel: NoiseChannel | None) -> np.ndarray:
     return (1.0 - 2.0 * bits) * (1.0 - 2.0 * flip)
 
 
+def _paired_z(probs: np.ndarray, channel: NoiseChannel | None) -> np.ndarray:
+    """<Z_q> of (..., 2^n) basis probabilities as flip-paired sums: over the x
+    whose bit q is 0, p[x] - p[~x] (~x flips every bit, so p[~x] is
+    p[..., ::-1][x]), times 1 - 2 * readout_flip_prob. The same linear map as
+    probs @ _readout, but a state fixed by the global flip reads exactly 0.0,
+    whatever order its probabilities were summed in."""
+    n = probs.shape[-1].bit_length() - 1
+    return 0.5 * (probs - probs[..., ::-1]) @ _readout(n, channel)
+
+
 def measure_rows_z(rows: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
     """(M, n) exact per-qubit <Z> of run_rows output: of the amplitudes, or
     of the density matrices' diagonal when depolarizing is active."""
     if _mixed(channel):
         n = (rows.shape[1].bit_length() - 1) // 2
-        return rows[:, ::(1 << n) + 1].real @ _readout(n, channel)
-    return measure_all_z(rows, channel)
+        return _paired_z(rows[:, ::(1 << n) + 1].real, channel)
+    return _paired_z(np.abs(rows) ** 2, channel)
 
 
 def run_circuit(n_qubits: int, gates) -> np.ndarray:
@@ -436,8 +453,7 @@ def run_circuit(n_qubits: int, gates) -> np.ndarray:
 
 def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
     """(n,) <Z> of one amplitude vector (or (M, n) of M), readout flip applied."""
-    probs = np.abs(np.asarray(amplitudes)) ** 2
-    return probs @ _readout(probs.shape[-1].bit_length() - 1, channel)
+    return _paired_z(np.abs(np.asarray(amplitudes)) ** 2, channel)
 
 
 def angle_gradient(n_qubits: int, gates, angles, d_z,

@@ -10,6 +10,7 @@ from qcae.ansatz import (
     qaoa_template,
     ring_edges,
 )
+from qcae.model import QuantumLatent
 from qcae.statevector import (GateOp, NoiseChannel, measure_all_z, measure_rows_z, run_circuit,
                               run_rows)
 
@@ -72,6 +73,31 @@ def test_qaoa_latent_vanishes_on_random_parameters_pure(n, p, seed):
        st.floats(0.0, 1.0), st.floats(0.0, 0.45))
 def test_qaoa_latent_vanishes_on_random_parameters_noisy(n, p, seed, dep, flip):
     assert_qaoa_latent_vanishes(n, p, seed, NoiseChannel(dep, flip))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_qaoa_latent_is_exactly_zero_pure(n):
+    # the readout pairs every x with its global flip ~x, and the QAOA state
+    # is flip-symmetric bit for bit, so each pair cancels exactly: == 0 with
+    # no tolerance, at every n and whatever order the kernels summed in
+    rng = np.random.default_rng(n)
+    for p in (1, 2, 3):
+        latent = QuantumLatent(family_template("ours", n, p))
+        z = latent.forward(rng.normal(0.0, 2.0, (40, latent.template.slot_count)))
+        assert np.count_nonzero(z) == 0, (n, p)
+    wall = run_circuit(n, [GateOp("h", (q,)) for q in range(n)])
+    assert np.count_nonzero(measure_all_z(wall)) == 0
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+@pytest.mark.parametrize("depolarizing", [0.01, 0.3, 0.9])
+def test_qaoa_latent_is_exactly_zero_noisy(n, depolarizing):
+    rng = np.random.default_rng(n)
+    channel = NoiseChannel(depolarizing, 0.1)
+    for p in (1, 2, 3):
+        latent = QuantumLatent(family_template("ours", n, p), channel=channel)
+        z = latent.forward(rng.normal(0.0, 2.0, (20, latent.template.slot_count)))
+        assert np.count_nonzero(z) == 0, (n, p)
 
 
 def test_ring_edges_shapes():

@@ -87,6 +87,13 @@ def test_mean_ssim_of_a_stack_is_the_mean_of_per_image_ssim():
         mean_ssim(np.zeros((2, 2, 28, 28)), np.zeros((2, 2, 28, 28)))
 
 
+@pytest.mark.parametrize("shape", [(0, 28, 28), (0, 1, 28, 28)])
+def test_mean_ssim_refuses_an_empty_stack(shape):
+    # a mean over no images is no score, and nan would pass for one
+    with pytest.raises(ValueError, match="empty"):
+        mean_ssim(np.zeros(shape), np.zeros(shape))
+
+
 def test_eval_blocks_cut_every_count_into_whole_blocks():
     assert eval_blocks(0) == []
     assert eval_blocks(32) == [slice(0, 32)]

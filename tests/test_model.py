@@ -73,8 +73,9 @@ def test_zero_weights_send_all_angles_to_pi():
     for p in stack_tensors(halves(model)[0]):
         p[...] = 0.0
     out1 = model.forward(np.zeros((1, 1, 8, 8)))
-    _, angles, _ = model.quantum._cache
-    assert np.allclose(angles, np.pi)
+    _, gate_angles, _ = model.quantum._cache
+    template = model.quantum.template
+    assert np.allclose(gate_angles, template.gate_angles(np.full(template.slot_count, np.pi)))
     out2 = model.forward(np.zeros((1, 1, 8, 8)))
     assert np.array_equal(out1, out2)
 
@@ -235,8 +236,9 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     rng = np.random.default_rng(19)
     y = rng.normal(size=(4, latent.template.slot_count))
     d_z = rng.normal(size=latent.forward(y).shape)
-    _, angles, rows = latent._cache
+    _, _, rows = latent._cache
     kept = rows.copy()
+    angles = np.pi * (1.0 + np.tanh(y))
 
     d_y = latent.backward(d_z)
     jac = psr_gradient(model.quantum.template, angles, noise)
