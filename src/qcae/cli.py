@@ -108,7 +108,11 @@ def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
     # fail fast on numeric ranges, naming the offending key
     _model_spec(cfg)
     _train_config(cfg)
-    _parsed_classes(cfg)
+    classes = _parsed_classes(cfg)
+    if not classes:
+        raise ValueError("classes must name at least one class")
+    if cfg.dataset == "synthetic" and not set(classes) <= {0, 1}:
+        raise ValueError(f"classes {cfg.classes!r}: the synthetic corpus only provides 0 and 1")
     return cfg
 
 

@@ -11,13 +11,14 @@ as one angle row per sample (the QAOA family applies its own H wall), and
 feeds the per-qubit Z expectations to the decoder.
 
 Gradients: backward runs the list in reverse; the circuit parameters get the
-decoder's input gradient contracted with the circuit's jacobian, computed by
-one adjoint sweep over the gates for the whole batch
-(statevector.angle_gradient, mapped onto the parameters by the template's
-slot_map). It equals the paper's parameter-shift rule, which
-gradient.psr_gradient keeps as the rule hardware could run. With
-psr_enabled=False the circuit gradient is taken as zero, so only the
-decoder trains - that is the "no gradient refinement" ablation.
+decoder's input gradient contracted with the circuit's jacobian, computed
+for the whole batch by one forward that keeps each layer's state and one
+reverse adjoint sweep over the layers (statevector.angle_gradient, mapped
+onto the parameters by the template's slot_map). It equals the paper's
+parameter-shift rule, which gradient.psr_gradient keeps as the rule
+hardware could run. With psr_enabled=False the circuit gradient is taken
+as zero, so only the decoder trains - that is the "no gradient refinement"
+ablation.
 
 Training minimizes MSE between the reconstruction and the clean image
 (inputs are the noised versions) with one Adam over model.params, recording
@@ -71,6 +72,9 @@ class ModelSpec:
             raise ValueError(f"p must be >= 1, got {self.p}")
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if self.latent_width is not None and (self.kind == "qcae" or self.latent_width < 1):
+            raise ValueError(f"latent_width is a ccae width >= 1, got {self.latent_width} "
+                             f"on {self.kind} (qcae's latent is n_qubits wide)")
         if self.image_size not in _WIDTHS:
             raise ValueError(f"image_size must be one of {tuple(_WIDTHS)}, got {self.image_size}")
         noisy = self.noise.depolarizing_prob > 0
@@ -138,11 +142,11 @@ class QuantumLatent(Layer):
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
 
     forward runs the whole batch as one run_rows call, one gate-angle row
-    per sample, and keeps those angles and the rows; backward takes the
-    vector-Jacobian product of the whole batch in one angle_gradient sweep,
-    which starts from those rows when they are pure, and maps its per-gate
-    terms onto the parameters with template.slot_map. Both are
-    deterministic, noise channel included.
+    per sample, and keeps those angles; backward takes the vector-Jacobian
+    product of the whole batch in one angle_gradient call, which runs its
+    own forward from those angles, and maps its per-gate terms onto the
+    parameters with template.slot_map. Both are deterministic, noise
+    channel included.
     """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
@@ -157,16 +161,16 @@ class QuantumLatent(Layer):
             raise ValueError(f"quantum latent expects (N, {slots}), got {y.shape}")
         squashed = np.tanh(y)
         gate_angles = self.template.gate_angles(pi * (1.0 + squashed))
-        rows = run_rows(self.template.n_qubits, self.template.gates, gate_angles, self.channel)
-        self._cache = squashed, gate_angles, rows
-        return measure_rows_z(rows, self.channel)
+        self._cache = squashed, gate_angles
+        return measure_rows_z(run_rows(self.template.n_qubits, self.template.gates,
+                                       gate_angles, self.channel), self.channel)
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
-        squashed, gate_angles, rows = self._take_cache()
+        squashed, gate_angles = self._take_cache()
         if not self.psr_enabled:
             return np.zeros_like(squashed)
         t = self.template
-        d_theta = angle_gradient(t.n_qubits, t.gates, gate_angles, d_z, self.channel, rows)
+        d_theta = angle_gradient(t.n_qubits, t.gates, gate_angles, d_z, self.channel)
         return d_theta @ t.slot_map * pi * (1.0 - squashed ** 2)
 
 

@@ -28,11 +28,13 @@ count reuse it). A greedy pass in gate order makes three kinds of layer:
                with a fixed exponent matrix;
   permutation  a run of CNOTs: one gather by the composed basis permutation.
 A rotation is exp(-i angle/2 G) with G^2 = 1 and G commutes with the rest
-of its layer, so the sweep takes every derivative of a layer,
-Im<lambda|G psi>, from the (psi, lambda) pair at the layer's end and then
-undoes the whole layer: a column from reduced matrices of kron blocks of
-adjacent qubits, a diagonal run as Im(conj(lambda) * psi) summed against
-each gate's Z...Z signs.
+of its layer, so every derivative of a layer, Im<lambda|G psi>, comes from
+the (psi, lambda) pair at the layer's end: a column's from reduced matrices
+of kron blocks of adjacent qubits, a diagonal run's as Im(conj(lambda) *
+psi) summed against each gate's Z...Z signs. angle_gradient's forward keeps
+psi at the end of each layer with derivatives, pure or density row alike,
+and its one reverse sweep undoes each layer on lambda only, stopping at the
+first layer with derivatives.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
@@ -128,15 +130,6 @@ class NoiseChannel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-
-
-def _zero_rows(n_rows: int, n_qubits: int) -> np.ndarray:
-    """n_rows copies of |0...0>; at most MAX_QUBITS simulated qubits bound memory."""
-    if not 1 <= n_qubits <= MAX_QUBITS:
-        raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
-    amps = np.zeros((n_rows, 2**n_qubits), dtype=complex)
-    amps[:, 0] = 1.0
-    return amps
 
 
 def _check_targets(n_qubits: int, ops) -> None:
@@ -346,7 +339,8 @@ _LAYER_KINDS = {"h": _Column, "rx": _Column, "ry": _Column,
 def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -> tuple:
     """The layers that run_rows and angle_gradient run for this gate list,
     built once per (n_qubits, gate kinds and targets, channel kind) and
-    shared by every caller: any angles and any number of rows reuse them."""
+    shared by every caller: any angles and any number of rows reuse them.
+    A register (2n qubits under a channel) beyond MAX_QUBITS is refused."""
     return _compile(n_qubits, tuple((g.kind, g.targets) for g in gates), _mixed(channel))
 
 
@@ -354,6 +348,9 @@ def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -
 def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
     # greedy, in gate order: a gate joins the last run if it is of the same
     # layer kind and, in a column or under a channel, shares no qubit with it
+    register = 2 * n_qubits if mixed else n_qubits
+    if not 1 <= register <= MAX_QUBITS:  # bounds the memory of layers and rows
+        raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {register}")
     _check_targets(n_qubits, ops)
     runs = []
     for i, (kind, targets) in enumerate(ops):
@@ -403,13 +400,23 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
+    return _run(n_qubits, compile_circuit(n_qubits, gates, channel), angles, channel)
+
+
+def _run(n: int, layers, angles, channel, kept: dict | None = None) -> np.ndarray:
+    # the forward of run_rows and of angle_gradient; kept, if given, gets a
+    # copy of the state each layer with derivatives leaves (before its
+    # depolarizing), keyed by the layer's index
     mixed = _mixed(channel)
-    rows = _zero_rows(angles.shape[0], 2 * n_qubits if mixed else n_qubits)
-    for layer in compile_circuit(n_qubits, gates, channel):
+    rows = np.zeros((len(angles), row_width(n, channel)), dtype=complex)
+    rows[:, 0] = 1.0  # |0...0>
+    for j, layer in enumerate(layers):
         rows = layer.apply(rows, angles)
+        if kept is not None and layer.deriv:
+            kept[j] = rows.copy()
         if mixed:  # a layer's gates share no qubit, so each kick can follow the layer
             for q in layer.qubits:
-                _depolarize(rows, n_qubits, q, channel.depolarizing_prob)
+                _depolarize(rows, n, q, channel.depolarizing_prob)
     return rows
 
 
@@ -457,14 +464,13 @@ def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -
 
 
 def angle_gradient(n_qubits: int, gates, angles, d_z,
-                   channel: NoiseChannel | None = None, rows=None) -> np.ndarray:
+                   channel: NoiseChannel | None = None) -> np.ndarray:
     """(M, len(gates)): d(sum_q d_z[q] <Z_q>)/d(angle of gate i) per row of
     run_rows(n_qubits, gates, angles, channel) as measure_rows_z reads it,
-    and 0 for H and CNOT, by one reverse sweep over the layers with the
-    costate of that observable (Jones & Gacon 2020, arXiv:2009.02823). rows,
-    if the caller kept that run_rows output, start a pure sweep and are never
-    written; a noisy sweep re-runs the forward, since depolarizing cannot be
-    undone.
+    and 0 for H and CNOT, by one forward that keeps the state each layer
+    with derivatives leaves and one reverse sweep that carries only the
+    costate of that observable back to them (Jones & Gacon 2020,
+    arXiv:2009.02823). The sweep stops at the first layer with derivatives.
     """
     gates = tuple(gates)
     layers = compile_circuit(n_qubits, gates, channel)
@@ -474,48 +480,28 @@ def angle_gradient(n_qubits: int, gates, angles, d_z,
         raise ValueError(f"need an ({len(angles)}, {n_qubits}) downstream gradient d_z, "
                          f"one row per angle row, got shape {d_z.shape}")
     weights = d_z @ _readout(n_qubits, channel).T  # the diagonal of that observable O
-    out = np.zeros(angles.shape)
-    if _mixed(channel):
-        _density_sweep(n_qubits, layers, angles, weights, channel.depolarizing_prob, out)
+    kept = {}
+    rows = _run(n_qubits, layers, angles, channel, kept)
+    # a term is Im<lambda|G sigma>, G on the ket bits, with sigma the state
+    # the layer leaves and lambda the costate carried back to it: O psi for
+    # a pure row; for a density row O itself, as the loss is <lambda|rho>
+    # and both are Hermitian. A layer's generators commute with its other
+    # gates, so all its terms come from the pair at its end. The channel is
+    # self-adjoint, so the costate is depolarized as the state was
+    mixed = _mixed(channel)
+    if mixed:
+        costate = np.zeros_like(rows)
+        costate[:, ::(1 << n_qubits) + 1] = weights
     else:
-        rows = run_rows(n_qubits, gates, angles) if rows is None else rows
-        _pure_sweep(layers, angles, weights, rows, out)
-    return out
-
-
-def _pure_sweep(layers, angles, weights, rows, out) -> None:
-    # d<psi|O|psi>/d angle is Im<lambda|G psi>, with psi the state after the
-    # gate and lambda = O psi carried back to it. A layer's generators commute
-    # with its other gates, so all its terms come from the pair at its end;
-    # psi and lambda share one array, and each layer is undone on both
-    m = len(angles)
-    state = np.concatenate([rows, weights * rows])
-    for layer in reversed(layers):
-        if layer.deriv:
-            out[:, layer.deriv] = layer.terms(state[:m], state[m:])
-        state = layer.apply(state, angles, inverse=True)
-
-
-def _density_sweep(n, layers, angles, weights, p, out) -> None:
-    # the loss is <lambda|rho>; a gate's unitary moves the state sigma it leaves
-    # (kept before depolarizing) by (-i/2)(G sigma - sigma G) per unit angle.
-    # lambda and sigma are Hermitian, so <lambda|sigma G> is the conjugate of
-    # <lambda|G sigma> and the term is Im<lambda|G sigma>, G on the ket bits;
-    # sigma is kept once per layer with derivatives, at the layer's end
-    rho = _zero_rows(len(angles), 2 * n)
-    sigmas = {}
-    for j, layer in enumerate(layers):
-        rho = layer.apply(rho, angles)
-        if layer.deriv:
-            sigmas[j] = rho.copy()
-        for q in layer.qubits:
-            _depolarize(rho, n, q, p)
-    costate = np.zeros_like(rho)
-    costate[:, ::(1 << n) + 1] = weights
-    for j in reversed(range(len(layers))):
+        costate = weights * rows
+    out = np.zeros(angles.shape)
+    for j in reversed(range(min(kept, default=len(layers)), len(layers))):
         layer = layers[j]
-        for q in layer.qubits:  # the channel is self-adjoint
-            _depolarize(costate, n, q, p)
-        if j in sigmas:
-            out[:, layer.deriv] = layer.terms(sigmas.pop(j), costate)
-        costate = layer.apply(costate, angles, inverse=True)
+        if mixed:
+            for q in layer.qubits:
+                _depolarize(costate, n_qubits, q, channel.depolarizing_prob)
+        if j in kept:
+            out[:, layer.deriv] = layer.terms(kept.pop(j), costate)
+        if kept:  # no undo for the first layer with derivatives or before it
+            costate = layer.apply(costate, angles, inverse=True)
+    return out

@@ -234,10 +234,11 @@ def test_sweep_continues_past_failing_grid_point(tmp_path):
 
 
 @pytest.mark.parametrize("axis, key", [("dataset=synthetic,bogus", "dataset"),
-                                       ("family=c,d", "family")])
+                                       ("family=c,d", "family"),
+                                       ("classes=1,2", "classes")])
 def test_sweep_refuses_a_grid_point_train_refuses(tmp_path, capsys, axis, key):
-    # train refuses --dataset bogus and --family d at config time; a sweep
-    # over them trains no point and makes no directory
+    # train refuses --dataset bogus, --family d and synthetic --classes 2 at
+    # config time; a sweep over them trains no point and makes no directory
     out = tmp_path / "runs"
     assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", axis]) == 1
     err = capsys.readouterr().err
@@ -369,6 +370,7 @@ REFUSED = [
     ("limit", "0", "sample_limit and val_limit"),
     ("val_limit", "0", "sample_limit and val_limit"),
     ("classes", "x", "classes must be comma-separated integers"),
+    ("classes", "", "classes must name at least one class"),
     ("sigma", "nan", "sigma must be finite"),
     ("sigma", "inf", "sigma must be finite"),
 ]

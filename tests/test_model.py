@@ -3,6 +3,7 @@ end-to-end finite-difference agreement, and training behaviour."""
 import numpy as np
 import pytest
 
+import qcae.model
 import qcae.nn
 from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
@@ -17,7 +18,7 @@ from qcae.model import (
     train,
 )
 from qcae.nn import mse_loss
-from qcae.statevector import NoiseChannel
+from qcae.statevector import NoiseChannel, run_rows
 
 from oracles import fd_gradient, peak_bytes
 
@@ -68,15 +69,26 @@ def test_forward_is_deterministic():
     assert a.shape == x.shape
 
 
-def test_zero_weights_send_all_angles_to_pi():
+def test_zero_weights_send_all_angles_to_pi(monkeypatch):
     model = DenoisingAutoencoder(toy_spec(family="ours"), seed=2)
-    for p in stack_tensors(halves(model)[0]):
+    encoder = halves(model)[0]
+    for p in stack_tensors(encoder):
         p[...] = 0.0
-    out1 = model.forward(np.zeros((1, 1, 8, 8)))
-    _, gate_angles, _ = model.quantum._cache
+    ran = []  # the gate angles the latent runs its circuit at
+
+    def recording_run_rows(n, gates, angles, channel=None):
+        ran.append(angles.copy())
+        return run_rows(n, gates, angles, channel)
+
+    monkeypatch.setattr(qcae.model, "run_rows", recording_run_rows)
+    x = np.zeros((1, 1, 8, 8))
+    out1 = model.forward(x)
+    y = run_forward(encoder, x)
     template = model.quantum.template
+    gate_angles = ran[0]
+    assert np.array_equal(gate_angles, template.gate_angles(np.pi * (1.0 + np.tanh(y))))
     assert np.allclose(gate_angles, template.gate_angles(np.full(template.slot_count, np.pi)))
-    out2 = model.forward(np.zeros((1, 1, 8, 8)))
+    out2 = model.forward(x)
     assert np.array_equal(out1, out2)
 
 
@@ -236,8 +248,6 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     rng = np.random.default_rng(19)
     y = rng.normal(size=(4, latent.template.slot_count))
     d_z = rng.normal(size=latent.forward(y).shape)
-    _, _, rows = latent._cache
-    kept = rows.copy()
     angles = np.pi * (1.0 + np.tanh(y))
 
     d_y = latent.backward(d_z)
@@ -246,9 +256,8 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     expected = chain_loss_gradient(jac, d_z) * squash
     assert np.max(np.abs(expected)) > 1e-3
     assert np.max(np.abs(d_y - expected)) <= 1e-12
-    # backward reads the cached forward rows and never writes into them
+    # backward is repeatable: it writes into nothing that it reads
     assert np.array_equal(latent.backward(d_z), d_y)
-    assert np.array_equal(rows, kept)
 
 
 # ------------------------------------------------------------------ training
@@ -468,6 +477,9 @@ def test_spec_validation():
         ModelSpec(kind="vae")
     with pytest.raises(ValueError, match="p must"):
         ModelSpec(p=0)
+    for kind, width in (("ccae", 0), ("ccae", -2), ("qcae", 4)):
+        with pytest.raises(ValueError, match="latent_width"):
+            ModelSpec(kind=kind, latent_width=width)
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):

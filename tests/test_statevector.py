@@ -54,6 +54,19 @@ def test_init_zero_rejects_out_of_range(bad_n):
         run_circuit(bad_n, [])
 
 
+@pytest.mark.parametrize("n, channel", [(0, None), (15, None), (8, NoiseChannel(0.1))])
+def test_a_register_beyond_the_cap_is_refused_before_any_layer_is_built(n, channel):
+    # the cap bounds the memory of the layers (a CNOT run's permutation
+    # table has 2^register entries) as well as of the rows
+    gates = [cnot(0, 1)]
+    angles, d_z = np.zeros((1, 1)), np.zeros((1, n))
+    for call in (lambda: compile_circuit(n, gates, channel),
+                 lambda: run_rows(n, gates, angles, channel),
+                 lambda: angle_gradient(n, gates, angles, d_z, channel)):
+        with pytest.raises(ValueError, match="simulated qubits must be in"):
+            call()
+
+
 # --------------------------------------------------------------- gate basics
 
 def test_hadamard_on_zero():
