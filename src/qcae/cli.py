@@ -9,6 +9,7 @@ repeated runs never silently overwrite differing setups. Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import itertools
 import json
@@ -61,18 +62,20 @@ def _coerce(key: str, raw):
     if not isinstance(raw, str):
         return raw
     kind = _FIELD_TYPES[key]
+    if kind == "str":
+        return raw.strip()
     if kind == "bool":
         lowered = raw.strip().lower()
         if lowered in ("1", "true", "yes", "on"):
             return True
         if lowered in ("0", "false", "no", "off"):
             return False
-        raise ValueError(f"config key {key!r}: cannot parse boolean from {raw!r}")
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw.strip()
+    else:
+        try:
+            return (int if kind == "int" else float)(raw)
+        except ValueError:
+            pass
+    raise ValueError(f"config key {key!r}: cannot parse {kind} from {raw!r}")
 
 
 def load_config_file(path) -> dict:
@@ -241,9 +244,10 @@ def cmd_denoise(args) -> int:
 
 def _parse_axis(text: str) -> tuple[str, list]:
     if "=" not in text:
-        raise ValueError(f"axis must look like name=v1,v2,... got {text!r}")
+        raise ValueError(f"axis must look like name=v1,v2,... or name=v1;v2;... got {text!r}")
     name, values = (part.strip() for part in text.split("=", 1))
-    parsed = [_coerce(name, v) for v in values.split(",") if v.strip() != ""]
+    parsed = [_coerce(name, v) for v in values.split(";" if ";" in values else ",")
+              if v.strip() != ""]
     if not parsed:
         raise ValueError(f"axis {name!r} has no values")
     return name, parsed
@@ -270,16 +274,15 @@ def cmd_sweep(args) -> int:
         cid = config_id(point)
         try:
             _, final_ssim = _train_run(point)
-            rows.append((cid, combo, f"{final_ssim:.6f}", "ok"))
+            rows.append([cid, *combo, f"{final_ssim:.6f}", "ok"])
         except Exception as e:  # keep sweeping; mark the grid point failed
-            rows.append((cid, combo, "", "FAILED"))
+            rows.append([cid, *combo, "", "FAILED"])
             print(f"grid point {combo} failed: {e}", file=sys.stderr)
     sweep_path = out_root / f"sweep_{config_id(cfg)}.csv"
     with open(sweep_path, "w", newline="") as f:
-        f.write("config_id," + ",".join(names) + ",final_val_ssim,status\n")
-        for cid, combo, ssim_text, status in rows:
-            combo_text = ",".join(str(v) for v in combo)
-            f.write(f"{cid},{combo_text},{ssim_text},{status}\n")
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(["config_id", *names, "final_val_ssim", "status"])
+        writer.writerows(rows)
     print(f"wrote {sweep_path} ({len(rows)} grid points)")
     return 0
 
@@ -339,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train a grid over any config keys")
     _add_override_flags(p_sweep)
-    p_sweep.add_argument("--axis", action="append", default=[],
-                         metavar="NAME=V1,V2", help="repeatable sweep axis")
+    p_sweep.add_argument("--axis", action="append", default=[], metavar="NAME=V1,V2",
+                         help="repeatable sweep axis (V1;V2 if a value has commas)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_eval = sub.add_parser("eval", help="SSIM of a trained run on the validation set")

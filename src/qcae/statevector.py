@@ -30,11 +30,11 @@ count reuse it). A greedy pass in gate order makes three kinds of layer:
 A rotation is exp(-i angle/2 G) with G^2 = 1 and G commutes with the rest
 of its layer, so every derivative of a layer, Im<lambda|G psi>, comes from
 the (psi, lambda) pair at the layer's end: a column's from reduced matrices
-of kron blocks of adjacent qubits, a diagonal run's as Im(conj(lambda) *
-psi) summed against each gate's Z...Z signs. angle_gradient's forward keeps
-psi at the end of each layer with derivatives, pure or density row alike,
-and its one reverse sweep undoes each layer on lambda only, stopping at the
-first layer with derivatives.
+of kron blocks of adjacent qubits, a diagonal run's as one product of
+Im(conj(lambda) * psi) with a table of each gate's Z...Z signs on the ket
+bits. angle_gradient's forward keeps psi at the end of each layer with
+derivatives, pure or density row alike, and its one reverse sweep undoes
+each layer on lambda only, stopping at the first layer with derivatives.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
@@ -146,16 +146,15 @@ def _block_qubits(register: int) -> int:
     return min(4, max(2, (register + 2) // 3))
 
 
-def _bit_axes(register: int, bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _bit_axes(register: int, bits) -> tuple[int, ...]:
     """Shape that splits a register row into one axis of 2 per bit of bits
-    (most significant first) and one axis per run of bits between them, and
-    the indices of those in-between axes."""
+    (most significant first) and one axis per run of bits between them."""
     shape, top = [], register
     for b in sorted(bits, reverse=True):
         shape += [1 << (top - 1 - b), 2]
         top = b
     shape.append(1 << top)
-    return tuple(shape), tuple(range(0, len(shape), 2))
+    return tuple(shape)
 
 
 class _Column:
@@ -249,8 +248,9 @@ class _Diagonal:
     factors are grouped by target bits, at most _block_qubits bits a group:
     one product of the angles with a fixed exponent matrix gives every
     group's (M, 2, ..., 2) phase table, and each table multiplies the rows
-    broadcast over its bits. A gate's derivative is the sum of
-    Im(conj(lambda) * psi) * s_g, reduced to its group's bits first."""
+    broadcast over its bits. Every gate's derivative is one product of
+    Im(conj(lambda) * psi) with a (2^register, gates) table of its ket-bit
+    signs s_g."""
 
     kind = "diagonal"
 
@@ -277,37 +277,29 @@ class _Diagonal:
             bits = sorted(bits, reverse=True)
             pattern = np.arange(1 << len(bits))[:, None] >> np.arange(len(bits) - 1, -1, -1) & 1
             block = np.zeros((len(run), len(pattern)))
-            ket = np.zeros((len(run), len(pattern)))
             for j, targets, sign in members:
                 signs = 1.0 - 2.0 * (pattern[:, [bits.index(q) for q in targets]].sum(1) & 1)
                 block[j] += -0.5 * sign * signs
-                if sign > 0:
-                    ket[j] = signs
             exponent.append(block)
-            shape, gaps = _bit_axes(register, bits)
-            derived = np.flatnonzero(ket.any(axis=1))
-            self.groups.append((slice(start, start + len(pattern)), shape, gaps,
-                                derived, ket[derived].T))
+            self.groups.append((slice(start, start + len(pattern)), _bit_axes(register, bits)))
             start += len(pattern)
         self._exponent = np.concatenate(exponent, axis=1)  # (gates, sum of table sizes)
+        targets = np.zeros((register, len(run)), dtype=int)
+        for j, i in enumerate(run):
+            targets[list(ops[i][1]), j] = 1  # the generator acts on the ket bits only
+        bits = np.arange(1 << register)[:, None] >> np.arange(register) & 1
+        self._signs = 1.0 - 2.0 * ((bits @ targets) % 2)
 
     def apply(self, rows, angles, inverse=False):
         m = len(angles)
         phase = np.exp((-1j if inverse else 1j) * (angles[:, self.gates] @ self._exponent))
-        for cols, shape, *_ in self.groups:
+        for cols, shape in self.groups:
             view = rows.reshape(-1, m, *shape)
             view *= phase[:, cols].reshape(m, *[1, 2] * (len(shape) // 2), 1)
         return rows
 
     def terms(self, psi, lam):
-        m = len(psi)
-        im = lam.real * psi.imag - lam.imag * psi.real
-        out = np.empty((m, len(self.gates)))
-        for _, shape, gaps, derived, ket in self.groups:
-            if len(derived):  # the generator acts on the ket bits only
-                reduced = im.reshape(m, *shape).sum(axis=tuple(g + 1 for g in gaps))
-                out[:, derived] = reduced.reshape(m, -1) @ ket
-        return out
+        return (lam.real * psi.imag - lam.imag * psi.real) @ self._signs
 
 
 class _Permutation:

@@ -133,6 +133,13 @@ def test_qaoa_rejects_bad_p_and_lengths():
         qaoa_template(2, 2).bind([0.1, 0.2, 0.3])  # needs 2 gammas + 2 betas
 
 
+def test_bind_refuses_a_batch():
+    template = qaoa_template(2, 1)
+    assert template.gate_angles(np.zeros((3, 2))).shape == (3, len(template.gates))
+    with pytest.raises(ValueError, match=r"bind takes one parameter vector, got shape \(3, 2\)"):
+        template.bind(np.zeros((3, 2)))
+
+
 # ---------------------------------------------------------------- families
 
 def test_family_a_zero_params_is_identity_on_ground_state():

@@ -1,5 +1,6 @@
 """CLI verbs end to end on the synthetic corpus: artifacts, determinism,
 exit codes, config handling."""
+import csv
 import json
 import os
 import re
@@ -58,6 +59,15 @@ def test_unknown_config_key_rejected(tmp_path):
         load_config_file(path)
 
 
+def test_config_line_without_equals_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("qubits = 3\nsigma 0.25\n")
+    assert main(["train", *FAST, "--config", str(path),
+                 "--output-dir", str(tmp_path / "runs")]) == 1
+    assert f"{path}:2: expected key=value, got 'sigma 0.25'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_config_id_is_stable_and_sensitive():
     a = ExperimentConfig()
     b = ExperimentConfig(seed=1)
@@ -109,10 +119,12 @@ def test_train_is_byte_identical_across_repeats(tmp_path):
         assert (run_dir / name).read_bytes() == blob
 
 
-def test_train_usage_error_exit_code(tmp_path):
+def test_train_usage_error_exit_code(tmp_path, capsys):
     assert main(["train", "--p", "0", "--output-dir", str(tmp_path)]) == 1
     assert main(["train", "--no-such-flag"]) == 1
     assert main(["bogus-verb"]) == 1
+    assert main([]) == 1  # no subcommand
+    assert "usage: qcae" in capsys.readouterr().out
 
 
 def test_missing_dataset_is_a_config_error(tmp_path):
@@ -193,6 +205,14 @@ def test_denoise_missing_weights_is_an_error(tmp_path):
     assert main(["denoise", "--run", str(tmp_path / "ghost")]) == 1
 
 
+def test_denoise_refuses_a_count_below_one(tmp_path, capsys):
+    code, runs = run_train(tmp_path)
+    run_dir = runs[0].parent
+    assert main(["denoise", "--run", str(run_dir), "--count", "0"]) == 1
+    assert "config error: --count must be >= 1, got 0" in capsys.readouterr().err
+    assert not list(run_dir.glob("*.pgm"))
+
+
 # ------------------------------------------------------------------- sweep
 
 def test_sweep_grid_rows_and_determinism(tmp_path):
@@ -233,16 +253,50 @@ def test_sweep_continues_past_failing_grid_point(tmp_path):
     assert [(row[1], row[-1]) for row in rows] == [("synthetic", "ok"), ("idx", "FAILED")]
 
 
-@pytest.mark.parametrize("axis, key", [("dataset=synthetic,bogus", "dataset"),
-                                       ("family=c,d", "family"),
-                                       ("classes=1,2", "classes")])
-def test_sweep_refuses_a_grid_point_train_refuses(tmp_path, capsys, axis, key):
+GRID_REFUSED = [
+    ("dataset=synthetic,bogus", "dataset", "dataset must be idx or synthetic, got 'bogus'"),
+    ("family=c,d", "family", "unknown circuit family 'd'"),
+    ("classes=1,2", "classes", "the synthetic corpus only provides 0 and 1"),
+]
+
+
+@pytest.mark.parametrize("axis, key, reason", GRID_REFUSED,
+                         ids=[f"{axis}-{key}" for axis, key, _ in GRID_REFUSED])
+def test_sweep_refuses_a_grid_point_train_refuses(tmp_path, capsys, axis, key, reason):
     # train refuses --dataset bogus, --family d and synthetic --classes 2 at
     # config time; a sweep over them trains no point and makes no directory
     out = tmp_path / "runs"
     assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", axis]) == 1
     err = capsys.readouterr().err
-    assert "config error: grid point" in err and key in err
+    assert f"config error: grid point {{'{key}': " in err and reason in err
+    assert not out.exists()
+
+
+def test_sweep_axis_with_a_semicolon_sweeps_class_sets(tmp_path):
+    # values split on ; when the list holds one, so one value can be a class
+    # list; the CSV quotes it
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", "classes=0;0,1"]) == 0
+    with open(next(out.glob("sweep_*.csv")), newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["config_id", "classes", "final_val_ssim", "status"]
+    assert [(row[1], row[-1]) for row in rows[1:]] == [("0", "ok"), ("0,1", "ok")]
+    manifests = [json.loads(m.read_text()) for m in out.glob("*/manifest.json")]
+    assert sorted(m["config"]["classes"] for m in manifests) == ["0", "0,1"]
+
+
+MALFORMED_AXES = [
+    ("p", "axis must look like name=v1,v2,... or name=v1;v2;... got 'p'"),
+    ("p=,", "axis 'p' has no values"),
+    ("epochs=1,x", "config key 'epochs': cannot parse int from 'x'"),
+]
+
+
+@pytest.mark.parametrize("axis, message", MALFORMED_AXES, ids=[a for a, _ in MALFORMED_AXES])
+def test_sweep_refuses_a_malformed_axis(tmp_path, capsys, axis, message):
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", axis]) == 1
+    assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -373,6 +427,11 @@ REFUSED = [
     ("classes", "", "classes must name at least one class"),
     ("sigma", "nan", "sigma must be finite"),
     ("sigma", "inf", "sigma must be finite"),
+    ("model", "bogus", "model must be qcae or ccae, got 'bogus'"),
+    # a value that does not parse as its key's type names the key
+    ("psr", "maybe", "config key 'psr': cannot parse bool from 'maybe'"),
+    ("epochs", "1.5", "config key 'epochs': cannot parse int from '1.5'"),
+    ("sigma", "abc", "config key 'sigma': cannot parse float from 'abc'"),
 ]
 
 

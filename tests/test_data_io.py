@@ -80,6 +80,14 @@ def test_idx_label_count_mismatch(tmp_path):
         load_idx(images_path, labels_path)
 
 
+def test_idx_short_label_payload_names_offset(tmp_path):
+    images_path, labels_path = write_pair(tmp_path, small_set())
+    labels_path.write_bytes(labels_path.read_bytes()[:-3])
+    with pytest.raises(IdxParseError, match="payload of 12 bytes expected at offset 8, "
+                                            "file ends at offset 17"):
+        load_idx(images_path, labels_path)
+
+
 def test_idx_magic_constants():
     assert IMAGE_MAGIC == 0x00000803
     assert LABEL_MAGIC == 0x00000801
@@ -205,6 +213,13 @@ def test_pgm_round_trip_within_quantization(tmp_path):
     assert np.max(np.abs(back - image)) <= 1.0 / 255.0
 
 
+def test_pgm_refuses_a_stack_of_images(tmp_path):
+    path = tmp_path / "stack.pgm"
+    with pytest.raises(ValueError, match=r"2-D image or \(1, H, W\), got shape \(2, 4, 4\)"):
+        export_pgm(np.zeros((2, 4, 4)), path)
+    assert not path.exists()
+
+
 def test_montage_layout():
     tiles = [np.full((1, 4, 4), v) for v in (0.0, 0.5, 1.0)]
     grid = montage(tiles)
@@ -212,6 +227,13 @@ def test_montage_layout():
     assert np.all(grid[:, :4] == 0.0)
     assert np.all(grid[:, 4] == 1.0)  # gap column
     assert np.all(grid[:, 5:9] == 0.5)
+
+
+def test_montage_refuses_no_tiles_and_mixed_shapes():
+    with pytest.raises(ValueError, match="montage needs at least one image"):
+        montage([])
+    with pytest.raises(ValueError, match="all montage tiles must share one shape"):
+        montage([np.zeros((4, 4)), np.zeros((4, 5))])
 
 
 # ------------------------------------------------------------- synthetic

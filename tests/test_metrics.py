@@ -11,7 +11,7 @@ import pytest
 from qcae.data_io import NoiseSpec, add_gaussian_noise, make_synthetic_digits
 from qcae import metrics
 from qcae.metrics import (C1, C2, EVAL_BLOCK, RunRecord, SsimConfig, eval_blocks, mean_ssim,
-                          ssim, write_csv)
+                          ssim, ssim_config_for, write_csv)
 
 from oracles import peak_bytes, ssim_direct
 
@@ -185,6 +185,12 @@ def test_ssim_shape_and_window_validation():
         ssim(np.zeros((8, 8)), np.zeros((8, 8)))  # smaller than gaussian11
     with pytest.raises(ValueError):
         ssim(np.zeros((28, 28)), np.zeros((28, 28)), SsimConfig(window="box3"))
+
+
+def test_ssim_config_for_refuses_an_image_no_window_fits():
+    assert ssim_config_for((8, 8)) == SsimConfig(window="uniform8")
+    with pytest.raises(ValueError, match=r"no ssim window fits an image of shape \(1, 7, 7\)"):
+        ssim_config_for((1, 7, 7))
 
 
 def test_ssim_accepts_channel_leading_images():

@@ -260,6 +260,13 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     assert np.array_equal(latent.backward(d_z), d_y)
 
 
+def test_quantum_latent_refuses_an_input_of_the_wrong_width():
+    latent = DenoisingAutoencoder(toy_spec(family="c"), seed=0).quantum
+    slots = latent.template.slot_count
+    with pytest.raises(ValueError, match=rf"expects \(N, {slots}\), got \(2, {slots + 1}\)"):
+        latent.forward(np.zeros((2, slots + 1)))
+
+
 # ------------------------------------------------------------------ training
 
 def synthetic_sets(train_n=64, val_n=16, seed=20):
@@ -477,6 +484,8 @@ def test_spec_validation():
         ModelSpec(kind="vae")
     with pytest.raises(ValueError, match="p must"):
         ModelSpec(p=0)
+    with pytest.raises(ValueError, match="n_qubits must be >= 1, got 0"):
+        ModelSpec(n_qubits=0)
     for kind, width in (("ccae", 0), ("ccae", -2), ("qcae", 4)):
         with pytest.raises(ValueError, match="latent_width"):
             ModelSpec(kind=kind, latent_width=width)

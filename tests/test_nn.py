@@ -318,6 +318,21 @@ def test_tconv_rejects_bad_output_padding():
         ConvTranspose2d(1, 1, 3, stride=2, padding=1, output_padding=2, rng=rng_for())
 
 
+def test_tconv_refuses_wrong_channels_and_a_collapsing_output():
+    tconv = ConvTranspose2d(2, 1, 3, rng=rng_for())
+    with pytest.raises(ValueError, match=r"tconv2d expects \(N, 2, H, W\), got \(1, 3, 4, 4\)"):
+        tconv.forward(np.zeros((1, 3, 4, 4)))
+    # (1 - 1) * 1 - 2 * 1 + 1 = -1 output rows
+    tconv = ConvTranspose2d(1, 1, 1, padding=1, rng=rng_for())
+    with pytest.raises(ValueError, match=r"output collapses for input shape \(1, 1, 1, 1\)"):
+        tconv.forward(np.zeros((1, 1, 1, 1)))
+
+
+def test_reshape_refuses_a_size_mismatch():
+    with pytest.raises(ValueError, match=r"cannot reshape per-sample \(6,\) into \(2, 2\)"):
+        Reshape((2, 2)).forward(np.zeros((3, 6)))
+
+
 def test_conv_layers_need_an_rng():
     for layer_class in (Conv2d, ConvTranspose2d):
         with pytest.raises(TypeError, match="rng"):
@@ -674,4 +689,12 @@ def test_weight_magic_checked(tmp_path):
     path = tmp_path / "bogus.bin"
     path.write_bytes(b"XXXX\x00\x00\x00\x00")
     with pytest.raises(ValueError, match="magic"):
+        load_weights(path)
+
+
+def test_weight_trailing_bytes_refused(tmp_path):
+    path = tmp_path / "weights.bin"
+    save_weights(path, [np.zeros(3)])
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match=r"trailing bytes after tensor data \(offset 40\)"):
         load_weights(path)
