@@ -16,6 +16,8 @@ GateOp list. Families:
   b     per layer: RY column, RZ column, CNOT chain                 (2*p*n slots)
   c     per layer: RY column, CNOT ring (chain plus q_{n-1}->q0),
         then RZ column                                              (2*p*n slots)
+a, b and c are the rows of _FAMILY_LAYERS, one layer's steps each: a rotation
+column (one new slot per qubit, in qubit order), a CNOT chain or a CNOT ring.
 
 Slot indices follow gate order, so identical inputs give identical gate lists;
 model.QuantumLatent feeds a template the angles pi * (1 + tanh).
@@ -23,13 +25,13 @@ model.QuantumLatent feeds a template the angles pi * (1 + tanh).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
 from .statevector import ROTATION_KINDS, GateOp
 
-FAMILIES = ("a", "b", "c", "ours")
+_FAMILY_LAYERS = {"a": ("ry", "chain"), "b": ("ry", "rz", "chain"), "c": ("ry", "ring", "rz")}
+FAMILIES = (*_FAMILY_LAYERS, "ours")
 
 
 @dataclass(frozen=True)
@@ -92,10 +94,6 @@ def ring_edges(n_qubits: int) -> list[tuple[int, int]]:
     return [(i, (i + 1) % n_qubits) for i in range(n_qubits)]
 
 
-def _chain_pairs(n_qubits: int) -> list[tuple[int, int]]:
-    return [(i, i + 1) for i in range(n_qubits - 1)]
-
-
 def qaoa_template(n_qubits: int, p: int) -> CircuitTemplate:
     """H wall, then p rounds of ZZ(2g_k) on ring edges and RX(2b_k) on all qubits."""
     if n_qubits < 2:
@@ -119,29 +117,14 @@ def family_template(family: str, n_qubits: int, p: int) -> CircuitTemplate:
         return qaoa_template(n_qubits, p)
 
     gates: list[GateOp] = []
-    slot_ids = count()
-
-    def rotation_column(kind: str) -> None:
-        for q in range(n_qubits):
-            gates.append(GateOp(kind, (q,), slot=next(slot_ids)))
-
-    for _ in range(p):
-        if family == "a":
-            rotation_column("ry")
-            for c, t in _chain_pairs(n_qubits):
-                gates.append(GateOp("cnot", (c, t)))
-        elif family == "b":
-            rotation_column("ry")
-            rotation_column("rz")
-            for c, t in _chain_pairs(n_qubits):
-                gates.append(GateOp("cnot", (c, t)))
-        else:  # c
-            rotation_column("ry")
-            entangler = _chain_pairs(n_qubits)
-            if n_qubits > 1:
-                entangler = entangler + [(n_qubits - 1, 0)]
-            for c, t in entangler:
-                gates.append(GateOp("cnot", (c, t)))
-            rotation_column("rz")
+    slots = 0
+    for step in _FAMILY_LAYERS[family] * p:
+        if step in ROTATION_KINDS:
+            gates += [GateOp(step, (q,), slot=slots + q) for q in range(n_qubits)]
+            slots += n_qubits
+        else:
+            pairs = [(q, q + 1) for q in range(n_qubits - 1)]
+            if step == "ring" and n_qubits > 1:
+                pairs.append((n_qubits - 1, 0))
+            gates += [GateOp("cnot", pair) for pair in pairs]
     return CircuitTemplate(n_qubits, p, family, tuple(gates))
-

@@ -24,8 +24,10 @@ from .model import (DenoisingAutoencoder, ModelSpec, TrainConfig, TrainingAborte
                     derive_seeds, train)
 from .statevector import NoiseChannel
 
-TRAIN_IDX = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
-TEST_IDX = ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+             "val": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
+# the ExperimentConfig fields that load_split reads
+_DATA_KEYS = ("dataset", "data_dir", "classes", "limit", "val_limit", "seed", "image_size")
 
 
 @dataclass(frozen=True)
@@ -155,24 +157,19 @@ def _parsed_classes(cfg: ExperimentConfig) -> list[int]:
         raise ValueError(f"classes must be comma-separated integers: {e}") from None
 
 
-def load_datasets(cfg: ExperimentConfig):
-    """Return (train_set, val_set) already filtered to the configured classes:
-    the IDX files under data_dir, or the synthetic corpus drawn from seed."""
+def load_split(cfg: ExperimentConfig, split: str):
+    """The "train" or "val" split, filtered to the configured classes: its IDX
+    pair under data_dir, or the synthetic corpus drawn from seed (seed + 1 for val)."""
     classes = _parsed_classes(cfg)
+    limit = cfg.limit if split == "train" else cfg.val_limit
     if cfg.dataset == "synthetic":
-        return (make_synthetic_digits(cfg.limit, classes, cfg.seed, cfg.image_size),
-                make_synthetic_digits(cfg.val_limit, classes, cfg.seed + 1, cfg.image_size))
+        return make_synthetic_digits(limit, classes, cfg.seed + (split == "val"), cfg.image_size)
     data_dir = Path(cfg.data_dir)
-    train_set = load_idx(*(data_dir / name for name in TRAIN_IDX))
-    val_set = load_idx(*(data_dir / name for name in TEST_IDX))
-    for images in (train_set.images, val_set.images):
-        if images.shape[2:] != (cfg.image_size, cfg.image_size):
-            raise ValueError(f"{data_dir}: IDX images are {images.shape[2]}x{images.shape[3]}, "
-                             f"image_size is {cfg.image_size}")
-    return (
-        filter_classes(train_set, classes, cfg.limit),
-        filter_classes(val_set, classes, cfg.val_limit),
-    )
+    dataset = load_idx(*(data_dir / name for name in IDX_FILES[split]))
+    if dataset.images.shape[2:] != (cfg.image_size, cfg.image_size):
+        raise ValueError(f"{data_dir}: IDX images are {dataset.images.shape[2]}x"
+                         f"{dataset.images.shape[3]}, image_size is {cfg.image_size}")
+    return filter_classes(dataset, classes, limit)
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, cid: str) -> None:
@@ -185,10 +182,16 @@ def _read_manifest(run_dir: Path) -> ExperimentConfig:
     return ExperimentConfig(**{k: _coerce(k, v) for k, v in manifest["config"].items()})
 
 
-def _train_run(cfg: ExperimentConfig) -> tuple[Path, float]:
-    """Shared by train and sweep: fit, persist, return (run dir, final ssim)."""
+def _train_run(cfg: ExperimentConfig, loaded=None) -> tuple[Path, float]:
+    """Shared by train and sweep: fit, persist, return (run dir, final ssim).
+    loaded, if given, keeps the (train, val) splits of each data configuration
+    across calls."""
     spec, train_config = _model_spec(cfg), _train_config(cfg)
-    train_set, val_set = load_datasets(cfg)  # a data error leaves no run directory
+    loaded = {} if loaded is None else loaded
+    key = tuple(getattr(cfg, k) for k in _DATA_KEYS)
+    if key not in loaded:  # a data error leaves no run directory
+        loaded[key] = load_split(cfg, "train"), load_split(cfg, "val")
+    train_set, val_set = loaded[key]
     cid = config_id(cfg)
     out_dir = Path(cfg.output_dir) / cid
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -220,8 +223,7 @@ def _load_run(run_dir: Path, sigma=None):
     init_ss, _, _, val_noise_seed = derive_seeds(cfg.seed)
     model = DenoisingAutoencoder(_model_spec(cfg), seed=init_ss)
     model.load(run_dir / "weights.bin")
-    _, val_set = load_datasets(cfg)
-    clean = val_set.images
+    clean = load_split(cfg, "val").images
     if len(clean) == 0:
         raise ValueError("no validation images available")
     return cfg, model, clean, add_gaussian_noise(clean, NoiseSpec(cfg.sigma, val_noise_seed))
@@ -269,11 +271,11 @@ def cmd_sweep(args) -> int:
             raise ValueError(f"grid point {dict(zip(names, combo))}: {e}") from None
     out_root = Path(cfg.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    rows = []
+    rows, loaded = [], {}
     for combo, point in points:
         cid = config_id(point)
         try:
-            _, final_ssim = _train_run(point)
+            _, final_ssim = _train_run(point, loaded)
             rows.append([cid, *combo, f"{final_ssim:.6f}", "ok"])
         except Exception as e:  # keep sweeping; mark the grid point failed
             rows.append([cid, *combo, "", "FAILED"])

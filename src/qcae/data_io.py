@@ -82,7 +82,8 @@ def load_idx(images_path, labels_path) -> MnistSet:
             f"file ends at offset {len(img_data)}"
         )
     pixels = np.frombuffer(img_data, dtype=np.uint8, count=expected, offset=offset)
-    images = pixels.reshape(count, 1, rows, cols).astype(np.float64) / 255.0
+    images = pixels.reshape(count, 1, rows, cols).astype(np.float64)
+    images /= 255.0
 
     lbl_data = Path(labels_path).read_bytes()
     (lbl_count,), lbl_offset = _read_header(lbl_data, labels_path, LABEL_MAGIC, 1)

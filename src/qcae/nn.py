@@ -171,7 +171,7 @@ class Dense(_Weighted):
     def backward(self, upstream):
         x = self._take_cache()
         self._check_upstream(upstream, (x.shape[0], self.weight.shape[0]))
-        self.grad_weight[...] = upstream.T @ x
+        np.matmul(upstream.T, x, out=self.grad_weight)
         self.grad_bias[...] = upstream.sum(axis=0)
         return upstream @ self.weight
 
@@ -207,7 +207,7 @@ class Conv2d(_Weighted):
         _, cols, out_shape = self._take_cache()
         self._check_upstream(upstream, out_shape)
         d_y = upstream.transpose(1, 2, 3, 0).reshape(self.weight.shape[0], -1)
-        self.grad_weight[...] = (d_y @ cols.T).reshape(self.weight.shape)
+        np.matmul(d_y, cols.T, out=self.grad_weight.reshape(len(d_y), -1))
         self.grad_bias[...] = d_y.sum(axis=1)
         return d_y
 
@@ -246,7 +246,7 @@ class ConvTranspose2d(_Weighted):
         self._check_upstream(upstream, out_shape)
         in_c, out_c, k, _ = self.weight.shape
         d_cols, _ = _im2col(upstream, k, self.stride, self.padding)
-        self.grad_weight[...] = (x2 @ d_cols.T).reshape(self.weight.shape)
+        np.matmul(x2, d_cols.T, out=self.grad_weight.reshape(in_c, -1))
         self.grad_bias[...] = upstream.transpose(1, 2, 3, 0).reshape(out_c, -1).sum(axis=1)
         d_x = self.weight.reshape(in_c, -1) @ d_cols
         return d_x.reshape(in_c, *x_shape[2:], x_shape[0]).transpose(3, 0, 1, 2)

@@ -177,6 +177,45 @@ def test_family_slot_counts():
                         template.bind(np.zeros(expected - 1))
 
 
+# one layer each, written out gate by gate; "RY1@3" is RY on qubit 1 from slot 3,
+# "CX10" a CNOT with control 1 and target 0
+FAMILY_LAYERS = {
+    ("a", 2): ["RY0@0 RY1@1 CX01", "RY0@2 RY1@3 CX01"],
+    ("a", 3): ["RY0@0 RY1@1 RY2@2 CX01 CX12", "RY0@3 RY1@4 RY2@5 CX01 CX12"],
+    ("b", 2): ["RY0@0 RY1@1 RZ0@2 RZ1@3 CX01", "RY0@4 RY1@5 RZ0@6 RZ1@7 CX01"],
+    ("b", 3): ["RY0@0 RY1@1 RY2@2 RZ0@3 RZ1@4 RZ2@5 CX01 CX12",
+               "RY0@6 RY1@7 RY2@8 RZ0@9 RZ1@10 RZ2@11 CX01 CX12"],
+    ("c", 2): ["RY0@0 RY1@1 CX01 CX10 RZ0@2 RZ1@3", "RY0@4 RY1@5 CX01 CX10 RZ0@6 RZ1@7"],
+    ("c", 3): ["RY0@0 RY1@1 RY2@2 CX01 CX12 CX20 RZ0@3 RZ1@4 RZ2@5",
+               "RY0@6 RY1@7 RY2@8 CX01 CX12 CX20 RZ0@9 RZ1@10 RZ2@11"],
+}
+
+
+def _gate_from_text(text: str) -> GateOp:
+    if text.startswith("CX"):
+        return GateOp("cnot", (int(text[2]), int(text[3])))
+    qubit, slot = text[2:].split("@")
+    return GateOp(text[:2].lower(), (int(qubit),), slot=int(slot))
+
+
+@pytest.mark.parametrize("family, n", FAMILY_LAYERS)
+def test_family_gate_sequences_at_p2(family, n):
+    expected = [_gate_from_text(t) for layer in FAMILY_LAYERS[family, n] for t in layer.split()]
+    assert list(family_template(family, n, 2).gates) == expected
+
+
+@pytest.mark.parametrize("family, rotations, cnots", [
+    ("a", 1, lambda n: n - 1), ("b", 2, lambda n: n - 1), ("c", 2, lambda n: n if n > 1 else 0)])
+def test_family_slots_follow_gate_order(family, rotations, cnots):
+    for n in range(1, 9):
+        for p in range(1, 4):
+            template = family_template(family, n, p)
+            slots = [g.slot for g in template.gates if g.slot is not None]
+            assert slots == list(range(len(slots)))
+            assert template.slot_count == n * rotations * p
+            assert sum(g.kind == "cnot" for g in template.gates) == cnots(n) * p
+
+
 def test_bound_templates_preserve_norm():
     rng = np.random.default_rng(1)
     for family in FAMILIES:

@@ -33,6 +33,15 @@ FAST = [
 ]
 
 
+def write_idx_fixtures(data_dir: Path, size: int) -> Path:
+    """32 train and 8 t10k synthetic images under the four standard IDX names."""
+    data_dir.mkdir()
+    for split, count, seed in (("train", 32, 0), ("t10k", 8, 1)):
+        write_idx(make_synthetic_digits(count, seed=seed, size=size),
+                  data_dir / f"{split}-images-idx3-ubyte", data_dir / f"{split}-labels-idx1-ubyte")
+    return data_dir
+
+
 def run_train(tmp_path, *extra) -> tuple[int, object]:
     out = tmp_path / "runs"
     code = main(["train", *FAST, "--output-dir", str(out), *extra])
@@ -155,22 +164,14 @@ def test_one_qubit_qaoa_is_a_config_error(tmp_path):
 def test_idx_files_come_from_data_dir_alone(tmp_path, monkeypatch):
     # the environment names no data location; only --data-dir does
     monkeypatch.setenv("QCAE_DATA_DIR", str(tmp_path / "missing"))
-    data_dir = tmp_path / "mnist"
-    data_dir.mkdir()
-    for split, count, seed in (("train", 32, 0), ("t10k", 8, 1)):
-        write_idx(make_synthetic_digits(count, seed=seed, size=8),
-                  data_dir / f"{split}-images-idx3-ubyte", data_dir / f"{split}-labels-idx1-ubyte")
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 8)
     code, runs = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir))
     assert code == 0 and len(runs) == 1
     assert json.loads(runs[0].read_text())["config"]["data_dir"] == str(data_dir)
 
 
 def test_idx_images_must_match_image_size(tmp_path, capsys):
-    data_dir = tmp_path / "mnist"
-    data_dir.mkdir()
-    for split, count, seed in (("train", 32, 0), ("t10k", 8, 1)):
-        write_idx(make_synthetic_digits(count, seed=seed, size=28),
-                  data_dir / f"{split}-images-idx3-ubyte", data_dir / f"{split}-labels-idx1-ubyte")
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 28)
     code, _ = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir),
                         "--model", "ccae")
     assert code == 1
@@ -251,6 +252,29 @@ def test_sweep_continues_past_failing_grid_point(tmp_path):
     lines = next(out.glob("sweep_*.csv")).read_text().splitlines()
     rows = [line.split(",") for line in lines[1:]]
     assert [(row[1], row[-1]) for row in rows] == [("synthetic", "ok"), ("idx", "FAILED")]
+
+
+def test_sweep_loads_each_distinct_dataset_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return make_synthetic_digits(*args)
+
+    monkeypatch.setattr("qcae.cli.make_synthetic_digits", counted)
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--output-dir", str(out),
+                 "--axis", "learning_rate=0.001,0.002"]) == 0
+    assert len(calls) == 2  # one train and one val split for both points
+    # the shared splits leave the second point as a fresh train would
+    code, runs = run_train(tmp_path / "alone", "--learning-rate", "0.002")
+    assert code == 0
+    swept = next(m.parent for m in out.glob("*/manifest.json")
+                 if json.loads(m.read_text())["config"]["learning_rate"] == 0.002)
+    assert (swept / "weights.bin").read_bytes() == (runs[0].parent / "weights.bin").read_bytes()
+    calls.clear()
+    assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", "seed=1,2"]) == 0
+    assert len(calls) == 4  # a data key on the axis loads each point's own splits
 
 
 GRID_REFUSED = [
@@ -362,6 +386,18 @@ def test_eval_reproduces_final_curve_ssim(tmp_path):
         curve_ssim = (run_dir / "curve.csv").read_text().splitlines()[-1].split(",")[-1]
         eval_ssim = (run_dir / "eval.csv").read_text().splitlines()[-1].split(",")[-1]
         assert eval_ssim == curve_ssim, name
+
+
+def test_eval_and_denoise_read_only_the_validation_split(tmp_path):
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 8)
+    code, runs = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir))
+    assert code == 0
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+        (data_dir / name).unlink()
+    run_dir = runs[0].parent
+    assert main(["eval", "--run", str(run_dir)]) == 0
+    assert (run_dir / "eval.csv").exists()
+    assert main(["denoise", "--run", str(run_dir), "--count", "1"]) == 0
 
 
 def test_truncated_weights_are_a_config_error_naming_the_file(tmp_path, capsys):
