@@ -3,12 +3,12 @@
 The package splits into small, composable pieces:
 
   statevector  dense n-qubit simulator running one gate sequence on a batch
-               of angle rows, exact Z expectations and their gradient by
+               of angle rows, exact Z expectations with their pullback to
                every gate angle, and an exact depolarizing/readout channel
   ansatz       circuit templates of GateOps (QAOA layers plus comparison
                families)
   gradient     parameter-shift jacobians and chain-rule glue, the reference
-               that the training sweep (statevector.angle_gradient) matches
+               that the training sweep (statevector.z_and_pullback) matches
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
   model        the assembled denoisers (classical and hybrid) and training
   data_io      IDX datasets, Gaussian noising, PGM export, synthetic corpus
@@ -24,7 +24,7 @@ from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
 from .model import (DenoisingAutoencoder, ModelSpec, QuantumLatent, TrainConfig,
                     TrainingAborted, train)
 from .nn import Adam, load_weights, mse_loss, save_weights
-from .statevector import (GateOp, NoiseChannel, angle_gradient, cnot, h, measure_all_z,
-                          measure_rows_z, run_circuit, run_rows, rx, ry, rz, zz)
+from .statevector import (GateOp, NoiseChannel, cnot, h, measure_all_z, measure_rows_z,
+                          run_circuit, run_rows, rx, ry, rz, z_and_pullback, zz)
 
 __version__ = "0.1.0"

@@ -10,8 +10,8 @@ of gates sharing a parameter (QAOA ties one gamma to every ring edge, one
 beta to every qubit). chain_loss_gradient contracts the jacobian with the
 classical side's gradient.
 
-Training takes that contraction from one reverse sweep instead
-(statevector.angle_gradient times slot_map, in model.QuantumLatent):
+Training takes that contraction from one reverse sweep instead (the pullback
+statevector.z_and_pullback returns, times slot_map, in model.QuantumLatent):
 O(gates) work against the shift rule's O(gates^2). Depolarizing depends on
 no angle and run_rows simulates it exactly, so both are exact under noise
 and agree to rounding; this module is the reference the sweep is tested

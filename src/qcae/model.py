@@ -11,10 +11,11 @@ as one angle row per sample (the QAOA family applies its own H wall), and
 feeds the per-qubit Z expectations to the decoder.
 
 Gradients: backward runs the list in reverse; the circuit parameters get the
-decoder's input gradient contracted with the circuit's jacobian, computed
-for the whole batch by one forward that keeps each layer's state and one
-reverse adjoint sweep over the layers (statevector.angle_gradient, mapped
-onto the parameters by the template's slot_map). It equals the paper's
+decoder's input gradient contracted with the circuit's jacobian. The latent
+runs its circuit once per batch (statevector.z_and_pullback): that forward
+keeps each layer's state, and backward differentiates through the pullback
+it returned, one reverse adjoint sweep over the layers, mapped onto the
+parameters by the template's slot_map. It equals the paper's
 parameter-shift rule, which gradient.psr_gradient keeps as the rule
 hardware could run. With psr_enabled=False the circuit gradient is taken
 as zero, so only the decoder trains - that is the "no gradient refinement"
@@ -45,7 +46,7 @@ from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
 from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Layer, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
-from .statevector import MAX_QUBITS, NoiseChannel, angle_gradient, measure_rows_z, run_rows
+from .statevector import MAX_QUBITS, NoiseChannel, z_and_pullback
 
 # per supported image size: the three encoder widths, and the kernel of the
 # last convolution, which reaches 1x1 after two stride-2 halvings
@@ -141,12 +142,11 @@ def default_decoder(input_dim: int, image_size: int, rng: np.random.Generator) -
 class QuantumLatent(Layer):
     """tanh -> [0, 2*pi] angles -> bound circuit -> per-qubit <Z>.
 
-    forward runs the whole batch as one run_rows call, one gate-angle row
-    per sample, and keeps those angles; backward takes the vector-Jacobian
-    product of the whole batch in one angle_gradient call, which runs its
-    own forward from those angles, and maps its per-gate terms onto the
-    parameters with template.slot_map. Both are deterministic, noise
-    channel included.
+    forward runs the whole batch as one z_and_pullback call, one gate-angle
+    row per sample, and keeps the pullback it returns; backward takes the
+    vector-Jacobian product of the whole batch from that pullback, with no
+    circuit run of its own, and maps its per-gate terms onto the parameters
+    with template.slot_map. Both are deterministic, noise channel included.
     """
 
     def __init__(self, template: CircuitTemplate, psr_enabled: bool = True,
@@ -156,22 +156,20 @@ class QuantumLatent(Layer):
         self.channel = channel
 
     def forward(self, y: np.ndarray) -> np.ndarray:
-        slots = self.template.slot_count
-        if y.ndim != 2 or y.shape[1] != slots:
-            raise ValueError(f"quantum latent expects (N, {slots}), got {y.shape}")
+        t = self.template
+        if y.ndim != 2 or y.shape[1] != t.slot_count:
+            raise ValueError(f"quantum latent expects (N, {t.slot_count}), got {y.shape}")
         squashed = np.tanh(y)
-        gate_angles = self.template.gate_angles(pi * (1.0 + squashed))
-        self._cache = squashed, gate_angles
-        return measure_rows_z(run_rows(self.template.n_qubits, self.template.gates,
-                                       gate_angles, self.channel), self.channel)
+        z, pullback = z_and_pullback(t.n_qubits, t.gates, t.gate_angles(pi * (1.0 + squashed)),
+                                     self.channel)
+        self._cache = squashed, pullback
+        return z
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
-        squashed, gate_angles = self._take_cache()
+        squashed, pullback = self._take_cache()
         if not self.psr_enabled:
             return np.zeros_like(squashed)
-        t = self.template
-        d_theta = angle_gradient(t.n_qubits, t.gates, gate_angles, d_z, self.channel)
-        return d_theta @ t.slot_map * pi * (1.0 - squashed ** 2)
+        return pullback(d_z) @ self.template.slot_map * pi * (1.0 - squashed ** 2)
 
 
 class DenoisingAutoencoder:

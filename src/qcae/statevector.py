@@ -4,18 +4,18 @@ Qubit ordering is little-endian: qubit 0 is the least significant bit of the
 amplitude index, so the two-qubit basis state with qubit 0 set lives at
 index 1. One runner does all simulation: run_rows applies a gate sequence
 to M independent rows, fed by an (M, len(gates)) angle matrix, and
-measure_rows_z reads exact per-qubit Pauli-Z expectations from every row,
-and angle_gradient differentiates a weighted sum of them against every gate
-angle in one reverse sweep. run_circuit (bound gates in, one amplitude vector
-out) and measure_all_z are the one-row pure case. GateOp is the one gate
-record: a rotation holds either a fixed angle or, in a circuit template, a
-parameter slot that binding replaces.
+measure_rows_z reads exact per-qubit Pauli-Z expectations from every row;
+z_and_pullback returns them with a pullback that differentiates a weighted
+sum of them against every gate angle in one reverse sweep. run_circuit
+(bound gates in, one amplitude vector out) and measure_all_z are the one-row
+pure case. GateOp is the one gate record: a rotation holds either a fixed
+angle or, in a circuit template, a parameter slot that binding replaces.
 
 Every <Z_q> is read from basis probabilities (|amplitude|^2, or a density
 row's diagonal) in one place, _paired_z, as the sum over the x whose bit q
 is 0 of p[x] - p[~x], ~x flipping every bit. A state fixed by the global
 flip, as the QAOA family's always is, so reads exactly 0.0 at any n and for
-any summation order of the kernels before it. angle_gradient's costate is
+any summation order of the kernels before it. The pullback's costate is
 the transpose of the same linear map, _readout.
 
 Every circuit runs as a program of layers, compiled once per gate list
@@ -32,8 +32,8 @@ of its layer, so every derivative of a layer, Im<lambda|G psi>, comes from
 the (psi, lambda) pair at the layer's end: a column's from reduced matrices
 of kron blocks of adjacent qubits, a diagonal run's as one product of
 Im(conj(lambda) * psi) with a table of each gate's Z...Z signs on the ket
-bits. angle_gradient's forward keeps psi at the end of each layer with
-derivatives, pure or density row alike, and its one reverse sweep undoes
+bits. z_and_pullback's forward keeps psi at the end of each layer with
+derivatives, pure or density row alike, and the pullback's sweep undoes
 each layer on lambda only, stopping at the first layer with derivatives.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
@@ -329,7 +329,7 @@ _LAYER_KINDS = {"h": _Column, "rx": _Column, "ry": _Column,
 
 
 def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -> tuple:
-    """The layers that run_rows and angle_gradient run for this gate list,
+    """The layers that run_rows and z_and_pullback run for this gate list,
     built once per (n_qubits, gate kinds and targets, channel kind) and
     shared by every caller: any angles and any number of rows reuse them.
     A register (2n qubits under a channel) beyond MAX_QUBITS is refused."""
@@ -388,17 +388,18 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
     take n <= MAX_QUBITS // 2): a gate U maps rho to U rho U^dagger, then each
     qubit it touched is depolarized. measure_rows_z with the same channel reads either.
     """
+    return _run(n_qubits, gates, angles, channel)[2]
+
+
+def _run(n: int, gates, angles, channel, kept: dict | None = None) -> tuple:
+    # the forward of run_rows and of z_and_pullback: (layers, angle matrix,
+    # final rows); kept, if given, gets a copy of the state each layer with
+    # derivatives leaves (before its depolarizing), keyed by the layer's index
     gates = tuple(gates)
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
-    return _run(n_qubits, compile_circuit(n_qubits, gates, channel), angles, channel)
-
-
-def _run(n: int, layers, angles, channel, kept: dict | None = None) -> np.ndarray:
-    # the forward of run_rows and of angle_gradient; kept, if given, gets a
-    # copy of the state each layer with derivatives leaves (before its
-    # depolarizing), keyed by the layer's index
+    layers = compile_circuit(n, gates, channel)
     mixed = _mixed(channel)
     rows = np.zeros((len(angles), row_width(n, channel)), dtype=complex)
     rows[:, 0] = 1.0  # |0...0>
@@ -409,7 +410,7 @@ def _run(n: int, layers, angles, channel, kept: dict | None = None) -> np.ndarra
         if mixed:  # a layer's gates share no qubit, so each kick can follow the layer
             for q in layer.qubits:
                 _depolarize(rows, n, q, channel.depolarizing_prob)
-    return rows
+    return layers, angles, rows
 
 
 def _readout(n_qubits: int, channel: NoiseChannel | None) -> np.ndarray:
@@ -455,45 +456,46 @@ def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -
     return _paired_z(np.abs(np.asarray(amplitudes)) ** 2, channel)
 
 
-def angle_gradient(n_qubits: int, gates, angles, d_z,
-                   channel: NoiseChannel | None = None) -> np.ndarray:
-    """(M, len(gates)): d(sum_q d_z[q] <Z_q>)/d(angle of gate i) per row of
-    run_rows(n_qubits, gates, angles, channel) as measure_rows_z reads it,
-    and 0 for H and CNOT, by one forward that keeps the state each layer
-    with derivatives leaves and one reverse sweep that carries only the
-    costate of that observable back to them (Jones & Gacon 2020,
-    arXiv:2009.02823). The sweep stops at the first layer with derivatives.
+def z_and_pullback(n_qubits: int, gates, angles, channel: NoiseChannel | None = None):
+    """(z, pullback) of the rows run_rows(n_qubits, gates, angles, channel)
+    runs, from one forward: z their (M, n) <Z> as measure_rows_z reads it,
+    pullback(d_z) the (M, len(gates)) d(sum_q d_z[q] <Z_q>)/d(angle of gate
+    i) per row, 0 for H and CNOT, by one reverse sweep that carries only the
+    costate of that observable back to the states the forward kept (Jones &
+    Gacon 2020, arXiv:2009.02823), stopping at the first layer with
+    derivatives. pullback leaves those states as they are, so it may rerun.
     """
-    gates = tuple(gates)
-    layers = compile_circuit(n_qubits, gates, channel)
-    angles = np.asarray(angles, dtype=float)
-    d_z = np.asarray(d_z, dtype=float)
-    if d_z.shape != (len(angles), n_qubits):
-        raise ValueError(f"need an ({len(angles)}, {n_qubits}) downstream gradient d_z, "
-                         f"one row per angle row, got shape {d_z.shape}")
-    weights = d_z @ _readout(n_qubits, channel).T  # the diagonal of that observable O
     kept = {}
-    rows = _run(n_qubits, layers, angles, channel, kept)
-    # a term is Im<lambda|G sigma>, G on the ket bits, with sigma the state
-    # the layer leaves and lambda the costate carried back to it: O psi for
-    # a pure row; for a density row O itself, as the loss is <lambda|rho>
-    # and both are Hermitian. A layer's generators commute with its other
-    # gates, so all its terms come from the pair at its end. The channel is
-    # self-adjoint, so the costate is depolarized as the state was
+    layers, angles, rows = _run(n_qubits, gates, angles, channel, kept)
     mixed = _mixed(channel)
-    if mixed:
-        costate = np.zeros_like(rows)
-        costate[:, ::(1 << n_qubits) + 1] = weights
-    else:
-        costate = weights * rows
-    out = np.zeros(angles.shape)
-    for j in reversed(range(min(kept, default=len(layers)), len(layers))):
-        layer = layers[j]
+    first = min(kept, default=len(layers))
+
+    def pullback(d_z) -> np.ndarray:
+        if np.shape(d_z) != (len(angles), n_qubits):
+            raise ValueError(f"need an ({len(angles)}, {n_qubits}) downstream gradient d_z, "
+                             f"one row per angle row, got shape {np.shape(d_z)}")
+        weights = d_z @ _readout(n_qubits, channel).T  # the diagonal of that observable O
+        # a term is Im<lambda|G sigma>, G on the ket bits, with sigma the state
+        # the layer leaves and lambda the costate carried back to it: O psi for
+        # a pure row; for a density row O itself, as the loss is <lambda|rho>
+        # and both are Hermitian. A layer's generators commute with its other
+        # gates, so all its terms come from the pair at its end. The channel is
+        # self-adjoint, so the costate is depolarized as the state was
         if mixed:
-            for q in layer.qubits:
-                _depolarize(costate, n_qubits, q, channel.depolarizing_prob)
-        if j in kept:
-            out[:, layer.deriv] = layer.terms(kept.pop(j), costate)
-        if kept:  # no undo for the first layer with derivatives or before it
-            costate = layer.apply(costate, angles, inverse=True)
-    return out
+            costate = np.zeros_like(rows)
+            costate[:, ::(1 << n_qubits) + 1] = weights
+        else:
+            costate = weights * rows
+        out = np.zeros(angles.shape)
+        for j in reversed(range(first, len(layers))):
+            layer = layers[j]
+            if mixed:
+                for q in layer.qubits:
+                    _depolarize(costate, n_qubits, q, channel.depolarizing_prob)
+            if j in kept:
+                out[:, layer.deriv] = layer.terms(kept[j], costate)
+            if j > first:  # no undo for the first layer with derivatives or before it
+                costate = layer.apply(costate, angles, inverse=True)
+        return out
+
+    return measure_rows_z(rows, channel), pullback

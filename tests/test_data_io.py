@@ -88,6 +88,19 @@ def test_idx_short_label_payload_names_offset(tmp_path):
         load_idx(images_path, labels_path)
 
 
+@pytest.mark.parametrize("field, name, value", [
+    ("images", "pixel", 1.5), ("images", "pixel", -0.2), ("images", "pixel", np.nan),
+    ("labels", "label", 300), ("labels", "label", -1)])
+def test_write_idx_refuses_a_value_uint8_cannot_hold(tmp_path, field, name, value):
+    # uint8 would wrap it: pixel 1.5 read back as 0.494, -0.2 as 0.804, label 300 as 44
+    dataset = small_set(3)
+    getattr(dataset, field).flat[1] = value
+    getattr(dataset, field).flat[-1] = 1000  # a later bad value goes unnamed
+    with pytest.raises(ValueError, match=f"^{name} {value} is outside"):
+        write_pair(tmp_path, dataset)
+    assert list(tmp_path.iterdir()) == []  # refused before any file is opened
+
+
 def test_idx_magic_constants():
     assert IMAGE_MAGIC == 0x00000803
     assert LABEL_MAGIC == 0x00000801

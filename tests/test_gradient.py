@@ -1,6 +1,6 @@
 """Parameter-shift rule against analytics and finite differences, and the
-adjoint sweep (angle_gradient times slot_map) against the parameter-shift
-chain."""
+adjoint sweep (the pullback of z_and_pullback times slot_map) against the
+parameter-shift chain."""
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -9,8 +9,8 @@ import qcae
 import qcae.gradient
 from qcae.ansatz import CircuitTemplate, family_template
 from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
-from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, angle_gradient,
-                              measure_all_z, measure_rows_z, run_circuit, run_rows)
+from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, measure_all_z,
+                              measure_rows_z, run_circuit, run_rows, z_and_pullback)
 
 from oracles import fd_jacobian, layered_gate_list, peak_bytes
 
@@ -233,8 +233,11 @@ def templated_batches(draw, max_n):
 def assert_columns_match_central_differences(template, params, d_z, channel):
     # every gate column, fixed-angle rotations included, which slot_map discards
     n, gates, angles = template.n_qubits, template.gates, template.gate_angles(params)
-    got = angle_gradient(n, gates, angles, d_z, channel)
+    z, pullback = z_and_pullback(n, gates, angles, channel)
+    got = pullback(d_z)
     assert got.shape == angles.shape
+    assert np.array_equal(z, measure_rows_z(run_rows(n, gates, angles, channel), channel))
+    assert np.array_equal(pullback(d_z), got)  # the sweep leaves the kept states as they were
 
     def loss(rows):
         return np.sum(measure_rows_z(run_rows(n, gates, rows, channel), channel) * d_z, axis=1)
@@ -282,25 +285,36 @@ def test_angle_gradient_of_wide_layers_matches_central_differences(n, n_runs, se
 
 def test_angle_gradient_checks_d_z():
     gates = [GateOp("h", (0,)), GateOp("ry", (1,), 0.3)]
+    pullback = z_and_pullback(2, gates, np.zeros((3, 2)))[1]
     with pytest.raises(ValueError, match="downstream gradient d_z"):
-        angle_gradient(2, gates, np.zeros((3, 2)), np.ones((1, 2)))
+        pullback(np.ones((1, 2)))
+
+
+@pytest.mark.parametrize("angles", [np.zeros((3, 5)), np.zeros((3, 1)), np.zeros(2)],
+                         ids=["extra columns", "missing column", "one vector"])
+def test_z_and_pullback_checks_the_angle_matrix(angles):
+    # the check run_rows makes, before any layer runs
+    gates = [GateOp("ry", (0,), slot=0), GateOp("ry", (1,), slot=1)]
+    with pytest.raises(ValueError, match=r"need an \(M, 2\) angle matrix, got shape"):
+        z_and_pullback(2, gates, angles)[1](np.ones((3, 2)))
 
 
 def test_angle_gradient_refuses_an_out_of_range_target():
     gates = [GateOp("h", (0,)), GateOp("ry", (2,), 0.3)]
-    angles, d_z = np.zeros((1, 2)), np.ones((1, 2))
+    angles = np.zeros((1, 2))
     with pytest.raises(ValueError, match="out of range"):
-        angle_gradient(2, gates, angles, d_z)
+        z_and_pullback(2, gates, angles)
     with pytest.raises(ValueError, match="out of range"):
-        angle_gradient(2, gates, angles, d_z, NoiseChannel(0.05))
+        z_and_pullback(2, gates, angles, NoiseChannel(0.05))
 
 
 def assert_sweep_matches_psr_chain(template, params, downstream, channel):
     jac = psr_gradient(template, params, channel)
     # a jacobian that is identically zero cannot tell a right sweep from a wrong one
     assume(np.max(np.abs(jac.entries)) > 1e-6)
-    got = angle_gradient(template.n_qubits, template.gates, template.gate_angles(params),
-                         downstream, channel) @ template.slot_map
+    pullback = z_and_pullback(template.n_qubits, template.gates, template.gate_angles(params),
+                              channel)[1]
+    got = pullback(downstream) @ template.slot_map
     assert got.shape == params.shape
     assert np.max(np.abs(got - chain_loss_gradient(jac, downstream))) <= 1e-12
 

@@ -1,10 +1,13 @@
 """Hybrid and classical autoencoders: forward semantics, gradient flow,
 end-to-end finite-difference agreement, and training behaviour."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import qcae.model
 import qcae.nn
+import qcae.statevector
 from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
 from qcae.metrics import EVAL_BLOCK, eval_blocks
@@ -18,7 +21,7 @@ from qcae.model import (
     train,
 )
 from qcae.nn import mse_loss
-from qcae.statevector import NoiseChannel, run_rows
+from qcae.statevector import NoiseChannel, compile_circuit, z_and_pullback
 
 from oracles import fd_gradient, peak_bytes
 
@@ -76,11 +79,11 @@ def test_zero_weights_send_all_angles_to_pi(monkeypatch):
         p[...] = 0.0
     ran = []  # the gate angles the latent runs its circuit at
 
-    def recording_run_rows(n, gates, angles, channel=None):
+    def recording_z_and_pullback(n, gates, angles, channel=None):
         ran.append(angles.copy())
-        return run_rows(n, gates, angles, channel)
+        return z_and_pullback(n, gates, angles, channel)
 
-    monkeypatch.setattr(qcae.model, "run_rows", recording_run_rows)
+    monkeypatch.setattr(qcae.model, "z_and_pullback", recording_z_and_pullback)
     x = np.zeros((1, 1, 8, 8))
     out1 = model.forward(x)
     y = run_forward(encoder, x)
@@ -258,6 +261,28 @@ def test_quantum_backward_equals_the_psr_chain(family, depolarizing):
     assert np.max(np.abs(d_y - expected)) <= 1e-12
     # backward is repeatable: it writes into nothing that it reads
     assert np.array_equal(latent.backward(d_z), d_y)
+
+
+@pytest.mark.parametrize("noise", [NoiseChannel(), NoiseChannel(0.05, 0.02)],
+                         ids=["pure", "noisy"])
+def test_a_training_batch_runs_each_circuit_layer_forward_once(monkeypatch, noise):
+    # backward differentiates through the states the latent's forward kept
+    model = DenoisingAutoencoder(toy_spec(family="c", n_qubits=3, p=2, noise=noise), seed=4)
+    applies = Counter()  # (layer, inverse) -> calls
+    for kind in (qcae.statevector._Column, qcae.statevector._Diagonal,
+                 qcae.statevector._Permutation):
+        def counting(self, rows, angles, inverse=False, apply=kind.apply):
+            applies[id(self), inverse] += 1
+            return apply(self, rows, angles, inverse)
+
+        monkeypatch.setattr(kind, "apply", counting)
+    x = toy_images(3, seed=5)
+    model.backward(mse_loss(model.forward(x), x)[1])
+    t = model.quantum.template
+    layers = compile_circuit(t.n_qubits, t.gates, noise)
+    assert {layer for layer, _ in applies} == {id(layer) for layer in layers}
+    assert [applies[id(layer), False] for layer in layers] == [1] * len(layers)
+    assert max(applies[id(layer), True] for layer in layers) <= 1
 
 
 def test_quantum_latent_refuses_an_input_of_the_wrong_width():

@@ -11,7 +11,6 @@ from qcae.statevector import (
     ROTATION_KINDS,
     GateOp,
     NoiseChannel,
-    angle_gradient,
     cnot,
     compile_circuit,
     h,
@@ -22,6 +21,7 @@ from qcae.statevector import (
     rx,
     ry,
     rz,
+    z_and_pullback,
     zz,
 )
 
@@ -59,10 +59,10 @@ def test_a_register_beyond_the_cap_is_refused_before_any_layer_is_built(n, chann
     # the cap bounds the memory of the layers (a CNOT run's permutation
     # table has 2^register entries) as well as of the rows
     gates = [cnot(0, 1)]
-    angles, d_z = np.zeros((1, 1)), np.zeros((1, n))
+    angles = np.zeros((1, 1))
     for call in (lambda: compile_circuit(n, gates, channel),
                  lambda: run_rows(n, gates, angles, channel),
-                 lambda: angle_gradient(n, gates, angles, d_z, channel)):
+                 lambda: z_and_pullback(n, gates, angles, channel)):
         with pytest.raises(ValueError, match="simulated qubits must be in"):
             call()
 
@@ -355,7 +355,7 @@ def test_a_second_run_of_the_same_gates_compiles_nothing():
         # other angles, another row count, the sweep and a bound copy of the gates
         angles = template.gate_angles(rng.uniform(size=(25, 16)))
         run_rows(4, template.gates, angles, channel)
-        angle_gradient(4, template.gates, angles, rng.normal(size=(25, 4)), channel)
+        z_and_pullback(4, template.gates, angles, channel)[1](rng.normal(size=(25, 4)))
         if channel is None:
             run_circuit(4, template.bind(rng.uniform(size=16)))
         after = qcae.statevector._compile.cache_info()
