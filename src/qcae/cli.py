@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .data_io import filter_classes, load_idx, make_synthetic_digits
 from .data_io import NoiseSpec, add_gaussian_noise, export_pgm, montage
-from .metrics import mean_ssim, ssim_config_for, write_csv
+from .metrics import mean_ssim, write_csv
 from .model import (DenoisingAutoencoder, ModelSpec, TrainConfig, TrainingAborted,
                     derive_seeds, train)
 from .statevector import NoiseChannel
@@ -292,9 +292,8 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run)
     cfg, model, clean, noisy = _load_run(run_dir)
-    cfg_ssim = ssim_config_for(clean.shape)
-    ssim_noisy = mean_ssim(noisy, clean, cfg_ssim)
-    ssim_denoised = mean_ssim(model.denoise(noisy), clean, cfg_ssim)
+    ssim_noisy = mean_ssim(noisy, clean)
+    ssim_denoised = mean_ssim(model.denoise(noisy), clean)
     path = run_dir / "eval.csv"
     with open(path, "w", newline="") as f:
         f.write("config_id,n_images,ssim_noisy,ssim_denoised\n")

@@ -104,12 +104,15 @@ def load_idx(images_path, labels_path) -> MnistSet:
 
 def write_idx(dataset: MnistSet, images_path, labels_path) -> None:
     """Inverse of load_idx; pixel floats are rounded back to uint8. A pixel
-    outside [0, 1] (NaN included) or a label outside 0..255 is refused
-    before any file is opened."""
-    for name, values, top in (("pixel", dataset.images, 1), ("label", dataset.labels, 255)):
-        bad = values[~((values >= 0) & (values <= top))]
-        if bad.size:
-            raise ValueError(f"{name} {bad[0]} is outside [0, {top}], which IDX uint8 cannot hold")
+    outside [0, 1] (NaN included) or a label that is not an integer in
+    0..255 is refused before any file is opened."""
+    images, labels = dataset.images, dataset.labels
+    for name, values, ok, allowed in (
+            ("pixel", images, (images >= 0) & (images <= 1), "[0, 1]"),
+            ("label", labels, np.isin(labels, np.arange(256)), "the integers 0..255")):
+        if not ok.all():
+            raise ValueError(f"{name} {values[~ok][0]} is outside {allowed}, "
+                             "which IDX uint8 cannot hold")
     count = len(dataset)
     rows, cols = dataset.images.shape[2], dataset.images.shape[3]
     pixels = np.round(dataset.images * 255.0).astype(np.uint8)

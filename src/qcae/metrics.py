@@ -2,9 +2,10 @@
 
 ssim follows the windowed form ((2*mu_a*mu_b + C1)(2*cov + C2)) /
 ((mu_a^2 + mu_b^2 + C1)(var_a + var_b + C2)) averaged over valid window
-positions, with biased (weighted-sum) variance estimates. The default
-window is the canonical 11x11 Gaussian with sigma 1.5; an 8x8 uniform
-window is available as a cross-check. Pixels are assumed in [0, 1], so the
+positions, with biased (weighted-sum) variance estimates. The window is the
+canonical 11x11 Gaussian with sigma 1.5 or, on an image too small for it
+(or as a cross-check), an 8x8 uniform one: ssim_config_for picks it from
+the image shape unless a cfg is given. Pixels are assumed in [0, 1], so the
 dynamic range is 1. ssim is mean_ssim of a one-image stack, and each band
 matrix is built once. gaussian_taps and band also build data_io's corpus blur.
 """
@@ -91,8 +92,8 @@ def eval_blocks(count: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip([0] + edges, edges)]
 
 
-def ssim(a, b, cfg: SsimConfig = SsimConfig()) -> float:
-    """SSIM of one (H, W) or (1, H, W) image pair."""
+def ssim(a, b, cfg: SsimConfig | None = None) -> float:
+    """SSIM of one (H, W) or (1, H, W) image pair, windowed as mean_ssim is."""
     return mean_ssim(np.asarray(a)[None], np.asarray(b)[None], cfg)
 
 
@@ -106,9 +107,10 @@ def ssim_config_for(image_shape) -> SsimConfig:
     raise ValueError(f"no ssim window fits an image of shape {image_shape}")
 
 
-def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
+def mean_ssim(batch_a, batch_b, cfg: SsimConfig | None = None) -> float:
     """Mean of per-image ssim over two equally long (N, H, W) or (N, 1, H, W)
-    stacks, scored over the blocks of eval_blocks so memory does not grow with N."""
+    stacks, scored over the blocks of eval_blocks so memory does not grow with N.
+    cfg defaults to ssim_config_for the images' shape."""
     batch_a, batch_b = np.asarray(batch_a, dtype=float), np.asarray(batch_b, dtype=float)
     if batch_a.shape != batch_b.shape:
         raise ValueError(f"shape mismatch: {batch_a.shape} vs {batch_b.shape}")
@@ -118,6 +120,7 @@ def mean_ssim(batch_a, batch_b, cfg: SsimConfig = SsimConfig()) -> float:
         raise ValueError(f"expected a stack of images, got shape {batch_a.shape}")
     if len(batch_a) == 0:
         raise ValueError("mean_ssim needs at least one image pair, got an empty stack")
+    cfg = ssim_config_for(batch_a.shape) if cfg is None else cfg
     per_image = np.empty(len(batch_a))
     for block in eval_blocks(len(batch_a)):
         per_image[block] = _ssim_per_image(batch_a[block], batch_b[block], cfg)

@@ -43,10 +43,10 @@ import numpy as np
 
 from .ansatz import CircuitTemplate, family_template
 from .data_io import MnistSet, NoiseSpec, add_gaussian_noise
-from .metrics import RunRecord, eval_blocks, mean_ssim, ssim_config_for
+from .metrics import RunRecord, eval_blocks, mean_ssim
 from .nn import (Adam, Conv2d, ConvTranspose2d, Dense, Layer, LeakyReLU, NonFiniteTensor,
                  Reshape, Sigmoid, load_weights, mse_loss, pack_parameters, save_weights)
-from .statevector import MAX_QUBITS, NoiseChannel, z_and_pullback
+from .statevector import NoiseChannel, compile_circuit, z_and_pullback
 
 # per supported image size: the three encoder widths, and the kernel of the
 # last convolution, which reaches 1x1 after two stride-2 halvings
@@ -78,13 +78,8 @@ class ModelSpec:
                              f"on {self.kind} (qcae's latent is n_qubits wide)")
         if self.image_size not in _WIDTHS:
             raise ValueError(f"image_size must be one of {tuple(_WIDTHS)}, got {self.image_size}")
-        noisy = self.noise.depolarizing_prob > 0
-        # depolarizing simulates 2n-qubit density matrices
-        cap = MAX_QUBITS // 2 if noisy else MAX_QUBITS
-        if self.kind == "qcae" and self.n_qubits > cap:
-            raise ValueError(f"{'depolarizing noise' if noisy else 'the simulator'} caps "
-                             f"n_qubits at {cap}, got {self.n_qubits}")
-        if self.kind == "qcae":  # refuses an unknown family and a one-qubit QAOA
+        if self.kind == "qcae":  # refuses too many qubits, an unknown family, a 1-qubit QAOA
+            compile_circuit(self.n_qubits, (), self.noise)
             family_template(self.family, self.n_qubits, self.p)
 
 
@@ -280,8 +275,7 @@ def train(spec: ModelSpec, config: TrainConfig, train_set: MnistSet,
             batch_losses.append(loss)
         epoch_loss = float(np.mean(batch_losses))
         if val_clean is not None:
-            val_ssim = mean_ssim(model.denoise(val_noisy), val_clean,
-                                 ssim_config_for(val_clean.shape))
+            val_ssim = mean_ssim(model.denoise(val_noisy), val_clean)
         else:
             val_ssim = float("nan")
         records.append(RunRecord(epoch, epoch_loss, val_ssim, config_id))

@@ -32,19 +32,21 @@ of its layer, so every derivative of a layer, Im<lambda|G psi>, comes from
 the (psi, lambda) pair at the layer's end: a column's from reduced matrices
 of kron blocks of adjacent qubits, a diagonal run's as one product of
 Im(conj(lambda) * psi) with a table of each gate's Z...Z signs on the ket
-bits. z_and_pullback's forward keeps psi at the end of each layer with
-derivatives, pure or density row alike, and the pullback's sweep undoes
-each layer on lambda only, stopping at the first layer with derivatives.
+bits (by Hermiticity, a density row's whole derivative). z_and_pullback's
+forward keeps psi at the end of each layer with derivatives, and the
+pullback's sweep undoes each layer on lambda only, stopping at the first.
 
 The noise channel is a minimal depolarizing + readout-flip model (a stand-in
 for calibrated hardware noise): after a gate, each touched qubit is
 depolarized, (1 - p) rho + p/3 (X rho X + Y rho Y + Z rho Z), and readout
 expectations are shrunk by (1 - 2 * flip probability). run_rows simulates
 the channel exactly on density matrices, so noisy runs draw no random
-numbers and are reproducible. A density row is a register of 2n qubits (ket
-bits low, bra bits high) that the layers run like amplitudes, with conj(U)
-on the bra bits; under a channel no two gates of a layer share a qubit, so
-each gate's depolarizing can follow its layer.
+numbers and are reproducible. As vec(U rho U^dagger) = (conj(U) (x) U)
+vec(rho), a density row is a pure row of 2n qubits (ket bits low, bra bits
+high) that runs the doubled gate list: _compile adds gate i's conjugate,
+U(-angle) for RX, RZ and ZZ, on the bra bits to the layer of gate i, and
+the layers know no density rows. Under a channel no two gates of a layer
+share a qubit, so each gate's depolarizing can follow its layer.
 """
 from __future__ import annotations
 
@@ -132,13 +134,6 @@ class NoiseChannel:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def _check_targets(n_qubits: int, ops) -> None:
-    """Refuse a gate target outside range(n_qubits); the layers do not check."""
-    bad = [q for _, targets in ops for q in targets if not 0 <= q < n_qubits]
-    if bad:
-        raise ValueError(f"gate target {bad[0]} out of range for {n_qubits} qubits")
-
-
 def _block_qubits(register: int) -> int:
     """Qubits per reduced-matrix block of a column's sweep and per phase
     table of a diagonal run, on a register of that many qubits: about a
@@ -158,35 +153,31 @@ def _bit_axes(register: int, bits) -> tuple[int, ...]:
 
 
 class _Column:
-    """H, RX and RY gates on distinct qubits: each 2x2 matrix (conj(U) on the
-    bra bits of density rows) applied elementwise as u[a, 0] x_0 + u[a, 1] x_1,
-    all rows at once. Elementwise, each output sums the same two products
-    whichever way its qubit is flipped, so a state symmetric under a flip of
-    every qubit stays symmetric bit for bit (batched BLAS products, which
-    may fuse multiply-adds, do not keep that). A gate's derivative comes from
-    the reduced matrix R[a, c] = sum conj(lambda_a) psi_c of a block of at
-    most _block_qubits adjacent qubits, one batched matmul per block, and a
-    fixed coefficient column: Im<lambda|X psi> or Im<lambda|Y psi>."""
+    """H, RX and RY gates on distinct qubits: each 2x2 matrix applied
+    elementwise as u[a, 0] x_0 + u[a, 1] x_1, all rows at once. Elementwise,
+    each output sums the same two products whichever way its qubit is
+    flipped, so a state symmetric under a flip of every qubit stays symmetric
+    bit for bit (batched BLAS products, which may fuse multiply-adds, do not
+    keep that). The derivative of each gate of the run below n_gates (not of
+    a density row's conjugate copies, see _compile) comes from the reduced
+    matrix R[a, c] = sum conj(lambda_a) psi_c of a block of at most
+    _block_qubits adjacent qubits, one batched matmul per block, and a fixed
+    coefficient column: Im<lambda|X psi> or Im<lambda|Y psi>."""
 
     kind = "column"
 
-    def __init__(self, n: int, ops, run, mixed: bool):
+    def __init__(self, register: int, ops, run, n_gates: int):
         self.gates = tuple(run)
         self.qubits = tuple(ops[i][1][0] for i in run)
         kinds = [ops[i][0] for i in run]
         # u[0, 1] and u[1, 0] are sin(angle/2) times these: RX -i, -i; RY -1, +1
         self._off = np.array([(-1j, -1j) if k == "rx" else (-1, 1) for k in kinds]).T
         self._h = [j for j, k in enumerate(kinds) if k == "h"]
-        self._mixed = mixed
-        members = {q: (j, False) for j, q in enumerate(self.qubits)}
-        if mixed:
-            members.update({q + n: (j, True) for j, q in enumerate(self.qubits)})
-        register = 2 * n if mixed else n
-        self._steps = [(j, conj, (1 << register) >> (q + 1), 1 << q)
-                       for q, (j, conj) in sorted(members.items())]
+        at = {q: j for j, q in enumerate(self.qubits)}  # qubit -> its gate's place in run
+        self._steps = [(j, (1 << register) >> (q + 1), 1 << q) for q, j in sorted(at.items())]
         width = _block_qubits(register)
         runs = []
-        for q in sorted(q for q, (j, conj) in members.items() if not conj and kinds[j] != "h"):
+        for q in sorted(q for q, j in at.items() if run[j] < n_gates and kinds[j] != "h"):
             if runs and q == runs[-1][-1] + 1 and len(runs[-1]) < width:
                 runs[-1].append(q)
             else:
@@ -196,7 +187,7 @@ class _Column:
             d = 1 << len(qs)
             coef = []
             for t, q in enumerate(qs):
-                j = members[q][0]
+                j = at[q]
                 col = np.zeros((d, d), dtype=complex)
                 a = np.arange(d)
                 col[a, a ^ (1 << t)] = -1j if kinds[j] == "rx" else np.where(a >> t & 1, 1.0, -1.0)
@@ -218,13 +209,11 @@ class _Column:
         # u[:, j, :, c] as (M, 1, a, 1), broadcast over the (k, M, high bits,
         # qubit, low bits) view of the rows
         u = u[:, :, None, :, :, None]
-        pair = (u, u.conj() if self._mixed else None)
         out, term = np.empty_like(rows), np.empty_like(rows)  # rows is the third buffer
-        for j, conj, hi, lo in self._steps:
+        for j, hi, lo in self._steps:
             x, y, t = (a.reshape(-1, m, hi, 2, lo) for a in (rows, out, term))
-            uj = pair[conj][:, j]
-            np.multiply(x[:, :, :, :1], uj[..., 0, :], out=y)
-            y += np.multiply(x[:, :, :, 1:], uj[..., 1, :], out=t)
+            np.multiply(x[:, :, :, :1], u[:, j, ..., 0, :], out=y)
+            y += np.multiply(x[:, :, :, 1:], u[:, j, ..., 1, :], out=t)
             rows, out = out, rows
         return rows
 
@@ -243,50 +232,45 @@ class _Column:
 
 class _Diagonal:
     """RZ and ZZ gates: a phase exp(-i/2 sum_g angle_g s_g), s_g the +-1 Z...Z
-    sign of gate g's target bits, on the ket bits and, with the angle
-    negated, on the bra bits of density rows (conj(U(a)) is U(-a)). The
-    factors are grouped by target bits, at most _block_qubits bits a group:
-    one product of the angles with a fixed exponent matrix gives every
-    group's (M, 2, ..., 2) phase table, and each table multiplies the rows
-    broadcast over its bits. Every gate's derivative is one product of
-    Im(conj(lambda) * psi) with a (2^register, gates) table of its ket-bit
-    signs s_g."""
+    sign of gate g's target bits. The factors are grouped by target bits, at
+    most _block_qubits bits a group: one product of the angles with a fixed
+    exponent matrix gives every group's (M, 2, ..., 2) phase table, and each
+    table multiplies the rows broadcast over its bits. The derivatives of the
+    run's gates below n_gates (not of a density row's conjugate copies) are
+    one product of Im(conj(lambda) * psi) with a (2^register, gates) table
+    of their signs s_g."""
 
     kind = "diagonal"
 
-    def __init__(self, n: int, ops, run, mixed: bool):
-        self.gates = self.deriv = tuple(run)
+    def __init__(self, register: int, ops, run, n_gates: int):
+        self.gates, self.deriv = tuple(run), tuple(i for i in run if i < n_gates)
         self.qubits = tuple(q for i in run for q in ops[i][1])
-        register = 2 * n if mixed else n
         width = _block_qubits(register)
-        factors = [(j, ops[i][1], 1.0) for j, i in enumerate(run)]
-        if mixed:
-            factors += [(j, tuple(q + n for q in ops[i][1]), -1.0) for j, i in enumerate(run)]
-        groups = []  # [bits, factors]
-        for factor in factors:
+        groups = []  # [bits, members]
+        for j, i in enumerate(run):
             for group in groups:
-                if len(group[0].union(factor[1])) <= width:
+                if len(group[0].union(ops[i][1])) <= width:
                     break
             else:
                 group = [set(), []]
                 groups.append(group)
-            group[0].update(factor[1])
-            group[1].append(factor)
+            group[0].update(ops[i][1])
+            group[1].append(j)
         self.groups, exponent, start = [], [], 0
         for bits, members in groups:
             bits = sorted(bits, reverse=True)
             pattern = np.arange(1 << len(bits))[:, None] >> np.arange(len(bits) - 1, -1, -1) & 1
             block = np.zeros((len(run), len(pattern)))
-            for j, targets, sign in members:
-                signs = 1.0 - 2.0 * (pattern[:, [bits.index(q) for q in targets]].sum(1) & 1)
-                block[j] += -0.5 * sign * signs
+            for j in members:
+                targets = [bits.index(q) for q in ops[run[j]][1]]
+                block[j] = -0.5 * (1.0 - 2.0 * (pattern[:, targets].sum(1) & 1))
             exponent.append(block)
             self.groups.append((slice(start, start + len(pattern)), _bit_axes(register, bits)))
             start += len(pattern)
         self._exponent = np.concatenate(exponent, axis=1)  # (gates, sum of table sizes)
-        targets = np.zeros((register, len(run)), dtype=int)
-        for j, i in enumerate(run):
-            targets[list(ops[i][1]), j] = 1  # the generator acts on the ket bits only
+        targets = np.zeros((register, len(self.deriv)), dtype=int)
+        for j, i in enumerate(self.deriv):
+            targets[list(ops[i][1]), j] = 1
         bits = np.arange(1 << register)[:, None] >> np.arange(register) & 1
         self._signs = 1.0 - 2.0 * ((bits @ targets) % 2)
 
@@ -303,21 +287,19 @@ class _Diagonal:
 
 
 class _Permutation:
-    """CNOT gates: one index gather by the composed basis permutation (each
-    CNOT also acts on the bra bits of density rows); undone by its inverse."""
+    """CNOT gates: one index gather by the composed basis permutation; undone
+    by its inverse."""
 
     kind = "permutation"
     deriv = ()
 
-    def __init__(self, n: int, ops, run, mixed: bool):
+    def __init__(self, register: int, ops, run, n_gates: int):
         self.gates = tuple(run)
         self.qubits = tuple(q for i in run for q in ops[i][1])
-        index = np.arange(1 << (2 * n if mixed else n))
-        perm = index
+        perm = index = np.arange(1 << register)
         for i in run:
-            for shift in (0, n) if mixed else (0,):
-                control, target = (q + shift for q in ops[i][1])
-                perm = perm[index ^ ((index >> control & 1) << target)]
+            control, target = ops[i][1]
+            perm = perm[index ^ ((index >> control & 1) << target)]
         self.perm, self.undo = perm, np.argsort(perm)
 
     def apply(self, rows, angles, inverse=False):
@@ -326,24 +308,33 @@ class _Permutation:
 
 _LAYER_KINDS = {"h": _Column, "rx": _Column, "ry": _Column,
                 "rz": _Diagonal, "zz": _Diagonal, "cnot": _Permutation}
+_CONJ_NEGATES = ("rx", "rz", "zz")  # conj(U(a)) = U(-a); RY, H and CNOT are real
 
 
 def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -> tuple:
-    """The layers that run_rows and z_and_pullback run for this gate list,
-    built once per (n_qubits, gate kinds and targets, channel kind) and
-    shared by every caller: any angles and any number of rows reuse them.
-    A register (2n qubits under a channel) beyond MAX_QUBITS is refused."""
+    """The layers that run_rows and z_and_pullback run for this gate list
+    (doubled under a channel, see _compile), built once per (n_qubits, gate
+    kinds and targets, channel kind) and shared by every caller: any angles
+    and any number of rows reuse them. A register (2n qubits under a
+    channel) beyond MAX_QUBITS is refused."""
     return _compile(n_qubits, tuple((g.kind, g.targets) for g in gates), _mixed(channel))
 
 
 @functools.lru_cache(maxsize=64)
 def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
     # greedy, in gate order: a gate joins the last run if it is of the same
-    # layer kind and, in a column or under a channel, shares no qubit with it
+    # layer kind and, in a column or under a channel, shares no qubit with it.
+    # A density row vec(rho) is a pure row of 2n qubits that conj(U) (x) U
+    # maps, so under a channel gate len(ops) + i is gate i on the bra bits,
+    # targets + n, and each layer runs its ket gates, then their copies
     register = 2 * n_qubits if mixed else n_qubits
     if not 1 <= register <= MAX_QUBITS:  # bounds the memory of layers and rows
-        raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {register}")
-    _check_targets(n_qubits, ops)
+        raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {register}: "
+                         f"{'depolarizing noise' if mixed else 'the simulator'} caps n_qubits "
+                         f"at {MAX_QUBITS // 2 if mixed else MAX_QUBITS}")
+    bad = [q for _, targets in ops for q in targets if not 0 <= q < n_qubits]
+    if bad:  # the layers do not check
+        raise ValueError(f"gate target {bad[0]} out of range for {n_qubits} qubits")
     runs = []
     for i, (kind, targets) in enumerate(ops):
         layer = _LAYER_KINDS[kind]
@@ -353,19 +344,25 @@ def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
             runs[-1].append(i)
         else:
             runs.append([i])
-    return tuple(_LAYER_KINDS[ops[run[0]][0]](n_qubits, ops, run, mixed) for run in runs)
+    n_gates = len(ops)
+    if mixed:
+        ops += tuple((kind, tuple(q + n_qubits for q in targets)) for kind, targets in ops)
+        runs = [run + [i + n_gates for i in run] for run in runs]
+    return tuple(_LAYER_KINDS[ops[run[0]][0]](register, ops, run, n_gates) for run in runs)
 
 
-def _depolarize(rho: np.ndarray, n: int, q: int, p: float) -> None:
-    # each density row viewed as (high, bra bit q, middle, ket bit q, low);
-    # the channel mixes the diagonal pair by 2p/3 and shrinks the off-diagonal
-    # pair by 1 - 4p/3
-    m = rho.reshape(rho.shape[0], -1, 2, 1 << (n - 1), 2, 1 << q)
-    mix = (2.0 * p / 3.0) * (m[:, :, 1, :, 1] - m[:, :, 0, :, 0])
-    m[:, :, 0, :, 0] += mix
-    m[:, :, 1, :, 1] -= mix
-    m[:, :, 0, :, 1] *= 1.0 - 4.0 * p / 3.0
-    m[:, :, 1, :, 0] *= 1.0 - 4.0 * p / 3.0
+def _depolarize(rho: np.ndarray, n: int, qubits, p: float) -> None:
+    # a layer's qubits below n, the ket bits (its conjugate gates act on the
+    # bra bits): each density row viewed as (high, bra bit q, middle, ket bit
+    # q, low), the channel mixes the diagonal pair by 2p/3 and shrinks the
+    # off-diagonal pair by 1 - 4p/3
+    for q in (q for q in qubits if q < n):
+        m = rho.reshape(rho.shape[0], -1, 2, 1 << (n - 1), 2, 1 << q)
+        mix = (2.0 * p / 3.0) * (m[:, :, 1, :, 1] - m[:, :, 0, :, 0])
+        m[:, :, 0, :, 0] += mix
+        m[:, :, 1, :, 1] -= mix
+        m[:, :, 0, :, 1] *= 1.0 - 4.0 * p / 3.0
+        m[:, :, 1, :, 0] *= 1.0 - 4.0 * p / 3.0
 
 
 def _mixed(channel: NoiseChannel | None) -> bool:
@@ -401,6 +398,9 @@ def _run(n: int, gates, angles, channel, kept: dict | None = None) -> tuple:
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
     layers = compile_circuit(n, gates, channel)
     mixed = _mixed(channel)
+    if mixed:  # the angle columns of the doubled program's conjugate gates
+        negate = [g.kind in _CONJ_NEGATES for g in gates]
+        angles = np.concatenate([angles, np.where(negate, -angles, angles)], axis=1)
     rows = np.zeros((len(angles), row_width(n, channel)), dtype=complex)
     rows[:, 0] = 1.0  # |0...0>
     for j, layer in enumerate(layers):
@@ -408,8 +408,7 @@ def _run(n: int, gates, angles, channel, kept: dict | None = None) -> tuple:
         if kept is not None and layer.deriv:
             kept[j] = rows.copy()
         if mixed:  # a layer's gates share no qubit, so each kick can follow the layer
-            for q in layer.qubits:
-                _depolarize(rows, n, q, channel.depolarizing_prob)
+            _depolarize(rows, n, layer.qubits, channel.depolarizing_prob)
     return layers, angles, rows
 
 
@@ -465,7 +464,7 @@ def z_and_pullback(n_qubits: int, gates, angles, channel: NoiseChannel | None = 
     Gacon 2020, arXiv:2009.02823), stopping at the first layer with
     derivatives. pullback leaves those states as they are, so it may rerun.
     """
-    kept = {}
+    gates, kept = tuple(gates), {}
     layers, angles, rows = _run(n_qubits, gates, angles, channel, kept)
     mixed = _mixed(channel)
     first = min(kept, default=len(layers))
@@ -486,12 +485,11 @@ def z_and_pullback(n_qubits: int, gates, angles, channel: NoiseChannel | None = 
             costate[:, ::(1 << n_qubits) + 1] = weights
         else:
             costate = weights * rows
-        out = np.zeros(angles.shape)
+        out = np.zeros((len(angles), len(gates)))
         for j in reversed(range(first, len(layers))):
             layer = layers[j]
             if mixed:
-                for q in layer.qubits:
-                    _depolarize(costate, n_qubits, q, channel.depolarizing_prob)
+                _depolarize(costate, n_qubits, layer.qubits, channel.depolarizing_prob)
             if j in kept:
                 out[:, layer.deriv] = layer.terms(kept[j], costate)
             if j > first:  # no undo for the first layer with derivatives or before it

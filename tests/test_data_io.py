@@ -90,12 +90,16 @@ def test_idx_short_label_payload_names_offset(tmp_path):
 
 @pytest.mark.parametrize("field, name, value", [
     ("images", "pixel", 1.5), ("images", "pixel", -0.2), ("images", "pixel", np.nan),
-    ("labels", "label", 300), ("labels", "label", -1)])
+    ("labels", "label", 300), ("labels", "label", -1), ("labels", "label", 2.5)])
 def test_write_idx_refuses_a_value_uint8_cannot_hold(tmp_path, field, name, value):
-    # uint8 would wrap it: pixel 1.5 read back as 0.494, -0.2 as 0.804, label 300 as 44
+    # uint8 would wrap it: pixel 1.5 read back as 0.494, -0.2 as 0.804, label 300 as 44;
+    # it would truncate label 2.5 to 2
     dataset = small_set(3)
-    getattr(dataset, field).flat[1] = value
-    getattr(dataset, field).flat[-1] = 1000  # a later bad value goes unnamed
+    values = getattr(dataset, field)
+    values = values.astype(np.result_type(values, value))  # int64 labels cannot hold 2.5
+    values.flat[1] = value
+    values.flat[-1] = 1000  # a later bad value goes unnamed
+    setattr(dataset, field, values)
     with pytest.raises(ValueError, match=f"^{name} {value} is outside"):
         write_pair(tmp_path, dataset)
     assert list(tmp_path.iterdir()) == []  # refused before any file is opened

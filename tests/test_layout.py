@@ -13,3 +13,16 @@ def test_no_private_name_is_imported_across_modules(path):
         if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("qcae")):
             private = [alias.name for alias in node.names if alias.name.startswith("_")]
             assert not private, f"{path.name}:{node.lineno} imports {private} from {node.module}"
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "statevector.py"}),
+                         ids=lambda path: path.name)
+def test_only_the_simulator_knows_its_register_cap(path):
+    # the register rule (2n simulated qubits under a channel) lives in
+    # statevector's compiler; other modules ask compile_circuit to refuse
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno} imports MAX_QUBITS"
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "MAX_QUBITS", f"{path.name}:{node.lineno} reads MAX_QUBITS"

@@ -182,9 +182,17 @@ def test_ssim_shape_and_window_validation():
     with pytest.raises(ValueError):
         ssim(np.zeros((28, 28)), np.zeros((27, 28)))
     with pytest.raises(ValueError):
-        ssim(np.zeros((8, 8)), np.zeros((8, 8)))  # smaller than gaussian11
+        ssim(np.zeros((7, 7)), np.zeros((7, 7)))  # no window fits
     with pytest.raises(ValueError):
         ssim(np.zeros((28, 28)), np.zeros((28, 28)), SsimConfig(window="box3"))
+
+
+def test_the_default_window_is_the_one_ssim_config_for_picks():
+    rng = np.random.default_rng(12)
+    small, large = rng.random((3, 1, 8, 8)), rng.random((3, 1, 28, 28))
+    assert mean_ssim(small, small * 0.9) == mean_ssim(small, small * 0.9, SsimConfig("uniform8"))
+    assert ssim(small[0], small[0] * 0.9) == ssim(small[0], small[0] * 0.9, SsimConfig("uniform8"))
+    assert mean_ssim(large, large * 0.9) == mean_ssim(large, large * 0.9, SsimConfig())
 
 
 def test_ssim_config_for_refuses_an_image_no_window_fits():

@@ -309,20 +309,28 @@ def test_compiled_layers_cover_every_gate_once_in_order(n, n_runs, seed, noisy):
     gates = layered_gate_list(n, n_runs, np.random.default_rng(seed))
     channel = NoiseChannel(0.1) if noisy else None
     layers = compile_circuit(n, gates, channel)
-    assert [i for layer in layers for i in layer.gates] == list(range(len(gates)))
-    for layer in layers:
-        assert {gates[i].kind for i in layer.gates} <= LAYER_KINDS[layer.kind]
-        targets = [q for i in layer.gates for q in gates[i].targets]
+    # a density row runs the doubled gate list: column len(gates) + i is gate
+    # i's conjugate on the bra bits, so the ket columns are those below len(gates)
+    runs = [[i for i in layer.gates if i < len(gates)] for layer in layers]
+    assert [i for run in runs for i in run] == list(range(len(gates)))
+    for layer, run in zip(layers, runs):
+        assert {gates[i].kind for i in run} <= LAYER_KINDS[layer.kind]
+        targets = [q for i in run for q in gates[i].targets]
         # each gate's depolarizing follows its layer, so under a channel no
         # two gates of a layer may share a qubit; a column never may
         if noisy or layer.kind == "column":
             assert len(targets) == len(set(targets)), (layer.kind, targets)
+        # a layer holds gate i's conjugate exactly when it holds gate i, after
+        # its ket gates, and differentiates the ket gates' rotations only
+        copies = [len(gates) + i for i in run] if noisy else []
+        assert list(layer.gates) == run + copies
+        assert sorted(layer.deriv) == [i for i in run if gates[i].kind in ROTATION_KINDS]
     # greedy: a layer ends only where the next gate could not join it
-    for before, after in zip(layers, layers[1:]):
-        if before.kind == after.kind:
-            assert noisy or before.kind == "column"
-            first = set(gates[after.gates[0]].targets)
-            assert first & {q for i in before.gates for q in gates[i].targets}
+    for k in range(1, len(layers)):
+        if layers[k - 1].kind == layers[k].kind:
+            assert noisy or layers[k].kind == "column"
+            first = set(gates[runs[k][0]].targets)
+            assert first & {q for i in runs[k - 1] for q in gates[i].targets}
 
 
 @settings(max_examples=60, deadline=None)
