@@ -280,7 +280,8 @@ def cmd_sweep(args) -> int:
         except Exception as e:  # keep sweeping; mark the grid point failed
             rows.append([cid, *combo, "", "FAILED"])
             print(f"grid point {combo} failed: {e}", file=sys.stderr)
-    sweep_path = out_root / f"sweep_{config_id(cfg)}.csv"
+    grid = f"{config_id(cfg)}\n{axes!r}"  # a different axis or value list, a different CSV
+    sweep_path = out_root / f"sweep_{hashlib.sha256(grid.encode()).hexdigest()[:10]}.csv"
     with open(sweep_path, "w", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(["config_id", *names, "final_val_ssim", "status"])

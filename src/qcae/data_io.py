@@ -2,13 +2,14 @@
 pixel noise, PGM export, and a deterministic synthetic digit corpus for
 machines without the real files, blurred with metrics' Gaussian taps.
 
-IDX is the big-endian MNIST container: images carry magic 0x00000803 and a
-16-byte header (magic, count, rows, cols), labels carry magic 0x00000801
-and an 8-byte header, both followed by raw uint8 payload. Pixels are scaled
-to [0, 1] on load.
+IDX is the big-endian MNIST container, read and written by one path for both
+files: a u32 magic, u32 dims, then exactly prod(dims) uint8 bytes. Images
+carry magic 0x00000803 and dims (count, rows, cols), labels 0x00000801 and
+(count,). Pixels are scaled to [0, 1] on load.
 """
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -55,51 +56,32 @@ class NoiseSpec:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
 
 
-def _read_header(data: bytes, path, magic_expected: int, n_dims: int):
-    header_len = 4 * (1 + n_dims)
-    if len(data) < header_len:
-        raise IdxParseError(
-            f"{path}: truncated header, file ends at offset {len(data)} "
-            f"(need {header_len})"
-        )
-    magic = struct.unpack_from(">I", data, 0)[0]
-    if magic != magic_expected:
-        raise IdxParseError(
-            f"{path}: bad magic 0x{magic:08x} at offset 0 (expected 0x{magic_expected:08x})"
-        )
-    dims = struct.unpack_from(f">{n_dims}I", data, 4)
-    return dims, header_len
+def _read_idx(path, magic: int, n_dims: int):
+    """(dims, uint8 payload view) of an IDX file with the expected magic and length."""
+    data = Path(path).read_bytes()
+    offset = 4 * (1 + n_dims)
+    if len(data) < offset:
+        raise IdxParseError(f"{path}: truncated header, file ends at offset {len(data)} "
+                            f"(need {offset})")
+    found, *dims = struct.unpack_from(f">{1 + n_dims}I", data)
+    if found != magic:
+        raise IdxParseError(f"{path}: bad magic 0x{found:08x} at offset 0 "
+                            f"(expected 0x{magic:08x})")
+    size = math.prod(dims)  # exact: a numpy product of uint32 dims can wrap
+    if len(data) != offset + size:
+        raise IdxParseError(f"{path}: payload of {size} bytes expected at offset {offset}, "
+                            f"file ends at offset {len(data)}")
+    return dims, np.frombuffer(data, dtype=np.uint8, offset=offset)
 
 
 def load_idx(images_path, labels_path) -> MnistSet:
     """Parse an images/labels IDX pair into a checked, [0, 1]-scaled set."""
-    img_data = Path(images_path).read_bytes()
-    (count, rows, cols), offset = _read_header(img_data, images_path, IMAGE_MAGIC, 3)
-    expected = count * rows * cols
-    if len(img_data) != offset + expected:
-        raise IdxParseError(
-            f"{images_path}: payload of {expected} bytes expected at offset {offset}, "
-            f"file ends at offset {len(img_data)}"
-        )
-    pixels = np.frombuffer(img_data, dtype=np.uint8, count=expected, offset=offset)
-    images = pixels.reshape(count, 1, rows, cols).astype(np.float64)
-    images /= 255.0
-
-    lbl_data = Path(labels_path).read_bytes()
-    (lbl_count,), lbl_offset = _read_header(lbl_data, labels_path, LABEL_MAGIC, 1)
-    if len(lbl_data) != lbl_offset + lbl_count:
-        raise IdxParseError(
-            f"{labels_path}: payload of {lbl_count} bytes expected at offset {lbl_offset}, "
-            f"file ends at offset {len(lbl_data)}"
-        )
-    labels = np.frombuffer(lbl_data, dtype=np.uint8, count=lbl_count,
-                           offset=lbl_offset).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(images_path, IMAGE_MAGIC, 3)
+    (lbl_count,), labels = _read_idx(labels_path, LABEL_MAGIC, 1)
     if lbl_count != count:
-        raise IdxParseError(
-            f"count mismatch: {count} images in {images_path} vs "
-            f"{lbl_count} labels in {labels_path}"
-        )
-    return MnistSet(images, labels)
+        raise IdxParseError(f"count mismatch: {count} images in {images_path} vs "
+                            f"{lbl_count} labels in {labels_path}")
+    return MnistSet(pixels.reshape(count, 1, rows, cols) / 255.0, labels.astype(np.int64))
 
 
 def write_idx(dataset: MnistSet, images_path, labels_path) -> None:
@@ -113,15 +95,13 @@ def write_idx(dataset: MnistSet, images_path, labels_path) -> None:
         if not ok.all():
             raise ValueError(f"{name} {values[~ok][0]} is outside {allowed}, "
                              "which IDX uint8 cannot hold")
-    count = len(dataset)
-    rows, cols = dataset.images.shape[2], dataset.images.shape[3]
-    pixels = np.round(dataset.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IMAGE_MAGIC, count, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", LABEL_MAGIC, count))
-        f.write(dataset.labels.astype(np.uint8).tobytes())
+    count, rows, cols = len(dataset), images.shape[2], images.shape[3]
+    for path, magic, dims, payload in (
+            (images_path, IMAGE_MAGIC, (count, rows, cols), np.round(images * 255.0)),
+            (labels_path, LABEL_MAGIC, (count,), labels)):
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + len(dims)}I", magic, *dims))
+            f.write(payload.astype(np.uint8).tobytes())
 
 
 def filter_classes(dataset: MnistSet, classes, limit: int | None = None) -> MnistSet:
@@ -166,8 +146,10 @@ def _as_plane(image) -> np.ndarray:
 
 
 def export_pgm(image, path) -> None:
-    """8-bit binary PGM (P5), maxval 255, row-major."""
+    """8-bit binary PGM (P5), maxval 255, row-major; pixels clip to [0, 1], NaN is refused."""
     image = _as_plane(image)
+    if np.isnan(image).any():
+        raise ValueError("pixel nan has no 8-bit PGM value")
     height, width = image.shape
     body = np.round(np.clip(image, 0.0, 1.0) * 255.0).astype(np.uint8)
     with open(path, "wb") as f:

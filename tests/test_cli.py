@@ -232,6 +232,20 @@ def test_sweep_grid_rows_and_determinism(tmp_path):
     assert sweeps[0].read_bytes() == content
 
 
+def test_sweeps_over_different_axes_keep_their_own_csvs(tmp_path):
+    # one base config swept over two axes: the second CSV must not replace the first
+    out = tmp_path / "runs"
+    for axis in ("seed=1,2", "learning_rate=0.001,0.003"):
+        assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", axis]) == 0
+    tables = {}
+    for path in out.glob("sweep_*.csv"):
+        with open(path, newline="") as f:
+            header, *rows = csv.reader(f)
+        tables[header[1]] = [(row[1], row[-1]) for row in rows]
+    assert tables == {"seed": [("1", "ok"), ("2", "ok")],
+                      "learning_rate": [("0.001", "ok"), ("0.003", "ok")]}
+
+
 def test_sweep_points_share_the_configured_seed(tmp_path):
     # arms of a comparison train on one corpus from one initialization
     out = tmp_path / "runs"

@@ -37,23 +37,39 @@ def write_pair(tmp_path, dataset, stem="set"):
 
 # ----------------------------------------------------------------- IDX
 
+# per file: its index in write_pair's pair, its magic, its header length,
+# its payload length at small_set's 12 images
+IDX_LAYOUT = {"images": (0, IMAGE_MAGIC, 16, 12 * 784), "labels": (1, LABEL_MAGIC, 8, 12)}
+
+
 def test_idx_round_trip_is_byte_exact(tmp_path):
-    original = small_set()
-    paths = write_pair(tmp_path, original)
-    reloaded = load_idx(*paths)
-    second = write_pair(tmp_path, reloaded, stem="again")
-    assert paths[0].read_bytes()[16:] == second[0].read_bytes()[16:]
-    assert np.array_equal(original.labels, reloaded.labels)
-    assert np.array_equal(np.round(original.images * 255), np.round(reloaded.images * 255))
+    for count in (0, 12):
+        original = small_set(count)
+        paths = write_pair(tmp_path, original, stem=f"set{count}")
+        reloaded = load_idx(*paths)
+        second = write_pair(tmp_path, reloaded, stem=f"again{count}")
+        assert paths[0].read_bytes()[16:] == second[0].read_bytes()[16:]
+        assert paths[0].read_bytes()[:16] == struct.pack(">4I", IMAGE_MAGIC, count, 28, 28)
+        assert paths[1].read_bytes()[:8] == struct.pack(">2I", LABEL_MAGIC, count)
+        for first, again in zip(paths, second):  # whole files, headers included
+            assert first.read_bytes() == again.read_bytes()
+        assert (reloaded.images.dtype, reloaded.labels.dtype) == (np.float64, np.int64)
+        assert np.array_equal(original.labels, reloaded.labels)
+        assert np.array_equal(np.round(original.images * 255),
+                              np.round(reloaded.images * 255))
 
 
-def test_idx_bad_magic_names_offset(tmp_path):
-    images_path, labels_path = write_pair(tmp_path, small_set())
-    data = bytearray(images_path.read_bytes())
+@pytest.mark.parametrize("which", IDX_LAYOUT)
+def test_idx_bad_magic_names_offset(tmp_path, which):
+    paths = write_pair(tmp_path, small_set())
+    index, magic, _, _ = IDX_LAYOUT[which]
+    data = bytearray(paths[index].read_bytes())
     data[0:4] = struct.pack(">I", 0xDEADBEEF)
-    images_path.write_bytes(bytes(data))
-    with pytest.raises(IdxParseError, match="offset 0"):
-        load_idx(images_path, labels_path)
+    paths[index].write_bytes(bytes(data))
+    with pytest.raises(IdxParseError, match="offset 0") as info:
+        load_idx(*paths)
+    assert str(info.value) == (f"{paths[index]}: bad magic 0xdeadbeef at offset 0 "
+                               f"(expected 0x{magic:08x})")
 
 
 def test_idx_truncated_payload_names_offset(tmp_path):
@@ -64,11 +80,26 @@ def test_idx_truncated_payload_names_offset(tmp_path):
         load_idx(images_path, labels_path)
 
 
-def test_idx_truncated_header(tmp_path):
-    images_path, labels_path = write_pair(tmp_path, small_set())
-    images_path.write_bytes(b"\x00\x00")
-    with pytest.raises(IdxParseError, match="header"):
-        load_idx(images_path, labels_path)
+@pytest.mark.parametrize("which", IDX_LAYOUT)
+def test_idx_trailing_byte_names_offset(tmp_path, which):
+    paths = write_pair(tmp_path, small_set())
+    index, _, header, payload = IDX_LAYOUT[which]
+    paths[index].write_bytes(paths[index].read_bytes() + b"\x00")
+    with pytest.raises(IdxParseError) as info:
+        load_idx(*paths)
+    assert str(info.value) == (f"{paths[index]}: payload of {payload} bytes expected at "
+                               f"offset {header}, file ends at offset {header + payload + 1}")
+
+
+@pytest.mark.parametrize("which", IDX_LAYOUT)
+def test_idx_truncated_header(tmp_path, which):
+    paths = write_pair(tmp_path, small_set())
+    index, _, header, _ = IDX_LAYOUT[which]
+    paths[index].write_bytes(b"\x00\x00")
+    with pytest.raises(IdxParseError, match="header") as info:
+        load_idx(*paths)
+    assert str(info.value) == (f"{paths[index]}: truncated header, file ends at offset 2 "
+                               f"(need {header})")
 
 
 def test_idx_label_count_mismatch(tmp_path):
@@ -235,6 +266,18 @@ def test_pgm_refuses_a_stack_of_images(tmp_path):
     with pytest.raises(ValueError, match=r"2-D image or \(1, H, W\), got shape \(2, 4, 4\)"):
         export_pgm(np.zeros((2, 4, 4)), path)
     assert not path.exists()
+
+
+def test_pgm_refuses_a_nan_pixel_and_clips_infinities(tmp_path):
+    # a NaN has no uint8 value: numpy's cast of it is undefined
+    path = tmp_path / "nan.pgm"
+    image = np.zeros((2, 2))
+    image[1, 0] = np.nan
+    with pytest.raises(ValueError, match="^pixel nan has no 8-bit PGM value$"):
+        export_pgm(image, path)
+    assert not path.exists()
+    export_pgm(np.array([[np.inf, -np.inf]]), path)
+    assert path.read_bytes() == b"P5\n2 1\n255\n\xff\x00"
 
 
 def test_montage_layout():
