@@ -72,7 +72,11 @@ def _ssim_per_image(a: np.ndarray, b: np.ndarray, cfg: SsimConfig) -> np.ndarray
     """SSIM of each image pair in two (N, H, W) stacks; all five local means of
     all images are one product R @ [a, b, a*a, b*b, a*b] @ C.T of banded taps."""
     rows, cols = _bands(cfg, *a.shape[-2:])
-    stack = np.stack([a, b, a * a, b * b, a * b])
+    stack = np.empty((5, *a.shape))
+    stack[0], stack[1] = a, b
+    np.multiply(a, a, out=stack[2])
+    np.multiply(b, b, out=stack[3])
+    np.multiply(a, b, out=stack[4])
     mu_a, mu_b, aa, bb, ab = rows @ stack @ cols.T
     var_a = aa - mu_a * mu_a
     var_b = bb - mu_b * mu_b

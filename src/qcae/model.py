@@ -162,6 +162,7 @@ class QuantumLatent(Layer):
 
     def backward(self, d_z: np.ndarray) -> np.ndarray:
         squashed, pullback = self._take_cache()
+        self._check_upstream(d_z, (len(squashed), self.template.n_qubits))
         if not self.psr_enabled:
             return np.zeros_like(squashed)
         return pullback(d_z) @ self.template.slot_map * pi * (1.0 - squashed ** 2)

@@ -10,7 +10,11 @@ significant bit of the basis index.
 The convolution oracles loop over output pixels (conv) or scatter each input
 pixel times its kernel (tconv), and the SSIM oracle sums each window
 explicitly; none shares code with the package's patch matrices or its
-banded-window products. peak_bytes measures a call's memory high-water mark.
+banded-window products. im2col_padded, col2im_zero_filled and
+ssim_per_image_stacked are the straightforward forms of the package's patch
+gather, patch scatter and SSIM block (a zero-padded copy, a zero-filled
+buffer, a stacked operand): the package's allocation-lean forms must match
+them bit for bit. peak_bytes measures a call's memory high-water mark.
 """
 from __future__ import annotations
 
@@ -246,3 +250,60 @@ def peak_bytes(fn, *args) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def im2col_padded(x, k: int, stride: int, pad: int):
+    """(N, C, H, W) -> (C*k*k, P*N) patch matrix, batch innermost, and the
+    output dims: the input copied into a zero-padded (C, Hp, Wp, N) buffer,
+    then one take of every patch entry's row in it."""
+    n, c, height, width = x.shape
+    h_out = (height + 2 * pad - k) // stride + 1
+    w_out = (width + 2 * pad - k) // stride + 1
+    rows = x.transpose(1, 2, 3, 0)
+    if pad == 0 and k == height == width:
+        return np.ascontiguousarray(rows.reshape(c * k * k, n)), (h_out, w_out)
+    hp, wp = height + 2 * pad, width + 2 * pad
+    xp = np.zeros((c, hp, wp, n))
+    xp[:, pad:pad + height, pad:pad + width] = rows
+    ch, u, v, i, j = np.ix_(*(np.arange(m) for m in (c, k, k, h_out, w_out)))
+    plan = ((ch * hp + u + stride * i) * wp + v + stride * j).reshape(-1)
+    return np.take(xp.reshape(-1, n), plan, axis=0).reshape(c * k * k, -1), (h_out, w_out)
+
+
+def col2im_zero_filled(cols, x_shape, k: int, stride: int, pad: int, out_hw) -> np.ndarray:
+    """Adjoint of im2col_padded as an (N, C, H, W) array: each kernel offset
+    adds its block into stride x stride phase planes of a zero-filled buffer
+    (in descending order when there are more offsets than output positions),
+    then strided copies interleave the planes into the cropped map."""
+    n, c, height, width = x_shape
+    h_out, w_out = out_hw
+    s = stride
+    hp, wp = height + 2 * pad, width + 2 * pad
+    c6 = cols.reshape(c, k, k, h_out, w_out, n)
+    if h_out == w_out == 1 and k == hp == wp:
+        return c6.reshape(c, k, k, n)[:, pad:pad + height, pad:pad + width].transpose(3, 0, 1, 2)
+    planes = np.zeros((c, s, s, -(-hp // s), -(-wp // s), n))
+    taps = [(u, v) for u in range(k) for v in range(k)]
+    for u, v in taps[::-1] if k * k > h_out * w_out else taps:
+        planes[:, u % s, v % s, u // s:u // s + h_out, v // s:v // s + w_out] += c6[:, u, v]
+    out = np.empty((c, height, width, n))
+    for a in range(s):
+        for b in range(s):
+            y, x = (a - pad) % s, (b - pad) % s
+            out[:, y::s, x::s] = planes[:, a, b, (y + pad) // s:, (x + pad) // s:][
+                :, :len(range(y, height, s)), :len(range(x, width, s))]
+    return out.transpose(3, 0, 1, 2)
+
+
+def ssim_per_image_stacked(a, b, rows, cols, c1: float, c2: float) -> np.ndarray:
+    """Per-image SSIM of two (N, H, W) stacks from the band matrices rows and
+    cols, with the five local-mean operands built by np.stack."""
+    stack = np.stack([a, b, a * a, b * b, a * b])
+    mu_a, mu_b, aa, bb, ab = rows @ stack @ cols.T
+    var_a = aa - mu_a * mu_a
+    var_b = bb - mu_b * mu_b
+    cov = ab - mu_a * mu_b
+    s_map = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
+        (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
+    )
+    return s_map.mean(axis=(-2, -1))

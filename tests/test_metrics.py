@@ -13,7 +13,7 @@ from qcae import metrics
 from qcae.metrics import (C1, C2, EVAL_BLOCK, RunRecord, SsimConfig, eval_blocks, mean_ssim,
                           ssim, ssim_config_for, write_csv)
 
-from oracles import peak_bytes, ssim_direct
+from oracles import peak_bytes, ssim_direct, ssim_per_image_stacked
 
 
 def test_ssim_identity_is_one():
@@ -122,6 +122,16 @@ def test_mean_ssim_memory_does_not_grow_with_the_image_count():
     mean_ssim(a[:32], b[:32])  # warm-up
     # one call over all 256 images held five (256, 18, 28) planes and their products
     assert peak_bytes(mean_ssim, a, b) <= 2 * peak_bytes(mean_ssim, a[:32], b[:32])
+
+
+@pytest.mark.parametrize("cfg, shape", [(SsimConfig(), (7, 28, 28)),
+                                        (SsimConfig("uniform8"), (3, 9, 12))])
+def test_ssim_block_matches_the_stacked_form_bit_for_bit(cfg, shape):
+    rng = np.random.default_rng(12)
+    a, b = rng.random(shape), rng.random(shape)
+    rows, cols = metrics._bands(cfg, *shape[1:])
+    np.testing.assert_array_equal(metrics._ssim_per_image(a, b, cfg),
+                                  ssim_per_image_stacked(a, b, rows, cols, C1, C2))
 
 
 def test_importing_qcae_leaves_scipy_signal_unloaded():

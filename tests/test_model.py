@@ -1,5 +1,6 @@
 """Hybrid and classical autoencoders: forward semantics, gradient flow,
 end-to-end finite-difference agreement, and training behaviour."""
+import re
 from collections import Counter
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import qcae.model
 import qcae.nn
 import qcae.statevector
+from qcae.ansatz import family_template
 from qcae.data_io import MnistSet, export_pgm, make_synthetic_digits, write_idx
 from qcae.gradient import chain_loss_gradient, psr_gradient
 from qcae.metrics import EVAL_BLOCK, eval_blocks
@@ -290,6 +292,17 @@ def test_quantum_latent_refuses_an_input_of_the_wrong_width():
     slots = latent.template.slot_count
     with pytest.raises(ValueError, match=rf"expects \(N, {slots}\), got \(2, {slots + 1}\)"):
         latent.forward(np.zeros((2, slots + 1)))
+
+
+@pytest.mark.parametrize("psr_enabled", [True, False])
+@pytest.mark.parametrize("d_z_shape", [(3, 5), (2, 4), (3,)])
+def test_quantum_latent_backward_refuses_a_wrong_upstream(psr_enabled, d_z_shape):
+    # with the gradient off, backward used to return zeros for any d_z
+    latent = QuantumLatent(family_template("c", 4, 1), psr_enabled)
+    latent.forward(np.zeros((3, latent.template.slot_count)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"upstream shape {d_z_shape} != forward output shape (3, 4)")):
+        latent.backward(np.zeros(d_z_shape))
 
 
 # ------------------------------------------------------------------ training

@@ -1,4 +1,5 @@
 """Layer forward semantics, finite-difference gradient checks, Adam, weight I/O."""
+import re
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from qcae.nn import (
     ADAM_BETA2,
     ADAM_BLOCK,
     ADAM_EPSILON,
+    LEAKY_SLOPE,
     Adam,
     Conv2d,
     ConvTranspose2d,
@@ -28,7 +30,8 @@ from qcae.nn import (
     tconv_out_size,
 )
 
-from oracles import conv2d_direct, fd_gradient, tconv2d_direct
+from oracles import (col2im_zero_filled, conv2d_direct, fd_gradient, im2col_padded, peak_bytes,
+                     tconv2d_direct)
 
 
 def rng_for(seed=0):
@@ -278,6 +281,118 @@ def test_a_second_forward_of_the_same_shape_builds_no_new_plan():
     step(7)  # the plans do not depend on the batch size
     after = qcae.nn._patch_plan.cache_info()
     assert after.misses == before.misses and after.hits > before.hits
+
+
+def with_signed_zeros(a, rng):
+    """a with about a quarter of its entries set to -0.0 and a tenth to +0.0."""
+    a = a.copy()
+    draw = rng.random(a.shape)
+    a[draw < 0.25] = -0.0
+    a[draw > 0.9] = 0.0
+    return a
+
+
+@settings(max_examples=150, deadline=None)
+@given(layer_cases())
+def test_patch_gather_and_scatter_match_the_padded_and_zero_filled_forms_bit_for_bit(case):
+    n, c, _, k, stride, pad, height, width, _, batch_inner, seed = case
+    rng = rng_for(seed)
+    x = in_memory_order(with_signed_zeros(rng.normal(size=(n, c, height, width)), rng),
+                        batch_inner)
+    cols, out_hw = qcae.nn._im2col(x, k, stride, pad)
+    want, want_hw = im2col_padded(x, k, stride, pad)
+    assert out_hw == want_hw
+    np.testing.assert_array_equal(cols, want)
+    np.testing.assert_array_equal(np.signbit(cols), np.signbit(want))  # padding is +0.0
+    d_cols = with_signed_zeros(rng.normal(size=cols.shape), rng)
+    np.testing.assert_array_equal(qcae.nn._col2im(d_cols, x.shape, k, stride, pad, out_hw),
+                                  col2im_zero_filled(d_cols, x.shape, k, stride, pad, out_hw))
+
+
+def activation_inputs():
+    """A (4, 16) array and a batch-innermost (3, 2, 4, 5) map, both holding
+    +-0.0 and +-5e-324 among normal draws."""
+    tiny = np.nextafter(0.0, 1.0)
+    edge = [0.0, -0.0, tiny, -tiny]
+    flat = np.concatenate([edge, rng_for(90).normal(scale=3.0, size=60)]).reshape(4, 16)
+    image = np.concatenate([edge, rng_for(91).normal(scale=3.0, size=116)]).reshape(3, 2, 4, 5)
+    return [flat, in_memory_order(image, True)]
+
+
+@pytest.mark.parametrize("x", activation_inputs())
+def test_activations_match_their_expression_forms_bit_for_bit(x):
+    relu = LeakyReLU()
+    out, want = relu.forward(x), np.maximum(x, LEAKY_SLOPE * x)
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+    # a unit upstream reads the cached mask back: 1 where x > 0, the slope elsewhere
+    np.testing.assert_array_equal(relu.backward(np.ones(x.shape)),
+                                  np.where(x > 0, 1.0, LEAKY_SLOPE))
+    sigmoid = Sigmoid()
+    out = sigmoid.forward(x)
+    np.testing.assert_array_equal(out, 0.5 + 0.5 * np.tanh(0.5 * x))
+    upstream = rng_for(92).normal(size=x.shape)
+    np.testing.assert_array_equal(sigmoid.backward(upstream), upstream * out * (1.0 - out))
+
+
+@pytest.mark.parametrize("layer", [LeakyReLU, Sigmoid])
+@pytest.mark.parametrize("shape", [(1, 3), (4, 1), (3,)])
+def test_activation_backward_refuses_an_upstream_it_would_broadcast(layer, shape):
+    act = layer()
+    act.forward(np.ones((4, 3)))
+    with pytest.raises(ValueError, match=re.escape(
+            f"upstream shape {shape} != forward output shape (4, 3)")):
+        act.backward(np.ones(shape))
+
+
+def test_reshape_backward_refuses_an_upstream_of_the_right_size_and_wrong_shape():
+    # a (6, 4) upstream has the 24 entries of (4, 6) and would scramble the batch axis
+    flatten = Reshape((6,))
+    flatten.forward(np.zeros((4, 2, 3)))
+    with pytest.raises(ValueError, match=r"\(6, 4\) != forward output shape \(4, 6\)"):
+        flatten.backward(np.zeros((6, 4)))
+    assert flatten.backward(np.zeros((4, 6))).shape == (4, 2, 3)
+
+
+# ------------------------------------------- allocations, batch 16 (peak_bytes)
+
+def batch_innermost_normal(shape, seed):
+    """Normal draws laid out as the layers return them: (N, C, H, W) views of
+    (C, H, W, N) memory."""
+    return in_memory_order(rng_for(seed).normal(size=shape), True)
+
+
+@pytest.mark.parametrize("layer, shape, budget", [
+    (LeakyReLU, (16, 16, 14, 14), 1.25),  # the output and its 1-byte mask
+    (Sigmoid, (16, 1, 28, 28), 1.1),  # the output, which it also keeps
+])
+def test_activation_forward_allocates_only_its_output_and_cache(layer, shape, budget):
+    act, x = layer(), batch_innermost_normal(shape, 93)
+    act.forward(x)
+    assert peak_bytes(act.forward, x) <= budget * x.nbytes
+
+
+def test_mse_loss_allocates_only_the_difference_and_its_square():
+    prediction = batch_innermost_normal((16, 1, 28, 28), 94)
+    target = rng_for(95).random(prediction.shape)
+    assert peak_bytes(mse_loss, prediction, target) <= 2.1 * prediction.nbytes
+
+
+def test_conv_forward_allocates_only_its_patch_matrix_and_output():
+    conv = Conv2d(16, 32, 3, 2, 1, rng=rng_for(96))
+    x = batch_innermost_normal((16, 16, 14, 14), 97)
+    out = conv.forward(x)  # also builds the plan
+    cols_bytes = 16 * 9 * 7 * 7 * 16 * 8
+    assert peak_bytes(conv.forward, x) <= 1.15 * (cols_bytes + out.nbytes)
+
+
+def test_tconv_backward_allocates_only_its_patch_matrix_and_input_gradient():
+    tconv = ConvTranspose2d(32, 16, 3, 2, 1, 1, rng=rng_for(98))
+    x = batch_innermost_normal((16, 32, 7, 7), 99)
+    upstream = batch_innermost_normal(tconv.forward(x).shape, 100)
+    tconv.backward(upstream)  # also builds the plan
+    d_cols_bytes = 16 * 9 * 7 * 7 * 16 * 8
+    assert peak_bytes(tconv.backward, upstream) <= 1.1 * (d_cols_bytes + x.nbytes)
 
 
 # --------------------------------------------------------------- shape algebra
@@ -597,6 +712,14 @@ def test_mse_gradient_matches_finite_differences():
     _, grad = mse_loss(pred, target)
     numeric = fd_gradient(lambda v: mse_loss(v, target)[0], pred, h=1e-6)
     assert np.max(np.abs(grad - numeric)) < 1e-8
+
+
+@pytest.mark.parametrize("batch_inner", [False, True])
+def test_mse_gradient_matches_its_expression_form_bit_for_bit(batch_inner):
+    prediction = in_memory_order(rng_for(43).random((5, 2, 3, 4)), batch_inner)
+    target = rng_for(44).random(prediction.shape)
+    diff = prediction - target
+    np.testing.assert_array_equal(mse_loss(prediction, target)[1], 2.0 * diff / diff.size)
 
 
 def test_mse_nonnegative_and_shape_checked():
