@@ -8,12 +8,12 @@ output_padding knob so stride-2 stacks invert cleanly); both contract in one
 (C, H, W, N) memory: never assume C-contiguity. The patch matrix comes from
 a row-index plan built once per (C, H, W, k, stride, padding) and cached,
 whatever the batch size: _im2col is one take of the unpadded (C*H*W, N)
-rows, then zeroes the plan's padding entries, or is a view of the input
-when one window covers it; _col2im scatters the kernel offsets into
-stride x stride phase planes that start empty (a plane's first offset is
-copied in, the rest added), or, when each pixel has one tap, is a reshape. Layers write straight
-into the arrays they return or keep. Each layer keeps what its backward
-needs in one attribute, _cache: forward sets it, backward reads it
+rows, then zeroes the plan's padding entries, or is a view of the input when
+one window covers it; _col2im scatters the kernel offsets into stride x
+stride phase planes that start empty (a plane's first offset is copied in,
+the rest added), or, when each pixel has one tap, is a reshape. Layers write
+straight into the arrays they return or keep. Each layer keeps what its
+backward needs in one attribute, _cache: forward sets it, backward reads it
 (refusing to run before a forward), and release drops it, so an instance
 handles one forward/backward pair at a time and a forward-only caller can
 free each layer's activations as soon as the next layer has them. backward
