@@ -159,17 +159,21 @@ def _parsed_classes(cfg: ExperimentConfig) -> list[int]:
 
 def load_split(cfg: ExperimentConfig, split: str):
     """The "train" or "val" split, filtered to the configured classes: its IDX
-    pair under data_dir, or the synthetic corpus drawn from seed (seed + 1 for val)."""
+    pair under data_dir, or the synthetic corpus drawn from seed (seed + 1 for
+    val). A split with no image of those classes is refused here, for every verb."""
     classes = _parsed_classes(cfg)
     limit = cfg.limit if split == "train" else cfg.val_limit
-    if cfg.dataset == "synthetic":
+    if cfg.dataset == "synthetic":  # it draws limit >= 1 images of classes in {0, 1}
         return make_synthetic_digits(limit, classes, cfg.seed + (split == "val"), cfg.image_size)
     data_dir = Path(cfg.data_dir)
     dataset = load_idx(*(data_dir / name for name in IDX_FILES[split]))
     if dataset.images.shape[2:] != (cfg.image_size, cfg.image_size):
         raise ValueError(f"{data_dir}: IDX images are {dataset.images.shape[2]}x"
                          f"{dataset.images.shape[3]}, image_size is {cfg.image_size}")
-    return filter_classes(dataset, classes, limit)
+    dataset = filter_classes(dataset, classes, limit)
+    if len(dataset) == 0:
+        raise ValueError(f"{data_dir}: the {split} split has no image of classes {cfg.classes}")
+    return dataset
 
 
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, cid: str) -> None:
@@ -197,12 +201,12 @@ def _train_run(cfg: ExperimentConfig, loaded=None) -> tuple[Path, float]:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, cfg, cid)
     try:
-        model, records = train(spec, train_config, train_set, val_set, config_id=cid)
+        model, records = train(spec, train_config, train_set, val_set)
     except TrainingAborted as exc:  # keep the curve up to its non-finite row
-        write_csv(exc.records, out_dir / "curve.csv")
+        write_csv(exc.records, out_dir / "curve.csv", cid)
         raise
     model.save(out_dir / "weights.bin")
-    write_csv(records, out_dir / "curve.csv")
+    write_csv(records, out_dir / "curve.csv", cid)
     return out_dir, records[-1].val_ssim
 
 
@@ -224,8 +228,6 @@ def _load_run(run_dir: Path, sigma=None):
     model = DenoisingAutoencoder(_model_spec(cfg), seed=init_ss)
     model.load(run_dir / "weights.bin")
     clean = load_split(cfg, "val").images
-    if len(clean) == 0:
-        raise ValueError("no validation images available")
     return cfg, model, clean, add_gaussian_noise(clean, NoiseSpec(cfg.sigma, val_noise_seed))
 
 

@@ -32,7 +32,6 @@ class RunRecord:
     epoch: int
     train_loss: float
     val_ssim: float
-    config_id: str = ""
 
 
 def gaussian_taps(sigma: float, radius: int) -> np.ndarray:
@@ -131,11 +130,11 @@ def mean_ssim(batch_a, batch_b, cfg: SsimConfig | None = None) -> float:
     return float(per_image.mean())
 
 
-def write_csv(records: list[RunRecord], path) -> None:
-    """`config_id,epoch,train_loss,val_ssim` rows, floats at 6 decimals."""
+def write_csv(records: list[RunRecord], path, config_id: str) -> None:
+    """One run's `config_id,epoch,train_loss,val_ssim` rows, floats at 6 decimals."""
     if not records:
         raise ValueError("no records to write")
     with open(path, "w", newline="") as f:
         f.write("config_id,epoch,train_loss,val_ssim\n")
         for r in records:
-            f.write(f"{r.config_id},{r.epoch},{r.train_loss:.6f},{r.val_ssim:.6f}\n")
+            f.write(f"{config_id},{r.epoch},{r.train_loss:.6f},{r.val_ssim:.6f}\n")

@@ -85,6 +85,9 @@ class ModelSpec:
 
 @dataclass
 class TrainConfig:
+    """sample_limit and val_limit keep the first that many images of the sets
+    train() is given: the default 2000 silently truncates a larger set."""
+
     epochs: int = 10
     batch_size: int = 16
     seed: int = 0
@@ -202,9 +205,9 @@ class DenoisingAutoencoder:
         self.layers[0].param_backward(grad)  # its input is the data: no input gradient
 
     def denoise(self, images: np.ndarray) -> np.ndarray:
-        """Forward pass clamped to [0, 1], order preserved, run over the
-        blocks of metrics.eval_blocks so memory does not grow with the image
-        count; each layer's cache is released as soon as the layer has run."""
+        """Forward pass in order over the blocks of metrics.eval_blocks, so memory
+        does not grow with the image count; each layer's cache goes once it has
+        run. No clip: the last layer's 0.5 * tanh(0.5 x) + 0.5 lies in [0, 1]."""
         size = self.spec.image_size
         out = np.empty((len(images), 1, size, size))
         for block in eval_blocks(len(images)):
@@ -213,7 +216,7 @@ class DenoisingAutoencoder:
                 x = layer.forward(x)
                 layer.release()
             out[block] = x
-        return np.clip(out, 0.0, 1.0, out=out)
+        return out
 
     def save(self, path) -> None:
         save_weights(path, self._tensors)
@@ -236,19 +239,18 @@ def derive_seeds(seed: int):
 
 
 def train(spec: ModelSpec, config: TrainConfig, train_set: MnistSet,
-          val_set: MnistSet | None = None, config_id: str = "") -> tuple[DenoisingAutoencoder, list[RunRecord]]:
-    """Fit a model on noised inputs against clean targets; returns per-epoch records."""
-    if len(train_set) == 0:
-        raise ValueError("training set is empty")
+          val_set: MnistSet) -> tuple[DenoisingAutoencoder, list[RunRecord]]:
+    """Fit a model on noised inputs against clean targets; returns per-epoch
+    records. Both sets are required and must hold at least one image."""
+    for name, dataset in (("training", train_set), ("validation", val_set)):
+        if len(dataset) == 0:
+            raise ValueError(f"{name} set is empty")
     init_ss, shuffle_ss, train_noise_seed, val_noise_seed = derive_seeds(config.seed)
 
     clean = train_set.images[:config.sample_limit]
     noisy = add_gaussian_noise(clean, NoiseSpec(config.sigma, train_noise_seed))
-    if val_set is not None and len(val_set) > 0:
-        val_clean = val_set.images[:config.val_limit]
-        val_noisy = add_gaussian_noise(val_clean, NoiseSpec(config.sigma, val_noise_seed))
-    else:
-        val_clean = val_noisy = None
+    val_clean = val_set.images[:config.val_limit]
+    val_noisy = add_gaussian_noise(val_clean, NoiseSpec(config.sigma, val_noise_seed))
 
     model = DenoisingAutoencoder(spec, init_ss)
     optimizer = Adam(model.params, config.learning_rate)
@@ -267,18 +269,13 @@ def train(spec: ModelSpec, config: TrainConfig, train_set: MnistSet,
             except NonFiniteTensor:
                 finite = False
             if not finite:
-                records.append(RunRecord(epoch, float("nan"), float("nan"), config_id))
+                records.append(RunRecord(epoch, float("nan"), float("nan")))
                 raise TrainingAborted(
                     f"non-finite loss at epoch {epoch}, batch starting {start}", records
                 )
             model.backward(grad)
             optimizer.step(model.grads)
             batch_losses.append(loss)
-        epoch_loss = float(np.mean(batch_losses))
-        if val_clean is not None:
-            val_ssim = mean_ssim(model.denoise(val_noisy), val_clean)
-        else:
-            val_ssim = float("nan")
-        records.append(RunRecord(epoch, epoch_loss, val_ssim, config_id))
+        val_ssim = mean_ssim(model.denoise(val_noisy), val_clean)
+        records.append(RunRecord(epoch, float(np.mean(batch_losses)), val_ssim))
     return model, records
-

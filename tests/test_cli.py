@@ -17,7 +17,7 @@ from qcae.cli import (
     main,
     resolve_config,
 )
-from qcae.data_io import make_synthetic_digits, write_idx
+from qcae.data_io import filter_classes, load_idx, make_synthetic_digits, write_idx
 from qcae.nn import load_weights
 
 FAST = [
@@ -151,6 +151,45 @@ def test_data_errors_leave_no_run_directory(tmp_path):
     assert not (tmp_path / "runs").exists()
     code, _ = run_train(tmp_path, "--classes", "2")  # the synthetic corpus has 0s and 1s only
     assert code == 1 and not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("split", ["train", "t10k"])
+def test_an_idx_split_without_the_classes_makes_no_run(tmp_path, capsys, split):
+    # load_split refuses a split with no image of --classes before any
+    # directory exists, whichever of the two IDX files lacks them
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 8)
+    images = data_dir / f"{split}-images-idx3-ubyte"
+    labels = data_dir / f"{split}-labels-idx1-ubyte"
+    write_idx(filter_classes(load_idx(images, labels), [0]), images, labels)
+    code, _ = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir),
+                        "--classes", "1")
+    named = "train" if split == "train" else "val"
+    assert code == 1
+    assert f"config error: {data_dir}: the {named} split has no image of classes 1" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+    out = tmp_path / "sweep"
+    assert main(["sweep", *FAST, "--dataset", "idx", "--data-dir", str(data_dir),
+                 "--output-dir", str(out), "--axis", "classes=1;0,1"]) == 0
+    assert f"the {named} split has no image of classes 1" in capsys.readouterr().err
+    with open(next(out.glob("sweep_*.csv")), newline="") as f:
+        rows = list(csv.reader(f))
+    assert [(row[1], row[-1]) for row in rows[1:]] == [("1", "FAILED"), ("0,1", "ok")]
+    assert [m.parent.name for m in out.glob("*/manifest.json")] == [rows[2][0]]
+
+
+def test_eval_and_denoise_refuse_an_empty_validation_split(tmp_path, capsys):
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 8)
+    code, runs = run_train(tmp_path, "--dataset", "idx", "--data-dir", str(data_dir))
+    assert code == 0
+    images, labels = data_dir / "t10k-images-idx3-ubyte", data_dir / "t10k-labels-idx1-ubyte"
+    write_idx(filter_classes(load_idx(images, labels), [2]), images, labels)
+    capsys.readouterr()
+    run_dir = runs[0].parent
+    for verb in ("eval", "denoise"):
+        assert main([verb, "--run", str(run_dir)]) == 1
+        assert "the val split has no image of classes 0,1" in capsys.readouterr().err, verb
+    assert not (run_dir / "eval.csv").exists() and not list(run_dir.glob("*.pgm"))
 
 
 def test_one_qubit_qaoa_is_a_config_error(tmp_path):

@@ -26,3 +26,14 @@ def test_only_the_simulator_knows_its_register_cap(path):
             assert "MAX_QUBITS" not in names, f"{path.name}:{node.lineno} imports MAX_QUBITS"
         if isinstance(node, ast.Attribute):
             assert node.attr != "MAX_QUBITS", f"{path.name}:{node.lineno} reads MAX_QUBITS"
+
+
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py"))
+                                        - {SRC / "cli.py", SRC / "metrics.py"}),
+                         ids=lambda path: path.name)
+def test_only_the_cli_names_runs(path):
+    # a run id names a run's directory and, through metrics.write_csv, its
+    # CSV rows; training and the layers never see it
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        names = (getattr(node, key, None) for key in ("id", "attr", "arg"))
+        assert "config_id" not in names, f"{path.name}:{node.lineno} names config_id"

@@ -246,26 +246,29 @@ def test_mean_ssim_builds_each_band_matrix_once(monkeypatch):
 
 def test_write_csv_single_record(tmp_path):
     path = tmp_path / "curve.csv"
-    write_csv([RunRecord(1, 0.25, 0.5, "abc")], path)
+    write_csv([RunRecord(1, 0.25, 0.5)], path, "abc")
     lines = path.read_text().splitlines()
     assert lines == ["config_id,epoch,train_loss,val_ssim", "abc,1,0.250000,0.500000"]
 
 
 def test_write_csv_is_reproducible(tmp_path):
-    records = [RunRecord(e, 0.1 * e, 0.01 * e, "cfg") for e in range(1, 6)]
+    records = [RunRecord(e, 0.1 * e, 0.01 * e) for e in range(1, 6)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(records, p1)
-    write_csv(records, p2)
+    write_csv(records, p1, "cfg")
+    write_csv(records, p2, "cfg")
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_write_csv_row_count(tmp_path):
-    records = [RunRecord(e, 0.0, 0.0, c) for c in ("one", "two") for e in range(1, 51)]
-    path = tmp_path / "grid.csv"
-    write_csv(records, path)
-    assert len(path.read_text().splitlines()) == 101
+    # one run's curve: a header and one row per record, all under its id
+    records = [RunRecord(e, 0.0, 0.0) for e in range(1, 101)]
+    path = tmp_path / "curve.csv"
+    write_csv(records, path, "one")
+    lines = path.read_text().splitlines()
+    assert len(lines) == 101
+    assert {line.split(",")[0] for line in lines[1:]} == {"one"}
 
 
 def test_write_csv_rejects_empty(tmp_path):
     with pytest.raises(ValueError):
-        write_csv([], tmp_path / "never.csv")
+        write_csv([], tmp_path / "never.csv", "cfg")

@@ -371,10 +371,8 @@ def test_noisy_training_end_to_end():
 
 def test_training_aborts_on_poisoned_weights():
     spec = ModelSpec(kind="ccae", image_size=8, n_qubits=2)
-    train_set, _ = synthetic_sets(16, 4)
-    train_set = MnistSet(train_set.images[:, :, ::4, ::4][:, :, :8, :8],
-                         train_set.labels)  # make cheap 8x8-ish inputs
-    train_set = MnistSet(np.resize(train_set.images, (16, 1, 8, 8)), train_set.labels[:16])
+    train_set = make_synthetic_digits(16, seed=20, size=8)
+    val_set = make_synthetic_digits(4, seed=21, size=8)
     model_spec = spec
 
     # poison by injecting nan through a custom spec is awkward; train a fresh
@@ -392,7 +390,7 @@ def test_training_aborts_on_poisoned_weights():
     try:
         with pytest.raises(TrainingAborted) as info:
             model_module.train(model_spec, small_train_config(sample_limit=16),
-                               train_set, None)
+                               train_set, val_set)
         assert np.isnan(info.value.records[-1].train_loss)
     finally:
         model_module.DenoisingAutoencoder = saved
@@ -401,8 +399,16 @@ def test_training_aborts_on_poisoned_weights():
 def test_empty_training_set_rejected():
     spec = ModelSpec(kind="ccae", image_size=8)
     empty = MnistSet(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
-    with pytest.raises(ValueError):
-        train(spec, small_train_config(), empty)
+    with pytest.raises(ValueError, match="training set is empty"):
+        train(spec, small_train_config(), empty, make_synthetic_digits(4, seed=21, size=8))
+
+
+def test_empty_validation_set_rejected():
+    # every run has a validation curve: no nan val_ssim from an empty set
+    spec = ModelSpec(kind="ccae", image_size=8)
+    empty = MnistSet(np.zeros((0, 1, 8, 8)), np.zeros(0, dtype=np.int64))
+    with pytest.raises(ValueError, match="validation set is empty"):
+        train(spec, small_train_config(), make_synthetic_digits(16, seed=20, size=8), empty)
 
 
 # ------------------------------------------------------------------- denoise
