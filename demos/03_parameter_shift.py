@@ -1,18 +1,11 @@
 """Parameter-shift gradients: analytic check, finite-difference agreement,
-shared parameters, and the classical chain-rule glue.
+shared parameters, and the chain rule into a classical loss.
 
 Run with: python3 demos/03_parameter_shift.py
 """
 import numpy as np
 
-from qcae import (
-    chain_loss_gradient,
-    family_template,
-    measure_all_z,
-    mse_loss,
-    psr_gradient,
-    run_circuit,
-)
+from qcae import family_template, measure_rows_z, mse_loss, psr_gradient, run_rows
 
 print("== one rotation, known answer ==")
 template = family_template("a", 1, 1)  # a single RY on one qubit
@@ -24,7 +17,8 @@ print(f"circuit executions used: {jac.n_executions} (two per shift + forward)")
 
 
 def forward(template, params):
-    return measure_all_z(run_circuit(template.n_qubits, template.bind(params)))
+    rows = run_rows(template.n_qubits, template.gates, template.gate_angles(params)[None])
+    return measure_rows_z(rows)[0]
 
 
 print("\n== full jacobians vs finite differences ==")
@@ -51,7 +45,7 @@ params = rng.uniform(0, 2 * np.pi, template.slot_count)
 jac = psr_gradient(template, params)
 target = np.array([1.0, -1.0])
 loss, downstream = mse_loss(jac.forward, target)
-full_grad = chain_loss_gradient(jac, downstream)
+full_grad = downstream @ jac.entries  # d loss/d<Z> times the jacobian d<Z>/d params
 print(f"forward <Z> vector: {np.round(jac.forward, 4)} (target {target})")
 print(f"mean squared error: {loss:.4f}")
 print(f"loss gradient w.r.t. circuit parameters: {np.round(full_grad, 5)}")

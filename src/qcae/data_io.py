@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import struct
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -105,23 +104,12 @@ def write_idx(dataset: MnistSet, images_path, labels_path) -> None:
 
 
 def filter_classes(dataset: MnistSet, classes, limit: int | None = None) -> MnistSet:
-    """Keep samples whose label is listed, in file order, up to limit.
-
-    Asking for more matches than exist returns everything found and emits a
-    warning rather than failing.
-    """
+    """Keep samples whose label is listed, in file order: the first limit of
+    them, or all there are when fewer match."""
     classes = list(classes)
     if not classes:
         raise ValueError("classes must be nonempty")
-    mask = np.isin(dataset.labels, classes)
-    idx = np.flatnonzero(mask)
-    if limit is not None:
-        if limit > idx.size:
-            warnings.warn(
-                f"requested {limit} samples but only {idx.size} match classes {classes}",
-                stacklevel=2,
-            )
-        idx = idx[:limit]
+    idx = np.flatnonzero(np.isin(dataset.labels, classes))[:limit]
     return MnistSet(dataset.images[idx], dataset.labels[idx])
 
 

@@ -7,8 +7,8 @@ of one gate program (statevector.run_rows, a block of rows at a time) and
 gives the full jacobian of per-qubit <Z>; its per-gate rows times
 template.slot_map, which holds each gate's scale at its slot, sum the terms
 of gates sharing a parameter (QAOA ties one gamma to every ring edge, one
-beta to every qubit). chain_loss_gradient contracts the jacobian with the
-classical side's gradient.
+beta to every qubit). A downstream gradient d contracts with it as
+d @ entries for one vector and (d[:, None, :] @ entries)[:, 0] for a batch.
 
 Training takes that contraction from one reverse sweep instead (the pullback
 statevector.z_and_pullback returns, times slot_map, in model.QuantumLatent):
@@ -78,22 +78,3 @@ def psr_gradient(
     lead = base.shape[:-1]
     return QuantumJacobian(entries.reshape(lead + entries.shape[1:]),
                            z[:, 0].reshape(lead + (n,)), len(batch) * n_rows)
-
-
-def chain_loss_gradient(jacobian: QuantumJacobian, downstream) -> np.ndarray:
-    """Loss gradient w.r.t. quantum parameters: downstream^T . jacobian.
-
-    A batched (N, n, slot_count) jacobian takes (N, n) downstream gradients
-    and returns one row per sample.
-    """
-    entries = jacobian.entries
-    downstream = np.asarray(downstream, dtype=float)
-    if entries.ndim == 2:
-        downstream = downstream.ravel()
-    if downstream.shape != entries.shape[:-1]:
-        raise ValueError(
-            f"downstream gradient of shape {downstream.shape} does not fit a jacobian "
-            f"of shape {entries.shape} ({entries.shape[-2]} measured qubits)"
-        )
-    return (downstream[..., None, :] @ entries)[..., 0, :]
-

@@ -92,31 +92,6 @@ class GateOp:
             raise ValueError(f"{self.kind} without a slot takes no scale, got {self.scale}")
 
 
-def h(q: int) -> GateOp:
-    return GateOp("h", (q,))
-
-
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp("cnot", (control, target))
-
-
-def rx(q: int, angle: float) -> GateOp:
-    return GateOp("rx", (q,), float(angle))
-
-
-def ry(q: int, angle: float) -> GateOp:
-    return GateOp("ry", (q,), float(angle))
-
-
-def rz(q: int, angle: float) -> GateOp:
-    return GateOp("rz", (q,), float(angle))
-
-
-def zz(qa: int, qb: int, angle: float) -> GateOp:
-    """Two-qubit interaction exp(-i * angle/2 * Z(x)Z)."""
-    return GateOp("zz", (qa, qb), float(angle))
-
-
 @dataclass(frozen=True)
 class NoiseChannel:
     """Per-gate depolarizing probability plus a readout bit-flip probability.

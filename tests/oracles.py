@@ -132,24 +132,20 @@ def fd_jacobian(f, x, h: float = 1e-5) -> np.ndarray:
 
 def random_gate_list(n: int, n_gates: int, rng: np.random.Generator):
     """Random circuit over the package's gate set, as GateOps."""
-    from qcae.statevector import cnot, h as h_gate, rx, ry, rz, zz
+    from qcae.statevector import GateOp
 
     gates = []
     for _ in range(n_gates):
-        kind = rng.choice(["h", "cnot", "rx", "ry", "rz", "zz"])
+        kind = str(rng.choice(["h", "cnot", "rx", "ry", "rz", "zz"]))
         if kind in ("cnot", "zz") and n < 2:
             kind = "h"
-        if kind == "h":
-            gates.append(h_gate(int(rng.integers(n))))
-        elif kind == "cnot":
+        if kind in ("cnot", "zz"):
             a, b = rng.choice(n, size=2, replace=False)
-            gates.append(cnot(int(a), int(b)))
-        elif kind == "zz":
-            a, b = rng.choice(n, size=2, replace=False)
-            gates.append(zz(int(a), int(b), float(rng.uniform(-np.pi, np.pi))))
+            targets = (int(a), int(b))
         else:
-            maker = {"rx": rx, "ry": ry, "rz": rz}[kind]
-            gates.append(maker(int(rng.integers(n)), float(rng.uniform(-np.pi, np.pi))))
+            targets = (int(rng.integers(n)),)
+        angle = None if kind in ("h", "cnot") else float(rng.uniform(-np.pi, np.pi))
+        gates.append(GateOp(kind, targets, angle))
     return gates
 
 

@@ -1,5 +1,6 @@
 """IDX parsing and round trips, filtering, noise, PGM, synthetic corpus."""
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -163,11 +164,14 @@ def test_filter_is_idempotent():
     assert np.array_equal(once.images, twice.images)
 
 
-def test_filter_warns_when_limit_exceeds_matches():
-    dataset = MnistSet(np.zeros((3, 1, 2, 2)), np.array([4, 4, 5]))
-    with pytest.warns(UserWarning, match="only 2 match"):
+def test_filter_limit_above_the_matches_keeps_them_all_without_a_warning():
+    # limit is an upper bound; an empty split is refused by cli.load_split
+    dataset = MnistSet(np.arange(3.0).reshape(3, 1, 1, 1), np.array([4, 4, 5]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         out = filter_classes(dataset, [4], limit=10)
-    assert len(out) == 2
+    assert list(out.labels) == [4, 4]
+    assert list(out.images.ravel()) == [0.0, 1.0]
 
 
 def test_filter_rejects_empty_class_list():

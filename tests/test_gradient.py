@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 import qcae
 import qcae.gradient
 from qcae.ansatz import CircuitTemplate, family_template
-from qcae.gradient import QuantumJacobian, chain_loss_gradient, psr_gradient
+from qcae.gradient import psr_gradient
 from qcae.statevector import (GATE_KINDS, ROTATION_KINDS, GateOp, NoiseChannel, measure_all_z,
                               measure_rows_z, run_circuit, run_rows, z_and_pullback)
 
@@ -112,8 +112,8 @@ def test_batched_jacobian_equals_one_call_per_vector(family):
     assert np.array_equal(jac.forward, np.stack([s.forward for s in singles]))
     assert jac.n_executions == sum(s.n_executions for s in singles)
     downstream = rng.normal(size=(4, 3))
-    assert np.array_equal(chain_loss_gradient(jac, downstream),
-                          np.stack([chain_loss_gradient(s, d) for s, d in zip(singles, downstream)]))
+    assert np.array_equal((downstream[:, None, :] @ jac.entries)[:, 0],
+                          np.stack([d @ s.entries for s, d in zip(singles, downstream)]))
 
 
 @pytest.mark.parametrize("depolarizing", [0.0, 0.05])
@@ -159,44 +159,6 @@ def test_noisy_jacobian_matches_finite_differences_of_exact_expectation():
 def test_param_length_validation():
     with pytest.raises(ValueError):
         psr_gradient(family_template("a", 2, 1), [0.1])
-
-
-# ------------------------------------------------------------- chain rule
-
-def test_chain_identity_jacobian_passes_downstream_through():
-    jac = QuantumJacobian(np.eye(2), np.zeros(2), 0)
-    assert np.allclose(chain_loss_gradient(jac, [0.3, -0.1]), [0.3, -0.1])
-
-
-def test_chain_zero_downstream_gives_zero():
-    jac = QuantumJacobian(np.arange(6.0).reshape(2, 3), np.zeros(2), 0)
-    assert np.allclose(chain_loss_gradient(jac, [0.0, 0.0]), np.zeros(3))
-
-
-def test_chain_matches_matrix_vector_product():
-    rng = np.random.default_rng(8)
-    entries = rng.normal(size=(4, 2))
-    downstream = rng.normal(size=4)
-    expected = entries.T @ downstream
-    assert np.allclose(chain_loss_gradient(QuantumJacobian(entries, np.zeros(4), 0), downstream),
-                       expected)
-
-
-def test_chain_is_linear_in_downstream():
-    rng = np.random.default_rng(21)
-    entries = rng.normal(size=(3, 5))
-    jac = QuantumJacobian(entries, np.zeros(3), 0)
-    d1, d2 = rng.normal(size=3), rng.normal(size=3)
-    a, b = 0.6, -1.7
-    combined = chain_loss_gradient(jac, a * d1 + b * d2)
-    split = a * chain_loss_gradient(jac, d1) + b * chain_loss_gradient(jac, d2)
-    assert np.max(np.abs(combined - split)) < 1e-12
-
-
-def test_chain_dimension_mismatch():
-    with pytest.raises(ValueError):
-        chain_loss_gradient(QuantumJacobian(np.eye(2), np.zeros(2), 0), [1.0, 2.0, 3.0])
-
 
 
 # ----------------------------------------- gate-level and adjoint sweeps
@@ -316,7 +278,7 @@ def assert_sweep_matches_psr_chain(template, params, downstream, channel):
                               channel)[1]
     got = pullback(downstream) @ template.slot_map
     assert got.shape == params.shape
-    assert np.max(np.abs(got - chain_loss_gradient(jac, downstream))) <= 1e-12
+    assert np.max(np.abs(got - (downstream[:, None, :] @ jac.entries)[:, 0])) <= 1e-12
 
 
 @settings(max_examples=150, deadline=None)

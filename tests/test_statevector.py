@@ -11,18 +11,12 @@ from qcae.statevector import (
     ROTATION_KINDS,
     GateOp,
     NoiseChannel,
-    cnot,
     compile_circuit,
-    h,
     measure_all_z,
     measure_rows_z,
     run_circuit,
     run_rows,
-    rx,
-    ry,
-    rz,
     z_and_pullback,
-    zz,
 )
 
 from oracles import (dense_all_z, dense_mixed_z, layered_gate_list, random_gate_list, run_dense,
@@ -58,7 +52,7 @@ def test_init_zero_rejects_out_of_range(bad_n):
 def test_a_register_beyond_the_cap_is_refused_before_any_layer_is_built(n, channel):
     # the cap bounds the memory of the layers (a CNOT run's permutation
     # table has 2^register entries) as well as of the rows
-    gates = [cnot(0, 1)]
+    gates = [GateOp("cnot", (0, 1))]
     angles = np.zeros((1, 1))
     for call in (lambda: compile_circuit(n, gates, channel),
                  lambda: run_rows(n, gates, angles, channel),
@@ -70,24 +64,25 @@ def test_a_register_beyond_the_cap_is_refused_before_any_layer_is_built(n, chann
 # --------------------------------------------------------------- gate basics
 
 def test_hadamard_on_zero():
-    assert np.allclose(run_circuit(1, [h(0)]), [SQRT2_INV, SQRT2_INV])
+    assert np.allclose(run_circuit(1, [GateOp("h", (0,))]), [SQRT2_INV, SQRT2_INV])
 
 
 def test_cnot_flips_target_when_control_set():
     # |q0=1, q1=0> lives at index 1; CNOT(0, 1) sends it to index 3
-    amps = run_circuit(2, [ry(0, np.pi), cnot(0, 1)])  # q0 -> |1>, then flip q1
+    # q0 -> |1>, then flip q1
+    amps = run_circuit(2, [GateOp("ry", (0,), np.pi), GateOp("cnot", (0, 1))])
     assert np.argmax(np.abs(amps)) == 3
     assert np.isclose(np.abs(amps[3]), 1.0)
 
 
 def test_ry_half_pi_matches_eigenbasis_coefficients():
-    amps = run_circuit(1, [ry(0, np.pi / 2)])
+    amps = run_circuit(1, [GateOp("ry", (0,), np.pi / 2)])
     assert np.allclose(amps, [np.cos(np.pi / 4), np.sin(np.pi / 4)])
 
 
 def test_zz_on_zero_state_is_global_phase():
     theta = 0.83
-    amps = run_circuit(2, [zz(0, 1, theta)])
+    amps = run_circuit(2, [GateOp("zz", (0, 1), theta)])
     assert np.isclose(amps[0], np.exp(-0.5j * theta))
     assert np.allclose(np.abs(amps), [1, 0, 0, 0])
 
@@ -114,9 +109,9 @@ def test_gateop_validation():
     with pytest.raises(ValueError, match="scale"):
         GateOp("h", (0,), scale=2.0)
     with pytest.raises(ValueError):
-        run_circuit(1, [h(1)])  # target out of range
+        run_circuit(1, [GateOp("h", (1,))])  # target out of range
     with pytest.raises(ValueError, match="slot"):
-        run_circuit(2, [h(0), GateOp("ry", (1,), slot=0)])  # unbound gate
+        run_circuit(2, [GateOp("h", (0,)), GateOp("ry", (1,), slot=0)])  # unbound gate
 
 
 # ------------------------------------------------------------- Z expectation
@@ -126,15 +121,15 @@ def test_expect_z_of_zero_state_is_plus_one():
 
 
 def test_expect_z_of_plus_state_is_zero():
-    assert abs(measure_all_z(run_circuit(1, [h(0)]))[0]) < 1e-12
+    assert abs(measure_all_z(run_circuit(1, [GateOp("h", (0,))]))[0]) < 1e-12
 
 
 def test_expect_z_after_ry_is_cosine():
     theta = 0.7
-    z = measure_rows_z(run_rows(1, [ry(0, theta)], [[theta]]))[0, 0]
+    z = measure_rows_z(run_rows(1, [GateOp("ry", (0,), slot=0)], [[theta]]))[0, 0]
     assert np.isclose(z, np.cos(theta), atol=1e-12)
     # cross-check against the dense oracle
-    dense = run_dense(1, [ry(0, theta)])
+    dense = run_dense(1, [GateOp("ry", (0,), theta)])
     assert np.isclose(z, dense_all_z(dense, 1)[0], atol=1e-12)
 
 
@@ -143,7 +138,7 @@ def test_expect_z_basis_states_are_exactly_pm_one():
     for _ in range(10):
         n = int(rng.integers(1, 5))
         bits = rng.integers(0, 2, n)
-        amps = run_circuit(n, [ry(q, np.pi) for q, bit in enumerate(bits) if bit])
+        amps = run_circuit(n, [GateOp("ry", (q,), np.pi) for q, bit in enumerate(bits) if bit])
         assert np.allclose(measure_all_z(amps), 1.0 - 2.0 * bits, atol=1e-12)
 
 
@@ -212,24 +207,24 @@ def test_gate_involutions():
         theta = float(rng.uniform(-np.pi, np.pi))
         q = int(rng.integers(n))
         a, b = rng.choice(n, size=2, replace=False)
-        for pair in ([h(q), h(q)],
-                     [ry(q, theta), ry(q, -theta)],
-                     [cnot(int(a), int(b)), cnot(int(a), int(b))]):
+        for pair in ([GateOp("h", (q,))] * 2,
+                     [GateOp("ry", (q,), theta), GateOp("ry", (q,), -theta)],
+                     [GateOp("cnot", (int(a), int(b)))] * 2):
             assert np.max(np.abs(run_circuit(n, gates + pair) - before)) < 1e-10
 
 
 def test_rx_rz_match_dense_single_gate():
     for theta in (-1.2, 0.0, 0.9, np.pi):
-        for maker in (rx, rz):
-            amps = run_circuit(1, [maker(0, theta)])
-            assert np.max(np.abs(amps - run_dense(1, [maker(0, theta)]))) < 1e-12
+        for kind in ("rx", "rz"):
+            gates = [GateOp(kind, (0,), theta)]
+            assert np.max(np.abs(run_circuit(1, gates) - run_dense(1, gates))) < 1e-12
 
 
 def test_run_rows_rejects_mismatched_angle_matrix():
     with pytest.raises(ValueError):
-        run_rows(2, [h(0), ry(1, 0.2)], np.zeros((3, 1)))
+        run_rows(2, [GateOp("h", (0,)), GateOp("ry", (1,), 0.2)], np.zeros((3, 1)))
     with pytest.raises(ValueError):
-        run_rows(2, [h(2)], np.zeros((1, 1)))  # target out of range
+        run_rows(2, [GateOp("h", (2,))], np.zeros((1, 1)))  # target out of range
 
 
 @st.composite
