@@ -18,9 +18,9 @@ flip, as the QAOA family's always is, so reads exactly 0.0 at any n and for
 any summation order of the kernels before it. The pullback's costate is
 the transpose of the same linear map, _readout.
 
-Every circuit runs as a program of layers, compiled once per gate list
-(compile_circuit; only kinds and targets matter, so any angles and any row
-count reuse it). A greedy pass in gate order makes three kinds of layer:
+Every circuit runs as a program of layers, compiled once per gate list and
+depolarizing probability (compile_circuit: any angles and row count reuse
+it). A greedy pass in gate order makes three kinds of gate layer:
   column       H, RX and RY on distinct qubits: each 2x2 matrix applied
                elementwise to all rows;
   diagonal     a run of RZ and ZZ: one phase multiply per group of target
@@ -43,14 +43,15 @@ expectations are shrunk by (1 - 2 * flip probability). run_rows simulates
 the channel exactly on density matrices, so noisy runs draw no random
 numbers and are reproducible. As vec(U rho U^dagger) = (conj(U) (x) U)
 vec(rho), a density row is a pure row of 2n qubits (ket bits low, bra bits
-high) that runs the doubled gate list: _compile adds gate i's conjugate,
-U(-angle) for RX, RZ and ZZ, on the bra bits to the layer of gate i, and
-the layers know no density rows. Under a channel no two gates of a layer
-share a qubit, so each gate's depolarizing can follow its layer.
+high): _compile adds gate i's conjugate on the bra bits to gate i's layer,
+fed gate i's angle column (conj(U(a)) = U(-a) for RX, RZ and ZZ, a sign in
+the layer's constants), and follows each gate layer, whose gates then share
+no qubit, with a self-adjoint channel step on their qubits.
 """
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,10 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValueError(f"unknown gate kind {self.kind!r}")
+        try:  # stored as Python ints, so a list or numpy ints run too
+            object.__setattr__(self, "targets", tuple(operator.index(q) for q in self.targets))
+        except TypeError:
+            raise ValueError(f"{self.kind} targets must be integers, got {self.targets}") from None
         n_targets = 2 if self.kind in ("cnot", "zz") else 1
         if len(self.targets) != n_targets:
             raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets}")
@@ -142,13 +147,13 @@ class _Column:
     kind = "column"
 
     def __init__(self, register: int, ops, run, n_gates: int):
-        self.gates = tuple(run)
-        self.qubits = tuple(ops[i][1][0] for i in run)
+        self.gates = tuple(i % n_gates for i in run)
         kinds = [ops[i][0] for i in run]
-        # u[0, 1] and u[1, 0] are sin(angle/2) times these: RX -i, -i; RY -1, +1
+        # u[0, 1] and u[1, 0] are sin(half) times these: RX -i, -i; RY -1, +1
         self._off = np.array([(-1j, -1j) if k == "rx" else (-1, 1) for k in kinds]).T
+        self._half = np.where([k == "rx" and i >= n_gates for i, k in zip(run, kinds)], -0.5, 0.5)
         self._h = [j for j, k in enumerate(kinds) if k == "h"]
-        at = {q: j for j, q in enumerate(self.qubits)}  # qubit -> its gate's place in run
+        at = {ops[i][1][0]: j for j, i in enumerate(run)}  # qubit -> its gate's place in run
         self._steps = [(j, (1 << register) >> (q + 1), 1 << q) for q, j in sorted(at.items())]
         width = _block_qubits(register)
         runs = []
@@ -173,7 +178,7 @@ class _Column:
 
     def apply(self, rows, angles, inverse=False):
         m = len(angles)
-        half = (-0.5 if inverse else 0.5) * angles[:, self.gates]
+        half = (-self._half if inverse else self._half) * angles[:, self.gates]
         sin = np.sin(half)
         u = np.empty(half.shape + (2, 2), dtype=complex)
         u[..., 0, 0] = u[..., 1, 1] = np.cos(half)
@@ -210,16 +215,16 @@ class _Diagonal:
     sign of gate g's target bits. The factors are grouped by target bits, at
     most _block_qubits bits a group: one product of the angles with a fixed
     exponent matrix gives every group's (M, 2, ..., 2) phase table, and each
-    table multiplies the rows broadcast over its bits. The derivatives of the
-    run's gates below n_gates (not of a density row's conjugate copies) are
-    one product of Im(conj(lambda) * psi) with a (2^register, gates) table
-    of their signs s_g."""
+    table multiplies the rows broadcast over its bits (a conjugate copy's row
+    of the matrix negated). The derivatives of the run's gates below n_gates
+    (not of a density row's conjugate copies) are one product of
+    Im(conj(lambda) * psi) with a (2^register, gates) table of their s_g."""
 
     kind = "diagonal"
 
     def __init__(self, register: int, ops, run, n_gates: int):
-        self.gates, self.deriv = tuple(run), tuple(i for i in run if i < n_gates)
-        self.qubits = tuple(q for i in run for q in ops[i][1])
+        self.gates = tuple(i % n_gates for i in run)
+        self.deriv = tuple(i for i in run if i < n_gates)
         width = _block_qubits(register)
         groups = []  # [bits, members]
         for j, i in enumerate(run):
@@ -238,7 +243,8 @@ class _Diagonal:
             block = np.zeros((len(run), len(pattern)))
             for j in members:
                 targets = [bits.index(q) for q in ops[run[j]][1]]
-                block[j] = -0.5 * (1.0 - 2.0 * (pattern[:, targets].sum(1) & 1))
+                half = 0.5 if run[j] >= n_gates else -0.5
+                block[j] = half * (1.0 - 2.0 * (pattern[:, targets].sum(1) & 1))
             exponent.append(block)
             self.groups.append((slice(start, start + len(pattern)), _bit_axes(register, bits)))
             start += len(pattern)
@@ -269,8 +275,7 @@ class _Permutation:
     deriv = ()
 
     def __init__(self, register: int, ops, run, n_gates: int):
-        self.gates = tuple(run)
-        self.qubits = tuple(q for i in run for q in ops[i][1])
+        self.gates = tuple(i % n_gates for i in run)
         perm = index = np.arange(1 << register)
         for i in run:
             control, target = ops[i][1]
@@ -281,27 +286,49 @@ class _Permutation:
         return rows.take(self.undo if inverse else self.perm, axis=1)
 
 
+class _Channel:
+    """Depolarizing on a gate layer's qubits, in gate order: a density row as
+    (high, bra bit q, middle, ket bit q, low) mixes its diagonal pair by 2p/3
+    and shrinks the other pair by 1 - 4p/3 in place, a self-adjoint map."""
+
+    kind = "channel"
+    gates = deriv = ()
+
+    def __init__(self, n_qubits: int, qubits, p: float):
+        self.qubits, self._middle = tuple(qubits), 1 << (n_qubits - 1)
+        self._mix, self._shrink = 2.0 * p / 3.0, 1.0 - 4.0 * p / 3.0
+
+    def apply(self, rows, angles, inverse=False):
+        for q in self.qubits:
+            m = rows.reshape(len(rows), -1, 2, self._middle, 2, 1 << q)
+            mix = self._mix * (m[:, :, 1, :, 1] - m[:, :, 0, :, 0])
+            m[:, :, 0, :, 0] += mix
+            m[:, :, 1, :, 1] -= mix
+            m[:, :, 0, :, 1] *= self._shrink
+            m[:, :, 1, :, 0] *= self._shrink
+        return rows
+
+
 _LAYER_KINDS = {"h": _Column, "rx": _Column, "ry": _Column,
                 "rz": _Diagonal, "zz": _Diagonal, "cnot": _Permutation}
-_CONJ_NEGATES = ("rx", "rz", "zz")  # conj(U(a)) = U(-a); RY, H and CNOT are real
 
 
 def compile_circuit(n_qubits: int, gates, channel: NoiseChannel | None = None) -> tuple:
-    """The layers that run_rows and z_and_pullback run for this gate list
-    (doubled under a channel, see _compile), built once per (n_qubits, gate
-    kinds and targets, channel kind) and shared by every caller: any angles
-    and any number of rows reuse them. A register (2n qubits under a
-    channel) beyond MAX_QUBITS is refused."""
-    return _compile(n_qubits, tuple((g.kind, g.targets) for g in gates), _mixed(channel))
+    """The layers that run_rows and z_and_pullback run, built once per
+    (n_qubits, gate kinds and targets, depolarizing probability) and shared
+    by any angles and row count; see _compile for depolarizing. A register
+    (2n qubits under depolarizing) beyond MAX_QUBITS is refused."""
+    p = 0.0 if channel is None else channel.depolarizing_prob
+    return _compile(n_qubits, tuple((g.kind, g.targets) for g in gates), p)
 
 
 @functools.lru_cache(maxsize=64)
-def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
+def _compile(n_qubits: int, ops: tuple, p: float) -> tuple:
     # greedy, in gate order: a gate joins the last run if it is of the same
     # layer kind and, in a column or under a channel, shares no qubit with it.
-    # A density row vec(rho) is a pure row of 2n qubits that conj(U) (x) U
-    # maps, so under a channel gate len(ops) + i is gate i on the bra bits,
-    # targets + n, and each layer runs its ket gates, then their copies
+    # Under a channel gate len(ops) + i is gate i's conjugate on the bra bits
+    # (targets + n); a layer runs its gates, then their copies, then a _Channel
+    mixed = p > 0.0
     register = 2 * n_qubits if mixed else n_qubits
     if not 1 <= register <= MAX_QUBITS:  # bounds the memory of layers and rows
         raise ValueError(f"simulated qubits must be in [1, {MAX_QUBITS}], got {register}: "
@@ -319,25 +346,15 @@ def _compile(n_qubits: int, ops: tuple, mixed: bool) -> tuple:
             runs[-1].append(i)
         else:
             runs.append([i])
-    n_gates = len(ops)
+    n_gates, layers = len(ops), []
     if mixed:
         ops += tuple((kind, tuple(q + n_qubits for q in targets)) for kind, targets in ops)
-        runs = [run + [i + n_gates for i in run] for run in runs]
-    return tuple(_LAYER_KINDS[ops[run[0]][0]](register, ops, run, n_gates) for run in runs)
-
-
-def _depolarize(rho: np.ndarray, n: int, qubits, p: float) -> None:
-    # a layer's qubits below n, the ket bits (its conjugate gates act on the
-    # bra bits): each density row viewed as (high, bra bit q, middle, ket bit
-    # q, low), the channel mixes the diagonal pair by 2p/3 and shrinks the
-    # off-diagonal pair by 1 - 4p/3
-    for q in (q for q in qubits if q < n):
-        m = rho.reshape(rho.shape[0], -1, 2, 1 << (n - 1), 2, 1 << q)
-        mix = (2.0 * p / 3.0) * (m[:, :, 1, :, 1] - m[:, :, 0, :, 0])
-        m[:, :, 0, :, 0] += mix
-        m[:, :, 1, :, 1] -= mix
-        m[:, :, 0, :, 1] *= 1.0 - 4.0 * p / 3.0
-        m[:, :, 1, :, 0] *= 1.0 - 4.0 * p / 3.0
+    for run in runs:
+        copies = [i + n_gates for i in run] if mixed else []
+        layers.append(_LAYER_KINDS[ops[run[0]][0]](register, ops, run + copies, n_gates))
+        if mixed:
+            layers.append(_Channel(n_qubits, [q for i in run for q in ops[i][1]], p))
+    return tuple(layers)
 
 
 def _mixed(channel: NoiseChannel | None) -> bool:
@@ -364,26 +381,19 @@ def run_rows(n_qubits: int, gates, angles, channel: NoiseChannel | None = None) 
 
 
 def _run(n: int, gates, angles, channel, kept: dict | None = None) -> tuple:
-    # the forward of run_rows and of z_and_pullback: (layers, angle matrix,
-    # final rows); kept, if given, gets a copy of the state each layer with
-    # derivatives leaves (before its depolarizing), keyed by the layer's index
+    # the forward of run_rows and z_and_pullback: (layers, angles, final rows);
+    # kept, if given, gets a copy of the state each derivative layer leaves
     gates = tuple(gates)
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != len(gates):
         raise ValueError(f"need an (M, {len(gates)}) angle matrix, got shape {angles.shape}")
     layers = compile_circuit(n, gates, channel)
-    mixed = _mixed(channel)
-    if mixed:  # the angle columns of the doubled program's conjugate gates
-        negate = [g.kind in _CONJ_NEGATES for g in gates]
-        angles = np.concatenate([angles, np.where(negate, -angles, angles)], axis=1)
     rows = np.zeros((len(angles), row_width(n, channel)), dtype=complex)
     rows[:, 0] = 1.0  # |0...0>
     for j, layer in enumerate(layers):
         rows = layer.apply(rows, angles)
         if kept is not None and layer.deriv:
             kept[j] = rows.copy()
-        if mixed:  # a layer's gates share no qubit, so each kick can follow the layer
-            _depolarize(rows, n, layer.qubits, channel.depolarizing_prob)
     return layers, angles, rows
 
 
@@ -426,7 +436,11 @@ def run_circuit(n_qubits: int, gates) -> np.ndarray:
 
 
 def measure_all_z(amplitudes: np.ndarray, channel: NoiseChannel | None = None) -> np.ndarray:
-    """(n,) <Z> of one amplitude vector (or (M, n) of M), readout flip applied."""
+    """(n,) <Z> of one amplitude vector (or (M, n) of M), readout flip applied.
+    Amplitudes carry no depolarizing, so a channel with some is refused."""
+    if _mixed(channel):
+        raise ValueError("amplitudes cannot carry depolarizing noise: run_rows and "
+                         "measure_rows_z with the channel read the density rows")
     return _paired_z(np.abs(np.asarray(amplitudes)) ** 2, channel)
 
 
@@ -453,18 +467,13 @@ def z_and_pullback(n_qubits: int, gates, angles, channel: NoiseChannel | None = 
         # the layer leaves and lambda the costate carried back to it: O psi for
         # a pure row; for a density row O itself, as the loss is <lambda|rho>
         # and both are Hermitian. A layer's generators commute with its other
-        # gates, so all its terms come from the pair at its end. The channel is
-        # self-adjoint, so the costate is depolarized as the state was
+        # gates, so all its terms come from the pair at its end
+        costate = np.zeros_like(rows) if mixed else weights * rows
         if mixed:
-            costate = np.zeros_like(rows)
             costate[:, ::(1 << n_qubits) + 1] = weights
-        else:
-            costate = weights * rows
         out = np.zeros((len(angles), len(gates)))
         for j in reversed(range(first, len(layers))):
             layer = layers[j]
-            if mixed:
-                _depolarize(costate, n_qubits, layer.qubits, channel.depolarizing_prob)
             if j in kept:
                 out[:, layer.deriv] = layer.terms(kept[j], costate)
             if j > first:  # no undo for the first layer with derivatives or before it

@@ -28,6 +28,19 @@ def test_only_the_simulator_knows_its_register_cap(path):
             assert node.attr != "MAX_QUBITS", f"{path.name}:{node.lineno} reads MAX_QUBITS"
 
 
+@pytest.mark.parametrize("function", ["_run", "z_and_pullback"])
+def test_the_simulator_loops_have_no_channel_branch(function):
+    # the compiled program carries the channel as steps of its own, so the
+    # forward and the pullback never ask how much depolarizing there is
+    path = SRC / "statevector.py"
+    tree = ast.parse(path.read_text(), str(path))
+    [body] = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == function]
+    for node in ast.walk(body):
+        if isinstance(node, ast.Attribute):
+            assert node.attr != "depolarizing_prob", f"{function}:{node.lineno} reads {node.attr}"
+
+
 @pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py"))
                                         - {SRC / "cli.py", SRC / "metrics.py"}),
                          ids=lambda path: path.name)

@@ -114,6 +114,18 @@ def test_gateop_validation():
         run_circuit(2, [GateOp("h", (0,)), GateOp("ry", (1,), slot=0)])  # unbound gate
 
 
+def test_gateop_keeps_its_targets_as_a_tuple_of_python_ints():
+    listed, numpy_ints = GateOp("rx", [0], 0.3), GateOp("zz", (np.int64(1), np.int32(0)), 0.2)
+    assert listed.targets == (0,) and numpy_ints.targets == (1, 0)
+    assert all(type(q) is int for g in (listed, numpy_ints) for q in g.targets)
+    plain = [GateOp("rx", (0,), 0.3), GateOp("zz", (1, 0), 0.2)]
+    assert np.array_equal(run_rows(2, [listed, numpy_ints], [[0.3, 0.2]]),
+                          run_rows(2, plain, [[0.3, 0.2]]))
+    for bad in [(1.0,), ("0",), (None,), 0]:
+        with pytest.raises(ValueError, match="integers"):
+            GateOp("rx", bad, 0.3)
+
+
 # ------------------------------------------------------------- Z expectation
 
 def test_expect_z_of_zero_state_is_plus_one():
@@ -169,6 +181,17 @@ def test_full_readout_flip_erases_expectation():
     assert np.array_equal(measure_rows_z(run_rows(2, [], np.zeros((1, 0)), channel), channel),
                           [[0.0, 0.0]])
     assert np.array_equal(measure_all_z(run_circuit(2, []), channel), [0.0, 0.0])
+
+
+def test_measure_all_z_refuses_depolarizing_and_keeps_the_readout_flip():
+    # amplitudes carry no depolarizing: reading them under it would be the
+    # pure value shrunk by the flip alone, not measure_rows_z's density value
+    amps = run_circuit(1, [GateOp("ry", (0,), 0.7)])
+    with pytest.raises(ValueError, match="measure_rows_z"):
+        measure_all_z(amps, NoiseChannel(0.2, 0.1))
+    flip = NoiseChannel(0.0, 0.1)
+    assert np.array_equal(measure_all_z(amps, flip), measure_rows_z(amps[None], flip)[0])
+    assert abs(measure_all_z(amps, flip)[0] - 0.8 * np.cos(0.7)) < 1e-12
 
 
 def test_noise_channel_validation():
@@ -303,29 +326,54 @@ LAYER_KINDS = {"column": {"h", "rx", "ry"}, "diagonal": {"rz", "zz"}, "permutati
 def test_compiled_layers_cover_every_gate_once_in_order(n, n_runs, seed, noisy):
     gates = layered_gate_list(n, n_runs, np.random.default_rng(seed))
     channel = NoiseChannel(0.1) if noisy else None
-    layers = compile_circuit(n, gates, channel)
-    # a density row runs the doubled gate list: column len(gates) + i is gate
-    # i's conjugate on the bra bits, so the ket columns are those below len(gates)
-    runs = [[i for i in layer.gates if i < len(gates)] for layer in layers]
+    program = compile_circuit(n, gates, channel)
+    # under a channel each gate layer is followed by exactly one channel step
+    layers = program[::2] if noisy else program
+    steps = program[1::2] if noisy else ()
+    assert len(program) == len(layers) + len(steps)
+    assert all(layer.kind != "channel" for layer in layers)
+    assert all(step.kind == "channel" and step.gates == step.deriv == () for step in steps)
+    # a density row runs the doubled gate list: a layer runs its ket gates,
+    # then their conjugate copies, each copy on its ket gate's angle column
+    runs = [list(layer.gates[:len(layer.gates) // 2] if noisy else layer.gates)
+            for layer in layers]
     assert [i for run in runs for i in run] == list(range(len(gates)))
-    for layer, run in zip(layers, runs):
+    for k, (layer, run) in enumerate(zip(layers, runs)):
         assert {gates[i].kind for i in run} <= LAYER_KINDS[layer.kind]
         targets = [q for i in run for q in gates[i].targets]
-        # each gate's depolarizing follows its layer, so under a channel no
-        # two gates of a layer may share a qubit; a column never may
+        # the channel step acts as after each gate, so under a channel no two
+        # gates of a layer may share a qubit; a column never may
         if noisy or layer.kind == "column":
             assert len(targets) == len(set(targets)), (layer.kind, targets)
-        # a layer holds gate i's conjugate exactly when it holds gate i, after
-        # its ket gates, and differentiates the ket gates' rotations only
-        copies = [len(gates) + i for i in run] if noisy else []
-        assert list(layer.gates) == run + copies
+        assert list(layer.gates) == run * (2 if noisy else 1)
         assert sorted(layer.deriv) == [i for i in run if gates[i].kind in ROTATION_KINDS]
+        if noisy:  # on the layer's ket targets, in gate order
+            assert steps[k].qubits == tuple(targets)
     # greedy: a layer ends only where the next gate could not join it
     for k in range(1, len(layers)):
         if layers[k - 1].kind == layers[k].kind:
             assert noisy or layers[k].kind == "column"
             first = set(gates[runs[k][0]].targets)
             assert first & {q for i in runs[k - 1] for q in gates[i].targets}
+    # a channel without depolarizing adds no step: it compiles the pure program
+    assert compile_circuit(n, gates, NoiseChannel(0.0, 0.1)) is compile_circuit(n, gates)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_channel_step_is_self_adjoint(n, p):
+    # the pullback applies the step to the costate as the forward did to the
+    # state, which is right only if <a, D b> == <D a, b>
+    rng = np.random.default_rng(10 * n + int(10 * p))
+    wall = [GateOp("h", (q,)) for q in rng.permutation(n)]
+    step = compile_circuit(n, wall, NoiseChannel(p))[-1]
+    assert step.kind == "channel" and sorted(step.qubits) == list(range(n))
+    a, b = (rng.normal(size=(4, 4**n)) + 1j * rng.normal(size=(4, 4**n)) for _ in range(2))
+    d_a, d_b = step.apply(a.copy(), None), step.apply(b.copy(), None)
+    assert not np.allclose(d_a, a)
+    assert np.array_equal(step.apply(a.copy(), None, inverse=True), d_a)  # it ignores inverse
+    for row_a, row_b, row_d_a, row_d_b in zip(a, b, d_a, d_b):
+        assert abs(np.vdot(row_a, row_d_b) - np.vdot(row_d_a, row_b)) <= 1e-12
 
 
 @settings(max_examples=60, deadline=None)
