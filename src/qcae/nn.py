@@ -9,9 +9,10 @@ output_padding knob so stride-2 stacks invert cleanly); both contract in one
 a row-index plan built once per (C, H, W, k, stride, padding) and cached,
 whatever the batch size: _im2col is one take of the unpadded (C*H*W, N)
 rows, then zeroes the plan's padding entries, or is a view of the input when
-one window covers it; _col2im scatters the kernel offsets into stride x
-stride phase planes that start empty (a plane's first offset is copied in,
-the rest added), or, when each pixel has one tap, is a reshape. Layers write
+one window covers it; _col2im adds each kernel offset, through a
+zero-bordered shift plane, into one of stride x stride phase planes that
+start zeroed, with one contiguous add (bit for bit the zero-filled sum),
+or, when each pixel has one tap, is a reshape of cols. Layers write
 straight into the arrays they return or keep. Each layer keeps what its
 backward needs in one attribute, _cache: forward sets it, backward reads it
 (refusing to run before a forward), and release drops it, so an instance
@@ -97,14 +98,16 @@ def _im2col(x: np.ndarray, k: int, stride: int, pad: int):
 def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) -> np.ndarray:
     """Adjoint of _im2col, returned as an (N, C, H, W) view of (C, H, W, N)
     memory. When one window covers the padded map, each pixel has exactly one
-    tap and the map is cols reshaped. Otherwise each kernel offset (u, v) adds
-    its (h_out, w_out, N) block into the phase plane (u % s, v % s) of a
-    (C, s, s, Hp/s, Wp/s, N) buffer, where its rows are contiguous (W, N)
-    runs, and s x s strided copies interleave the planes into the cropped
-    map. The buffer starts empty, so each plane's first tap is copied, not
-    added. The offsets go in ascending order, or in descending order when
-    there are more offsets than output positions, which sums each pixel's
-    taps as a loop over output positions would."""
+    tap and the map is cols reshaped. Otherwise the taps are summed into s x s
+    zeroed, contiguous (C, Hp/s, Wp/s, N) phase planes: offset (u, v) copies
+    its (C, h_out, w_out, N) block into its window of the zero-bordered shift
+    plane (u // s, v // s), and that whole shift plane is added into phase
+    plane (u % s, v % s), one contiguous add per tap that sums bit for bit as
+    the zero-filled form does, signed zeros included. The offsets go in
+    ascending order, or in descending order when there are more offsets than
+    output positions, which sums each pixel's taps as a loop over output
+    positions would. s x s strided copies interleave the planes into the
+    cropped map."""
     n, c, height, width = x_shape
     h_out, w_out = out_hw
     s = stride
@@ -112,26 +115,18 @@ def _col2im(cols: np.ndarray, x_shape, k: int, stride: int, pad: int, out_hw) ->
     c6 = cols.reshape(c, k, k, h_out, w_out, n)
     if h_out == w_out == 1 and k == hp == wp:
         return c6.reshape(c, k, k, n)[:, pad:pad + height, pad:pad + width].transpose(3, 0, 1, 2)
-    planes = np.empty((c, s, s, -(-hp // s), -(-wp // s), n))
+    planes = np.zeros((s, s, c, -(-hp // s), -(-wp // s), n))
+    shifts = np.zeros((-(-k // s), -(-k // s), *planes.shape[2:]))
     taps = [(u, v) for u in range(k) for v in range(k)]
-    unreached = {(a, b) for a in range(s) for b in range(s)}
     for u, v in taps[::-1] if k * k > h_out * w_out else taps:
         (r, a), (q, b) = divmod(u, s), divmod(v, s)
-        plane = planes[:, a, b]
-        if (a, b) in unreached:  # the plane's first tap: copy it in, zero what it misses
-            unreached.remove((a, b))
-            strip = plane[:, r:r + h_out]
-            plane[:, :r] = plane[:, r + h_out:] = strip[:, :, :q] = strip[:, :, q + w_out:] = 0.0
-            strip[:, :, q:q + w_out] = c6[:, u, v]
-        else:
-            plane[:, r:r + h_out, q:q + w_out] += c6[:, u, v]
-    for a, b in unreached:
-        planes[:, a, b] = 0.0
+        shifts[r, q, :, r:r + h_out, q:q + w_out] = c6[:, u, v]
+        planes[a, b] += shifts[r, q]
     out = np.empty((c, height, width, n))
     for a in range(s):
         for b in range(s):  # output rows y = a - pad (mod s) live in plane rows (y + pad) // s on
             y, x = (a - pad) % s, (b - pad) % s
-            out[:, y::s, x::s] = planes[:, a, b, (y + pad) // s:, (x + pad) // s:][
+            out[:, y::s, x::s] = planes[a, b, :, (y + pad) // s:, (x + pad) // s:][
                 :, :len(range(y, height, s)), :len(range(x, width, s))]
     return out.transpose(3, 0, 1, 2)
 
@@ -310,8 +305,8 @@ class Reshape(Layer):
         self.shape = tuple(shape)
 
     def forward(self, x):
-        want = int(np.prod(self.shape))
-        have = int(np.prod(x.shape[1:]))
+        want = math.prod(self.shape)
+        have = math.prod(x.shape[1:])
         if want != have:
             raise ValueError(f"cannot reshape per-sample {x.shape[1:]} into {self.shape}")
         self._cache = x.shape

@@ -306,8 +306,10 @@ def test_patch_gather_and_scatter_match_the_padded_and_zero_filled_forms_bit_for
     np.testing.assert_array_equal(cols, want)
     np.testing.assert_array_equal(np.signbit(cols), np.signbit(want))  # padding is +0.0
     d_cols = with_signed_zeros(rng.normal(size=cols.shape), rng)
-    np.testing.assert_array_equal(qcae.nn._col2im(d_cols, x.shape, k, stride, pad, out_hw),
-                                  col2im_zero_filled(d_cols, x.shape, k, stride, pad, out_hw))
+    out = qcae.nn._col2im(d_cols, x.shape, k, stride, pad, out_hw)
+    want = col2im_zero_filled(d_cols, x.shape, k, stride, pad, out_hw)
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))  # sums start at +0.0
 
 
 def activation_inputs():
