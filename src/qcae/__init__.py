@@ -12,15 +12,15 @@ The package splits into small, composable pieces:
   nn           conv/tconv/dense layers with manual backprop, MSE, Adam
   model        the assembled denoisers (classical and hybrid) and training
   data_io      IDX datasets, Gaussian noising, PGM export, synthetic corpus
-  metrics      SSIM and CSV run reporting
-  cli          train / denoise / sweep / eval entry points
+  metrics      SSIM and the per-epoch run record
+  cli          train / denoise / sweep / eval entry points, run ids and CSVs
 """
 
 from .ansatz import CircuitTemplate, family_template, qaoa_template
 from .data_io import (MnistSet, NoiseSpec, add_gaussian_noise, export_pgm, filter_classes,
                       load_idx, make_synthetic_digits, montage, write_idx)
 from .gradient import QuantumJacobian, psr_gradient
-from .metrics import RunRecord, SsimConfig, mean_ssim, ssim, write_csv
+from .metrics import RunRecord, mean_ssim
 from .model import (DenoisingAutoencoder, ModelSpec, QuantumLatent, TrainConfig,
                     TrainingAborted, train)
 from .nn import Adam, load_weights, mse_loss, save_weights

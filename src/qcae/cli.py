@@ -1,10 +1,10 @@
 """Command-line front end: train, denoise, sweep, and eval.
 
-One flat key=value config file drives everything; command-line flags
-override file values (flags win). The effective configuration is hashed
-into a short config_id used for output directories and CSV rows, so
-repeated runs never silently overwrite differing setups. Exit codes:
-0 success, 1 usage or configuration error, 2 runtime failure.
+One flat key=value config file drives everything; flags override file
+values, and an ExperimentConfig refuses a bad value however it is made.
+Its hash, config_id, names the output directory and the rows of each CSV
+(all written by _write_csv), so runs never overwrite differing setups.
+Exit codes: 0 success, 1 usage or configuration error, 2 runtime failure.
 """
 from __future__ import annotations
 
@@ -19,20 +19,22 @@ from pathlib import Path
 
 from .data_io import filter_classes, load_idx, make_synthetic_digits
 from .data_io import NoiseSpec, add_gaussian_noise, export_pgm, montage
-from .metrics import mean_ssim, write_csv
+from .metrics import mean_ssim
 from .model import (DenoisingAutoencoder, ModelSpec, TrainConfig, TrainingAborted,
                     derive_seeds, train)
 from .statevector import NoiseChannel
 
 IDX_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
              "val": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
-# the ExperimentConfig fields that load_split reads
-_DATA_KEYS = ("dataset", "data_dir", "classes", "limit", "val_limit", "seed", "image_size")
+# per dataset, the ExperimentConfig fields that load_split reads
+_DATA_KEYS = {"idx": ("data_dir", "classes", "limit", "val_limit", "image_size"),
+              "synthetic": ("classes", "limit", "val_limit", "seed", "image_size")}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every tunable of a run; each field has a working default."""
+    """Every tunable of a run; each field has a working default, and a value
+    train would refuse is refused here, at construction or replace()."""
 
     dataset: str = "idx"  # idx | synthetic
     data_dir: str = "data/mnist"  # holds the four IDX files under their standard names
@@ -53,6 +55,21 @@ class ExperimentConfig:
     readout_flip_prob: float = 0.0
     image_size: int = 28
     output_dir: str = "runs"
+
+    def __post_init__(self):
+        if self.dataset not in ("idx", "synthetic"):
+            raise ValueError(f"dataset must be idx or synthetic, got {self.dataset!r}")
+        if self.model not in ("qcae", "ccae"):
+            raise ValueError(f"model must be qcae or ccae, got {self.model!r}")
+        # fail fast on numeric ranges, naming the offending key
+        _model_spec(self)
+        _train_config(self)
+        classes = _parsed_classes(self)
+        if not classes:
+            raise ValueError("classes must name at least one class")
+        if self.dataset == "synthetic" and not set(classes) <= {0, 1}:
+            raise ValueError(f"classes {self.classes!r}: "
+                             "the synthetic corpus only provides 0 and 1")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
@@ -101,24 +118,7 @@ def resolve_config(config_path=None, flag_overrides: dict | None = None) -> Expe
     for key, raw in (flag_overrides or {}).items():
         if raw is not None:
             values[key] = _coerce(key, raw)
-    return _checked(ExperimentConfig(**values))
-
-
-def _checked(cfg: ExperimentConfig) -> ExperimentConfig:
-    """cfg, once every value train would refuse has been refused."""
-    if cfg.dataset not in ("idx", "synthetic"):
-        raise ValueError(f"dataset must be idx or synthetic, got {cfg.dataset!r}")
-    if cfg.model not in ("qcae", "ccae"):
-        raise ValueError(f"model must be qcae or ccae, got {cfg.model!r}")
-    # fail fast on numeric ranges, naming the offending key
-    _model_spec(cfg)
-    _train_config(cfg)
-    classes = _parsed_classes(cfg)
-    if not classes:
-        raise ValueError("classes must name at least one class")
-    if cfg.dataset == "synthetic" and not set(classes) <= {0, 1}:
-        raise ValueError(f"classes {cfg.classes!r}: the synthetic corpus only provides 0 and 1")
-    return cfg
+    return ExperimentConfig(**values)
 
 
 def config_id(cfg: ExperimentConfig) -> str:
@@ -176,6 +176,16 @@ def load_split(cfg: ExperimentConfig, split: str):
     return dataset
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """A header line and one line per row as csv.writer writes them; no rows is refused."""
+    if not rows:
+        raise ValueError(f"no rows to write to {path}")
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_manifest(out_dir: Path, cfg: ExperimentConfig, cid: str) -> None:
     manifest = {"config_id": cid, "config": asdict(cfg)}
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -192,7 +202,7 @@ def _train_run(cfg: ExperimentConfig, loaded=None) -> tuple[Path, float]:
     across calls."""
     spec, train_config = _model_spec(cfg), _train_config(cfg)
     loaded = {} if loaded is None else loaded
-    key = tuple(getattr(cfg, k) for k in _DATA_KEYS)
+    key = (cfg.dataset, *(getattr(cfg, k) for k in _DATA_KEYS[cfg.dataset]))
     if key not in loaded:  # a data error leaves no run directory
         loaded[key] = load_split(cfg, "train"), load_split(cfg, "val")
     train_set, val_set = loaded[key]
@@ -200,13 +210,16 @@ def _train_run(cfg: ExperimentConfig, loaded=None) -> tuple[Path, float]:
     out_dir = Path(cfg.output_dir) / cid
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_manifest(out_dir, cfg, cid)
+    aborted = None
     try:
         model, records = train(spec, train_config, train_set, val_set)
     except TrainingAborted as exc:  # keep the curve up to its non-finite row
-        write_csv(exc.records, out_dir / "curve.csv", cid)
-        raise
+        aborted, records = exc, exc.records
+    _write_csv(out_dir / "curve.csv", ("config_id", "epoch", "train_loss", "val_ssim"),
+               [(cid, r.epoch, f"{r.train_loss:.6f}", f"{r.val_ssim:.6f}") for r in records])
+    if aborted is not None:
+        raise aborted
     model.save(out_dir / "weights.bin")
-    write_csv(records, out_dir / "curve.csv", cid)
     return out_dir, records[-1].val_ssim
 
 
@@ -268,7 +281,7 @@ def cmd_sweep(args) -> int:
     points = []
     for combo in itertools.product(*(vals for _, vals in axes)):
         try:  # refuse the whole grid before anything trains or any directory exists
-            points.append((combo, _checked(replace(cfg, **dict(zip(names, combo))))))
+            points.append((combo, replace(cfg, **dict(zip(names, combo)))))
         except ValueError as e:
             raise ValueError(f"grid point {dict(zip(names, combo))}: {e}") from None
     out_root = Path(cfg.output_dir)
@@ -284,10 +297,7 @@ def cmd_sweep(args) -> int:
             print(f"grid point {combo} failed: {e}", file=sys.stderr)
     grid = f"{config_id(cfg)}\n{axes!r}"  # a different axis or value list, a different CSV
     sweep_path = out_root / f"sweep_{hashlib.sha256(grid.encode()).hexdigest()[:10]}.csv"
-    with open(sweep_path, "w", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(["config_id", *names, "final_val_ssim", "status"])
-        writer.writerows(rows)
+    _write_csv(sweep_path, ["config_id", *names, "final_val_ssim", "status"], rows)
     print(f"wrote {sweep_path} ({len(rows)} grid points)")
     return 0
 
@@ -298,9 +308,8 @@ def cmd_eval(args) -> int:
     ssim_noisy = mean_ssim(noisy, clean)
     ssim_denoised = mean_ssim(model.denoise(noisy), clean)
     path = run_dir / "eval.csv"
-    with open(path, "w", newline="") as f:
-        f.write("config_id,n_images,ssim_noisy,ssim_denoised\n")
-        f.write(f"{config_id(cfg)},{len(clean)},{ssim_noisy:.6f},{ssim_denoised:.6f}\n")
+    _write_csv(path, ("config_id", "n_images", "ssim_noisy", "ssim_denoised"),
+               [(config_id(cfg), len(clean), f"{ssim_noisy:.6f}", f"{ssim_denoised:.6f}")])
     print(f"ssim noisy->clean     {ssim_noisy:.6f}")
     print(f"ssim denoised->clean  {ssim_denoised:.6f}")
     print(f"wrote {path}")

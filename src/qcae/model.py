@@ -36,7 +36,8 @@ holds at most one layer's activations at a time and leaves none behind.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 from math import pi
 
 import numpy as np
@@ -53,6 +54,18 @@ from .statevector import NoiseChannel, compile_circuit, z_and_pullback
 _WIDTHS = {28: ((16, 32, 64), 7), 8: ((4, 8, 16), 2)}
 
 
+def _refuse_non_integers(config) -> None:
+    """Refuse, naming it, a field annotated int that holds no integer, as
+    GateOp refuses its targets; numpy integers pass, an `int | None` None too."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" or (f.type == "int | None" and value is not None):
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ModelSpec:
     """Architecture description for either model kind."""
@@ -67,6 +80,7 @@ class ModelSpec:
     image_size: int = 28  # a key of _WIDTHS
 
     def __post_init__(self):
+        _refuse_non_integers(self)
         if self.kind not in ("qcae", "ccae"):
             raise ValueError(f"kind must be qcae or ccae, got {self.kind!r}")
         if self.p < 1:
@@ -97,6 +111,7 @@ class TrainConfig:
     val_limit: int = 100
 
     def __post_init__(self):
+        _refuse_non_integers(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not 0.0 <= self.sigma < float("inf"):

@@ -25,7 +25,7 @@ from qcae.data_io import (
     write_idx,
 )
 from qcae.gradient import psr_gradient
-from qcae.metrics import C1, SsimConfig, mean_ssim, ssim
+from qcae.metrics import C1, mean_ssim
 from qcae.model import ModelSpec, TrainConfig, train
 from qcae.nn import Conv2d, ConvTranspose2d, Dense, LeakyReLU, Reshape, Sigmoid
 from qcae.statevector import measure_all_z, run_circuit
@@ -327,8 +327,8 @@ def test_criterion_09_ssim_unit_correctness():
     rng = np.random.default_rng(11)
     for _ in range(5):
         x = rng.random((28, 28))
-        assert abs(ssim(x, x) - 1.0) < 1e-12
-    constant_case = ssim(np.zeros((28, 28)), np.ones((28, 28)), SsimConfig())
+        assert abs(mean_ssim(x[None], x[None]) - 1.0) < 1e-12
+    constant_case = mean_ssim(np.zeros((1, 28, 28)), np.ones((1, 28, 28)), "gaussian11")
     # mu_a=0, mu_b=1 with zero variances: the contrast factor cancels to
     # C2/C2 = 1 and the formula reduces to C1/(1+C1)
     expected = C1 / (1.0 + C1)

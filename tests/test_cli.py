@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -99,6 +100,40 @@ def test_effective_config_serializes_back_identically(tmp_path):
 def test_invalid_p_names_the_key():
     with pytest.raises(ValueError, match="p must"):
         resolve_config(None, {"p": "0"})
+
+
+CONFIG_REFUSED = [
+    ({"dataset": "bogus"}, "dataset must be idx or synthetic, got 'bogus'"),
+    ({"model": "vae"}, "model must be qcae or ccae, got 'vae'"),
+    ({"p": 0}, "p must be >= 1, got 0"),
+    ({"epochs": 0}, "epochs and batch_size must be >= 1"),
+    ({"classes": ","}, "classes must name at least one class"),
+    ({"classes": "0,x"}, "classes must be comma-separated integers"),
+    ({"dataset": "synthetic", "classes": "1,2"}, "the synthetic corpus only provides 0 and 1"),
+]
+
+
+@pytest.mark.parametrize("change, message", CONFIG_REFUSED,
+                         ids=["-".join(f"{k}={v}" for k, v in change.items())
+                              for change, _ in CONFIG_REFUSED])
+def test_a_config_checks_itself_however_it_is_made(change, message):
+    # construction and replace() refuse what resolve_config refuses
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(ExperimentConfig(), **change)
+
+
+def test_eval_refuses_a_manifest_train_would_refuse(tmp_path, capsys):
+    code, runs = run_train(tmp_path)
+    assert code == 0
+    manifest = json.loads(runs[0].read_text())
+    manifest["config"]["batch_size"] = 0
+    runs[0].write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--run", str(runs[0].parent)]) == 1
+    assert "config error: epochs and batch_size must be >= 1" in capsys.readouterr().err
+    assert not (runs[0].parent / "eval.csv").exists()
 
 
 # ------------------------------------------------------------------- train
@@ -328,6 +363,26 @@ def test_sweep_loads_each_distinct_dataset_once(tmp_path, monkeypatch):
     calls.clear()
     assert main(["sweep", *FAST, "--output-dir", str(out), "--axis", "seed=1,2"]) == 0
     assert len(calls) == 4  # a data key on the axis loads each point's own splits
+
+
+def test_an_idx_seed_sweep_reads_its_files_once(tmp_path, monkeypatch):
+    # load_split reads seed only to draw the synthetic corpus, so the IDX
+    # points of a seed axis share one train and one val split
+    calls = []
+
+    def counted(*paths):
+        calls.append(paths)
+        return load_idx(*paths)
+
+    monkeypatch.setattr("qcae.cli.load_idx", counted)
+    data_dir = write_idx_fixtures(tmp_path / "mnist", 8)
+    out = tmp_path / "runs"
+    assert main(["sweep", *FAST, "--dataset", "idx", "--data-dir", str(data_dir),
+                 "--output-dir", str(out), "--axis", "seed=1,2,3"]) == 0
+    assert [Path(images).name for images, _ in calls] == ["train-images-idx3-ubyte",
+                                                        "t10k-images-idx3-ubyte"]
+    with open(next(out.glob("sweep_*.csv")), newline="") as f:
+        assert [row[-1] for row in csv.reader(f)] == ["status", "ok", "ok", "ok"]
 
 
 GRID_REFUSED = [

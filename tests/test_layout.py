@@ -41,12 +41,13 @@ def test_the_simulator_loops_have_no_channel_branch(function):
             assert node.attr != "depolarizing_prob", f"{function}:{node.lineno} reads {node.attr}"
 
 
-@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py"))
-                                        - {SRC / "cli.py", SRC / "metrics.py"}),
+@pytest.mark.parametrize("path", sorted(set(SRC.glob("*.py")) - {SRC / "cli.py"}),
                          ids=lambda path: path.name)
 def test_only_the_cli_names_runs(path):
-    # a run id names a run's directory and, through metrics.write_csv, its
-    # CSV rows; training and the layers never see it
+    # a run id names a run's directory and its CSV rows, and the CLI writes
+    # every CSV; training, scoring and the layers never see it
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        names = (getattr(node, key, None) for key in ("id", "attr", "arg"))
-        assert "config_id" not in names, f"{path.name}:{node.lineno} names config_id"
+        names = [getattr(node, key, None) for key in ("id", "attr", "arg", "name")]
+        text = node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+        assert "config_id" not in names and "config_id" not in text, (
+            f"{path.name}:{node.lineno} names config_id")

@@ -1,5 +1,5 @@
 """SSIM unit behaviour, closed forms, window-sum oracle and library
-cross-checks, CSV output."""
+cross-checks, and the CLI's CSV writer."""
 import os
 import subprocess
 import sys
@@ -10,8 +10,8 @@ import pytest
 
 from qcae.data_io import NoiseSpec, add_gaussian_noise, make_synthetic_digits
 from qcae import metrics
-from qcae.metrics import (C1, C2, EVAL_BLOCK, RunRecord, SsimConfig, eval_blocks, mean_ssim,
-                          ssim, ssim_config_for, write_csv)
+from qcae.cli import _write_csv
+from qcae.metrics import C1, C2, EVAL_BLOCK, eval_blocks, mean_ssim, ssim_config_for
 
 from oracles import peak_bytes, ssim_direct, ssim_per_image_stacked
 
@@ -20,13 +20,13 @@ def test_ssim_identity_is_one():
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.random((28, 28))
-        assert abs(ssim(x, x) - 1.0) < 1e-12
+        assert abs(mean_ssim(x[None], x[None]) - 1.0) < 1e-12
 
 
 def test_ssim_constant_images_closed_form():
     # all-zero vs all-one: variances vanish, so the contrast term cancels to
     # C2/C2 = 1 and the value reduces to C1 / (1 + C1)
-    value = ssim(np.zeros((28, 28)), np.ones((28, 28)), SsimConfig())
+    value = mean_ssim(np.zeros((1, 28, 28)), np.ones((1, 28, 28)), "gaussian11")
     expected = C1 / (1.0 + C1)
     assert abs(value - expected) < 1e-10
 
@@ -35,14 +35,14 @@ def test_ssim_symmetry():
     rng = np.random.default_rng(1)
     for _ in range(5):
         a, b = rng.random((28, 28)), rng.random((28, 28))
-        assert abs(ssim(a, b) - ssim(b, a)) < 1e-12
+        assert abs(mean_ssim(a[None], b[None]) - mean_ssim(b[None], a[None])) < 1e-12
 
 
 def test_ssim_bounded_by_one_in_magnitude():
     rng = np.random.default_rng(2)
     for _ in range(20):
         a, b = rng.random((16, 16)), rng.random((16, 16))
-        assert abs(ssim(a, b)) <= 1.0 + 1e-12
+        assert abs(mean_ssim(a[None], b[None])) <= 1.0 + 1e-12
 
 
 def test_ssim_matches_skimage_reference():
@@ -50,7 +50,7 @@ def test_ssim_matches_skimage_reference():
     rng = np.random.default_rng(3)
     for _ in range(5):
         a, b = rng.random((28, 28)), rng.random((28, 28))
-        ours = ssim(a, b)
+        ours = mean_ssim(a[None], b[None])
         reference = skimage_metrics.structural_similarity(
             a, b, data_range=1.0, gaussian_weights=True, sigma=1.5,
             use_sample_covariance=False,
@@ -65,20 +65,19 @@ def test_ssim_matches_skimage_reference():
     ("uniform8", (9, 12)),
 ])
 def test_ssim_matches_window_sum_oracle(window, shape):
-    cfg = SsimConfig(window=window)
     rng = np.random.default_rng(8)
     clean = rng.random((3, *shape))
     noisy = np.clip(clean + rng.normal(scale=0.2, size=clean.shape), 0.0, 1.0)
     expected = [ssim_direct(a, b, window, C1, C2) for a, b in zip(noisy, clean)]
     for a, b, want in zip(noisy, clean, expected):
-        assert abs(ssim(a, b, cfg) - want) < 1e-12
-    assert abs(mean_ssim(noisy, clean, cfg) - np.mean(expected)) < 1e-12
+        assert abs(mean_ssim(a[None], b[None], window) - want) < 1e-12
+    assert abs(mean_ssim(noisy, clean, window) - np.mean(expected)) < 1e-12
 
 
 def test_mean_ssim_of_a_stack_is_the_mean_of_per_image_ssim():
     rng = np.random.default_rng(9)
     a, b = rng.random((5, 1, 28, 28)), rng.random((5, 1, 28, 28))
-    per_image = np.mean([ssim(x, y) for x, y in zip(a, b)])
+    per_image = np.mean([mean_ssim(x, y) for x, y in zip(a, b)])
     assert abs(mean_ssim(a, b) - per_image) < 1e-15
     assert abs(mean_ssim(a[:, 0], b[:, 0]) - per_image) < 1e-15
     with pytest.raises(ValueError):
@@ -112,7 +111,7 @@ def test_eval_blocks_cut_every_count_into_whole_blocks():
 def test_blocked_mean_ssim_equals_the_mean_of_one_call(count):
     rng = np.random.default_rng(count)
     a, b = rng.random((count, 28, 28)), rng.random((count, 28, 28))
-    one_call = metrics._ssim_per_image(a, b, SsimConfig())
+    one_call = metrics._ssim_per_image(a, b, "gaussian11")
     assert mean_ssim(a, b) == float(one_call.mean())
 
 
@@ -124,13 +123,12 @@ def test_mean_ssim_memory_does_not_grow_with_the_image_count():
     assert peak_bytes(mean_ssim, a, b) <= 2 * peak_bytes(mean_ssim, a[:32], b[:32])
 
 
-@pytest.mark.parametrize("cfg, shape", [(SsimConfig(), (7, 28, 28)),
-                                        (SsimConfig("uniform8"), (3, 9, 12))])
-def test_ssim_block_matches_the_stacked_form_bit_for_bit(cfg, shape):
+@pytest.mark.parametrize("window, shape", [("gaussian11", (7, 28, 28)), ("uniform8", (3, 9, 12))])
+def test_ssim_block_matches_the_stacked_form_bit_for_bit(window, shape):
     rng = np.random.default_rng(12)
     a, b = rng.random(shape), rng.random(shape)
-    rows, cols = metrics._bands(cfg, *shape[1:])
-    np.testing.assert_array_equal(metrics._ssim_per_image(a, b, cfg),
+    rows, cols = metrics._bands(window, *shape[1:])
+    np.testing.assert_array_equal(metrics._ssim_per_image(a, b, window),
                                   ssim_per_image_stacked(a, b, rows, cols, C1, C2))
 
 
@@ -183,52 +181,48 @@ def test_uniform_and_gaussian_windows_agree_closely():
     # documented cross-check between the two window choices
     images = make_synthetic_digits(20, seed=5).images
     noisy = add_gaussian_noise(images, NoiseSpec(0.5, seed=6))
-    gauss = mean_ssim(noisy, images, SsimConfig(window="gaussian11"))
-    uniform = mean_ssim(noisy, images, SsimConfig(window="uniform8"))
+    gauss = mean_ssim(noisy, images, "gaussian11")
+    uniform = mean_ssim(noisy, images, "uniform8")
     assert abs(gauss - uniform) < 0.02
 
 
 def test_ssim_shape_and_window_validation():
-    with pytest.raises(ValueError):
-        ssim(np.zeros((28, 28)), np.zeros((27, 28)))
-    with pytest.raises(ValueError):
-        ssim(np.zeros((7, 7)), np.zeros((7, 7)))  # no window fits
-    with pytest.raises(ValueError):
-        ssim(np.zeros((28, 28)), np.zeros((28, 28)), SsimConfig(window="box3"))
+    a = np.zeros((1, 28, 28))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mean_ssim(a, np.zeros((1, 27, 28)))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mean_ssim(a[None], a)
+    with pytest.raises(ValueError, match="expected a stack of images"):
+        mean_ssim(np.zeros((1, 28)), np.zeros((1, 28)))
+    with pytest.raises(ValueError, match="no ssim window fits"):
+        mean_ssim(np.zeros((1, 7, 7)), np.zeros((1, 7, 7)))
+    with pytest.raises(ValueError, match="unknown ssim window 'box3'"):
+        mean_ssim(a, a, "box3")
+    with pytest.raises(ValueError, match="smaller than ssim window 11"):
+        mean_ssim(np.zeros((1, 9, 9)), np.zeros((1, 9, 9)), "gaussian11")
 
 
 def test_the_default_window_is_the_one_ssim_config_for_picks():
     rng = np.random.default_rng(12)
     small, large = rng.random((3, 1, 8, 8)), rng.random((3, 1, 28, 28))
-    assert mean_ssim(small, small * 0.9) == mean_ssim(small, small * 0.9, SsimConfig("uniform8"))
-    assert ssim(small[0], small[0] * 0.9) == ssim(small[0], small[0] * 0.9, SsimConfig("uniform8"))
-    assert mean_ssim(large, large * 0.9) == mean_ssim(large, large * 0.9, SsimConfig())
+    assert mean_ssim(small, small * 0.9) == mean_ssim(small, small * 0.9, "uniform8")
+    one = small[:1]
+    assert mean_ssim(one, one * 0.9) == mean_ssim(one, one * 0.9, "uniform8")
+    assert mean_ssim(large, large * 0.9) == mean_ssim(large, large * 0.9, "gaussian11")
 
 
 def test_ssim_config_for_refuses_an_image_no_window_fits():
-    assert ssim_config_for((8, 8)) == SsimConfig(window="uniform8")
+    assert ssim_config_for((8, 8)) == "uniform8"
+    assert ssim_config_for((3, 1, 11, 40)) == "gaussian11"
     with pytest.raises(ValueError, match=r"no ssim window fits an image of shape \(1, 7, 7\)"):
         ssim_config_for((1, 7, 7))
 
 
 def test_ssim_accepts_channel_leading_images():
     rng = np.random.default_rng(7)
-    a = rng.random((1, 28, 28))
-    assert abs(ssim(a, a) - 1.0) < 1e-12
-
-
-def test_ssim_is_mean_ssim_of_a_one_image_stack():
-    rng = np.random.default_rng(8)
-    a, b = rng.random((1, 28, 28)), rng.random((1, 28, 28))
-    want = mean_ssim(a[None], b[None])
-    assert ssim(a, b) == want
-    assert ssim(a[0], b[0]) == want
-    with pytest.raises(ValueError):
-        ssim(np.zeros((2, 28, 28)), np.zeros((2, 28, 28)))
-    with pytest.raises(ValueError):
-        ssim(np.zeros(28), np.zeros(28))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        ssim(a, b[0])
+    a, b = rng.random((1, 1, 28, 28)), rng.random((1, 1, 28, 28))
+    assert abs(mean_ssim(a, a) - 1.0) < 1e-12
+    assert mean_ssim(a, b) == mean_ssim(a[:, 0], b[:, 0])
 
 
 def test_mean_ssim_builds_each_band_matrix_once(monkeypatch):
@@ -244,31 +238,33 @@ def test_mean_ssim_builds_each_band_matrix_once(monkeypatch):
 
 # ----------------------------------------------------------------- CSV
 
+CURVE_HEADER = ("config_id", "epoch", "train_loss", "val_ssim")
+
+
 def test_write_csv_single_record(tmp_path):
     path = tmp_path / "curve.csv"
-    write_csv([RunRecord(1, 0.25, 0.5)], path, "abc")
-    lines = path.read_text().splitlines()
-    assert lines == ["config_id,epoch,train_loss,val_ssim", "abc,1,0.250000,0.500000"]
+    _write_csv(path, CURVE_HEADER, [("abc", 1, f"{0.25:.6f}", f"{0.5:.6f}")])
+    assert path.read_bytes() == b"config_id,epoch,train_loss,val_ssim\nabc,1,0.250000,0.500000\n"
 
 
 def test_write_csv_is_reproducible(tmp_path):
-    records = [RunRecord(e, 0.1 * e, 0.01 * e) for e in range(1, 6)]
+    rows = [("cfg", e, f"{0.1 * e:.6f}", f"{0.01 * e:.6f}") for e in range(1, 6)]
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(records, p1, "cfg")
-    write_csv(records, p2, "cfg")
+    _write_csv(p1, CURVE_HEADER, rows)
+    _write_csv(p2, CURVE_HEADER, rows)
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_write_csv_row_count(tmp_path):
-    # one run's curve: a header and one row per record, all under its id
-    records = [RunRecord(e, 0.0, 0.0) for e in range(1, 101)]
+    # one run's curve: a header and one row per epoch, all under its id
     path = tmp_path / "curve.csv"
-    write_csv(records, path, "one")
+    _write_csv(path, CURVE_HEADER, [("one", e, "0.000000", "0.000000") for e in range(1, 101)])
     lines = path.read_text().splitlines()
     assert len(lines) == 101
     assert {line.split(",")[0] for line in lines[1:]} == {"one"}
 
 
 def test_write_csv_rejects_empty(tmp_path):
-    with pytest.raises(ValueError):
-        write_csv([], tmp_path / "never.csv", "cfg")
+    with pytest.raises(ValueError, match="no rows"):
+        _write_csv(tmp_path / "never.csv", CURVE_HEADER, [])
+    assert not (tmp_path / "never.csv").exists()

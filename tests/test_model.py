@@ -538,3 +538,26 @@ def test_spec_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(sigma=-1.0)
+
+
+NON_INTEGERS = [
+    (TrainConfig, {"epochs": 1.5}),
+    (TrainConfig, {"batch_size": 2.5}),
+    (TrainConfig, {"sample_limit": 4.0}),
+    (TrainConfig, {"val_limit": "8"}),
+    (TrainConfig, {"seed": 0.0}),
+    (ModelSpec, {"n_qubits": 4.0}),
+    (ModelSpec, {"p": 2.0}),
+    (ModelSpec, {"image_size": 28.0}),
+    (ModelSpec, {"kind": "ccae", "latent_width": 3.0}),
+]
+
+
+@pytest.mark.parametrize("make, fields", NON_INTEGERS,
+                         ids=[f"{make.__name__}.{[*fields][-1]}" for make, fields in NON_INTEGERS])
+def test_an_integer_field_refuses_a_non_integer(make, fields):
+    # refused at construction, naming the field, not by a TypeError deep in training
+    *_, (field, value) = fields.items()
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        make(**fields)
+    make(**{**fields, field: np.int64(value)})  # a numpy integer passes
