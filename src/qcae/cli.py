@@ -33,27 +33,28 @@ _DATA_KEYS = {"idx": ("data_dir", "classes", "limit", "val_limit", "image_size")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Every tunable of a run; each field has a working default, and a value
-    train would refuse is refused here, at construction or replace()."""
+    """Every tunable of a run; each field has a working default (a model or
+    training field reads ModelSpec's, TrainConfig's or NoiseChannel's), and a
+    value train would refuse is refused here, at construction or replace()."""
 
     dataset: str = "idx"  # idx | synthetic
     data_dir: str = "data/mnist"  # holds the four IDX files under their standard names
     classes: str = "0,1"
-    limit: int = 2000
-    val_limit: int = 100
-    model: str = "qcae"  # qcae | ccae
-    qubits: int = 4
-    p: int = 2
-    family: str = "ours"
-    psr: bool = True
-    sigma: float = 0.5
-    epochs: int = 10
-    batch_size: int = 16
-    learning_rate: float = 1e-3
-    seed: int = 0
-    depolarizing_prob: float = 0.0
-    readout_flip_prob: float = 0.0
-    image_size: int = 28
+    limit: int = TrainConfig.sample_limit
+    val_limit: int = TrainConfig.val_limit
+    model: str = ModelSpec.kind  # qcae | ccae
+    qubits: int = ModelSpec.n_qubits
+    p: int = ModelSpec.p
+    family: str = ModelSpec.family
+    psr: bool = ModelSpec.psr_enabled
+    sigma: float = TrainConfig.sigma
+    epochs: int = TrainConfig.epochs
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    seed: int = TrainConfig.seed
+    depolarizing_prob: float = NoiseChannel.depolarizing_prob
+    readout_flip_prob: float = NoiseChannel.readout_flip_prob
+    image_size: int = ModelSpec.image_size
     output_dir: str = "runs"
 
     def __post_init__(self):

@@ -66,7 +66,7 @@ def _refuse_non_integers(config) -> None:
                 raise ValueError(f"{f.name} must be an integer, got {value!r}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelSpec:
     """Architecture description for either model kind."""
 
@@ -97,7 +97,7 @@ class ModelSpec:
             family_template(self.family, self.n_qubits, self.p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """sample_limit and val_limit keep the first that many images of the sets
     train() is given: the default 2000 silently truncates a larger set."""

@@ -23,14 +23,15 @@ depolarizing probability (compile_circuit: any angles and row count reuse
 it). A greedy pass in gate order makes three kinds of gate layer:
   column       H, RX and RY on distinct qubits: each 2x2 matrix applied
                elementwise to all rows;
-  diagonal     a run of RZ and ZZ: one phase multiply per group of target
-               bits, its (M, 2, ..., 2) table from one product of the angles
-               with a fixed exponent matrix;
+  diagonal     a run of RZ and ZZ: one phase multiply per group of at most
+               _BLOCK_QUBITS (4) target bits, its (M, 2, ..., 2) table from
+               one product of the angles with a fixed exponent matrix;
   permutation  a run of CNOTs: one gather by the composed basis permutation.
 A rotation is exp(-i angle/2 G) with G^2 = 1 and G commutes with the rest
 of its layer, so every derivative of a layer, Im<lambda|G psi>, comes from
 the (psi, lambda) pair at the layer's end: a column's from reduced matrices
-of kron blocks of adjacent qubits, a diagonal run's as one product of
+over its derivative qubits in each aligned four-qubit chunk (q // 4, on any
+register), a diagonal run's as one product of
 Im(conj(lambda) * psi) with a table of each gate's Z...Z signs on the ket
 bits (by Hermiticity, a density row's whole derivative). z_and_pullback's
 forward keeps psi at the end of each layer with derivatives, and the
@@ -114,11 +115,9 @@ class NoiseChannel:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
 
 
-def _block_qubits(register: int) -> int:
-    """Qubits per reduced-matrix block of a column's sweep and per phase
-    table of a diagonal run, on a register of that many qubits: about a
-    third of it, from 2 to 4."""
-    return min(4, max(2, (register + 2) // 3))
+# qubits per aligned chunk of a column's derivative blocks and bits per
+# phase table of a diagonal run, on any register
+_BLOCK_QUBITS = 4
 
 
 def _bit_axes(register: int, bits) -> tuple[int, ...]:
@@ -140,9 +139,11 @@ class _Column:
     bit for bit (batched BLAS products, which may fuse multiply-adds, do not
     keep that). The derivative of each gate of the run below n_gates (not of
     a density row's conjugate copies, see _compile) comes from the reduced
-    matrix R[a, c] = sum conj(lambda_a) psi_c of a block of at most
-    _block_qubits adjacent qubits, one batched matmul per block, and a fixed
-    coefficient column: Im<lambda|X psi> or Im<lambda|Y psi>."""
+    matrix R[a, c] = sum conj(lambda_a) psi_c of a block, one batched matmul
+    per block, and a fixed coefficient column: Im<lambda|X psi> or
+    Im<lambda|Y psi>. A block spans the lowest to the highest derivative qubit
+    of one aligned chunk of _BLOCK_QUBITS qubits (q // _BLOCK_QUBITS); a qubit
+    between them without a derivative is an identity in its columns."""
 
     kind = "column"
 
@@ -155,19 +156,15 @@ class _Column:
         self._h = [j for j, k in enumerate(kinds) if k == "h"]
         at = {ops[i][1][0]: j for j, i in enumerate(run)}  # qubit -> its gate's place in run
         self._steps = [(j, (1 << register) >> (q + 1), 1 << q) for q, j in sorted(at.items())]
-        width = _block_qubits(register)
-        runs = []
+        chunks = {}  # aligned chunk -> its derivative qubits, ascending
         for q in sorted(q for q, j in at.items() if run[j] < n_gates and kinds[j] != "h"):
-            if runs and q == runs[-1][-1] + 1 and len(runs[-1]) < width:
-                runs[-1].append(q)
-            else:
-                runs.append([q])
+            chunks.setdefault(q // _BLOCK_QUBITS, []).append(q)
         self.blocks, deriv = [], []
-        for qs in runs:
-            d = 1 << len(qs)
+        for qs in chunks.values():
+            d = 2 << (qs[-1] - qs[0])
             coef = []
-            for t, q in enumerate(qs):
-                j = at[q]
+            for q in qs:
+                j, t = at[q], q - qs[0]
                 col = np.zeros((d, d), dtype=complex)
                 a = np.arange(d)
                 col[a, a ^ (1 << t)] = -1j if kinds[j] == "rx" else np.where(a >> t & 1, 1.0, -1.0)
@@ -186,14 +183,14 @@ class _Column:
         u[..., 1, 0] = sin * self._off[1]
         if self._h:
             u[:, self._h] = _H_MATRIX
-        # u[:, j, :, c] as (M, 1, a, 1), broadcast over the (k, M, high bits,
+        # u[:, j, :, c] as (M, 1, a, 1), broadcast over the (M, high bits,
         # qubit, low bits) view of the rows
         u = u[:, :, None, :, :, None]
         out, term = np.empty_like(rows), np.empty_like(rows)  # rows is the third buffer
         for j, hi, lo in self._steps:
-            x, y, t = (a.reshape(-1, m, hi, 2, lo) for a in (rows, out, term))
-            np.multiply(x[:, :, :, :1], u[:, j, ..., 0, :], out=y)
-            y += np.multiply(x[:, :, :, 1:], u[:, j, ..., 1, :], out=t)
+            x, y, t = (a.reshape(m, hi, 2, lo) for a in (rows, out, term))
+            np.multiply(x[:, :, :1], u[:, j, ..., 0, :], out=y)
+            y += np.multiply(x[:, :, 1:], u[:, j, ..., 1, :], out=t)
             rows, out = out, rows
         return rows
 
@@ -212,24 +209,24 @@ class _Column:
 
 class _Diagonal:
     """RZ and ZZ gates: a phase exp(-i/2 sum_g angle_g s_g), s_g the +-1 Z...Z
-    sign of gate g's target bits. The factors are grouped by target bits, at
-    most _block_qubits bits a group: one product of the angles with a fixed
-    exponent matrix gives every group's (M, 2, ..., 2) phase table, and each
-    table multiplies the rows broadcast over its bits (a conjugate copy's row
-    of the matrix negated). The derivatives of the run's gates below n_gates
-    (not of a density row's conjugate copies) are one product of
-    Im(conj(lambda) * psi) with a (2^register, gates) table of their s_g."""
+    sign of gate g's target bits. The factors are grouped by target bits, first
+    fit in gate order, at most _BLOCK_QUBITS bits a group: one product of the
+    angles with a fixed exponent matrix gives every group's (M, 2, ..., 2)
+    phase table, and each table multiplies the rows broadcast over its bits (a
+    conjugate copy's row of the matrix negated). The derivatives of the run's
+    gates below n_gates (not of a density row's conjugate copies) are one
+    product of Im(conj(lambda) * psi) with a (2^register, gates) table of
+    their s_g."""
 
     kind = "diagonal"
 
     def __init__(self, register: int, ops, run, n_gates: int):
         self.gates = tuple(i % n_gates for i in run)
         self.deriv = tuple(i for i in run if i < n_gates)
-        width = _block_qubits(register)
         groups = []  # [bits, members]
         for j, i in enumerate(run):
             for group in groups:
-                if len(group[0].union(ops[i][1])) <= width:
+                if len(group[0].union(ops[i][1])) <= _BLOCK_QUBITS:
                     break
             else:
                 group = [set(), []]
@@ -259,7 +256,7 @@ class _Diagonal:
         m = len(angles)
         phase = np.exp((-1j if inverse else 1j) * (angles[:, self.gates] @ self._exponent))
         for cols, shape in self.groups:
-            view = rows.reshape(-1, m, *shape)
+            view = rows.reshape(m, *shape)
             view *= phase[:, cols].reshape(m, *[1, 2] * (len(shape) // 2), 1)
         return rows
 

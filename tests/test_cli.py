@@ -13,12 +13,15 @@ import pytest
 
 from qcae.cli import (
     ExperimentConfig,
+    _model_spec,
+    _train_config,
     config_id,
     load_config_file,
     main,
     resolve_config,
 )
 from qcae.data_io import filter_classes, load_idx, make_synthetic_digits, write_idx
+from qcae.model import ModelSpec, TrainConfig
 from qcae.nn import load_weights
 
 FAST = [
@@ -95,6 +98,12 @@ def test_effective_config_serializes_back_identically(tmp_path):
     again = resolve_config(path, {})
     assert again == cfg
     assert config_id(again) == config_id(cfg)
+
+
+def test_the_default_config_runs_the_default_spec_and_training():
+    # ExperimentConfig reads its model and training defaults from these classes
+    assert _model_spec(ExperimentConfig()) == ModelSpec()
+    assert _train_config(ExperimentConfig()) == TrainConfig()
 
 
 def test_invalid_p_names_the_key():

@@ -8,9 +8,10 @@ train() at commit 26ad357; the commit that adds this file leaves training
 arithmetic untouched and reproduces them bit for bit. Each case pins a path
 that a planned rewrite touches:
 
-  c4p2_noisy  the density rows: the doubled gate list's negated conjugate
-              angle columns, depolarizing after each layer, the readout
-              flip factor
+  c4p2_noisy  the density rows: the doubled gate list, each conjugate copy
+              reading its gate's own angle column with its sign in the
+              layer's constants, a _Channel step after each gate layer, the
+              readout flip factor
   a4p2, b4p2  the chain families' recipes; b4p2's last rotation column is
               dead, so its slots train on rounding noise
   ours4p2     the QAOA latent, which reads 0 and trains on rounding noise

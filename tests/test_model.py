@@ -1,5 +1,6 @@
 """Hybrid and classical autoencoders: forward semantics, gradient flow,
 end-to-end finite-difference agreement, and training behaviour."""
+import dataclasses
 import re
 from collections import Counter
 
@@ -538,6 +539,20 @@ def test_spec_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(sigma=-1.0)
+
+
+def test_spec_and_train_config_are_frozen():
+    # an assignment after construction would skip __post_init__'s checks
+    # (epochs = 0 would make train() return no records); replace() runs them
+    spec, config = ModelSpec(), TrainConfig()
+    for obj in (spec, config):
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+    with pytest.raises(ValueError, match="p must be >= 1, got 0"):
+        dataclasses.replace(spec, p=0)
+    with pytest.raises(ValueError, match="epochs and batch_size must be >= 1"):
+        dataclasses.replace(config, epochs=0)
 
 
 NON_INTEGERS = [

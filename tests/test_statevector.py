@@ -14,6 +14,7 @@ from qcae.statevector import (
     compile_circuit,
     measure_all_z,
     measure_rows_z,
+    row_width,
     run_circuit,
     run_rows,
     z_and_pullback,
@@ -357,6 +358,35 @@ def test_compiled_layers_cover_every_gate_once_in_order(n, n_runs, seed, noisy):
             assert first & {q for i in runs[k - 1] for q in gates[i].targets}
     # a channel without depolarizing adds no step: it compiles the pure program
     assert compile_circuit(n, gates, NoiseChannel(0.0, 0.1)) is compile_circuit(n, gates)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 14), st.integers(1, 8), st.integers(0, 2**32 - 1), st.booleans())
+def test_blocks_and_phase_groups_fit_one_aligned_chunk(n, n_runs, seed, noisy):
+    # the same fixed chunk on every register: pure n <= 14, density rows n <= 7
+    n = min(n, 7) if noisy else n
+    gates = layered_gate_list(n, n_runs, np.random.default_rng(seed))
+    channel, chunk = NoiseChannel(0.1) if noisy else None, qcae.statevector._BLOCK_QUBITS
+    for layer in compile_circuit(n, gates, channel):
+        if layer.kind == "diagonal":
+            for cols, _ in layer.groups:  # a (2, ..., 2) table, one axis per bit
+                assert cols.stop - cols.start <= 1 << chunk
+        if layer.kind != "column":
+            continue
+        k = 0  # the blocks' coefficient columns read layer.deriv in order
+        for d, lo, hi, coef in layer.blocks:
+            low = lo.bit_length() - 1
+            high = low + d.bit_length() - 2
+            assert low // chunk == high // chunk and d * lo * hi == row_width(n, channel)
+            qubits = []
+            for column in coef.T:  # X or Y on one block qubit t, rows a -> a ^ 2^t
+                t = int(np.flatnonzero(column.reshape(d, d)[0])[0]).bit_length() - 1
+                gate = gates[layer.deriv[k]]
+                assert gate.targets == (low + t,) and gate.kind in ("rx", "ry")
+                qubits.append(low + t)
+                k += 1
+            assert qubits == sorted(qubits) and qubits[0] == low and qubits[-1] == high
+        assert k == len(layer.deriv)
 
 
 @pytest.mark.parametrize("p", [0.05, 0.5, 1.0])
